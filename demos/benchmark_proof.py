@@ -1,15 +1,13 @@
 """Walkthrough: proving global asymptotic stability of a second-order map.
 
 The recurrence x_{n+1} = (4 + x_n) / (1 + x_{n-1}) has equilibrium 2. The
-proof proceeds in stages: exact local stability, a mesh search for the
-contraction exponent K, construction of the contraction polynomial, and an
-orthant positivity certificate. Run with: python3 demos/benchmark_proof.py
+proof proceeds in stages: exact local stability, then for K = 1, 2, ... the
+contraction polynomial and an exact orthant positivity check, until one K
+is proven. Run with: python3 demos/benchmark_proof.py
 """
 from gasprover import (
-    MeshParams,
     build_contraction_poly,
     certificate_to_json,
-    conjecture_k,
     find_equilibrium,
     las_check,
     parse_rde,
@@ -29,15 +27,21 @@ coeffs = ", ".join(str(c) for c in las.char_poly)
 print(f"\nlocal stability: {las.outcome}")
 print(f"characteristic polynomial coefficients (low to high): {coeffs}")
 
-K = conjecture_k(spec, eq, MeshParams())
-print(f"\nmesh search conjectures contraction exponent K = {K}")
+print("\ncontraction exponent loop:")
+for K in range(1, 9):
+    P = build_contraction_poly(spec, eq, K)
+    cert = prove_nonneg(P, eq.value)
+    line = f"  K = {K}: {len(P.terms)} terms, {cert.verdict}"
+    if cert.witness is not None:
+        point = ", ".join(str(x) for x in cert.witness)
+        line += f", P({point}) = {cert.witness_value}"
+    print(line)
+    if cert.verdict == "Proven":
+        break
 
-P = build_contraction_poly(spec, eq, K)
-print(f"contraction polynomial: {len(P.terms)} terms, "
-      f"total degree {P.total_degree()}, constant term {P.constant_term()}")
-
-cert = prove_nonneg(P, eq.value)
-print(f"\npositivity verdict: {cert.verdict}")
+print(f"\ncontraction polynomial at K = {K}: total degree {P.total_degree()}, "
+      f"constant term {P.constant_term()}")
+print(f"positivity verdict: {cert.verdict}")
 for node in cert.nodes:
     tests = ", ".join(f"{o.test}={o.result}" for o in node.outcomes)
     print(f"  region {node.region.label}: {node.status} ({tests})")

@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .conjecture import MeshParams
 from .driver import prove, prove_k, webbook
 from .parsing import ParseError, parse_poly
 from .positivity import certificate_to_json, orthant_split, prove_nonneg
@@ -61,23 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_mesh_flags(p):
-        p.add_argument("--eps", type=_fraction, default=Fraction(1, 10),
-                       help="mesh step (exact rational p/q)")
-        p.add_argument("--mesh-n", type=int, default=100,
-                       help="mesh points per axis")
-        p.add_argument("--restarts", type=int, default=200,
-                       help="descent restarts")
-
     p = sub.add_parser("prove", help="full pipeline: stability, K search, proof")
     p.add_argument("--rde", required=True, help="right-hand side R(x0, x1, ...)")
     p.add_argument("--max-k", type=int, default=10)
     p.add_argument("--order", type=int, default=None,
                    help="recurrence order (default: inferred from variables)")
     p.add_argument("--depth", type=int, default=12)
-    add_mesh_flags(p)
-    p.add_argument("--prove-each-k", action="store_true",
-                   help="run the prover for every K instead of mesh conjecture")
     p.add_argument("--cert", type=Path, default=None,
                    help="write the proof certificate as JSON")
     p.add_argument("--verbose", action="store_true")
@@ -112,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--max-k", type=int, default=10)
     p.add_argument("--depth", type=int, default=12)
-    add_mesh_flags(p)
     return parser
 
 
@@ -153,9 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.verb == "prove":
             spec = parse_rde(args.rde, args.order)
-            params = MeshParams(args.eps, args.mesh_n, args.restarts, args.max_k)
-            result = prove(spec, args.max_k, params, args.depth,
-                           args.prove_each_k)
+            result = prove(spec, args.max_k, depth_limit=args.depth)
             _print_result(result, args.verbose)
             _write_cert(args.cert, result.certificate)
             return _VERDICT_EXIT[result.verdict]
@@ -192,9 +177,9 @@ def main(argv: list[str] | None = None) -> int:
             if not ranges:
                 print("error: at least one --range is required", file=sys.stderr)
                 return EXIT_UNSUPPORTED
-            params = MeshParams(args.eps, args.mesh_n, args.restarts, args.max_k)
             report = webbook(args.template, ranges, args.count, args.seed,
-                             args.max_k, params, args.depth, args.order)
+                             args.max_k, depth_limit=args.depth,
+                             order=args.order)
             print(report.to_text(), end="")
             if all(r.status == "true" for r in report.rows):
                 return EXIT_TRUE

@@ -1,5 +1,6 @@
-"""End-to-end pipeline: local stability pre-check, contraction-exponent
-search, positivity proof, and batch ("webbook") reporting.
+"""End-to-end pipeline: local stability pre-check, an exact contraction-
+exponent loop (the positivity prover run for K = 1, 2, ... up to maxK), and
+batch ("webbook") reporting.
 
 Verdicts follow a three-valued contract: "true" (global asymptotic stability
 proven, always with a Proven certificate attached), "false" (the equilibrium
@@ -15,7 +16,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .conjecture import MeshParams, conjecture_k
+# Not called by the pipeline; imported so that driver.conjecture_k stays a
+# hook target of bench/layers.py until the mesh module is retired.
+from .conjecture import conjecture_k
 from .positivity import ProofCertificate, prove_nonneg
 from .recurrence import (
     Equilibrium,
@@ -30,7 +33,6 @@ from .stability import LasVerdict, las_check
 __all__ = [
     "PipelineResult",
     "WebbookReport",
-    "las_check",
     "prove",
     "prove_k",
     "webbook",
@@ -97,20 +99,16 @@ def prove_k(
 def prove(
     spec: RecurrenceSpec,
     maxK: int = 10,
-    params: MeshParams | None = None,
     depth_limit: int = 12,
-    prove_each_k: bool = False,
 ) -> PipelineResult:
-    """Full pipeline: local stability, K search, positivity proof.
+    """Full pipeline: local stability, then the exact K loop.
 
-    With prove_each_k the positivity prover itself is run for every K from 1
-    upward; otherwise a mesh search conjectures the starting K first, which
-    is usually much cheaper.
+    The positivity prover runs for K = 1, 2, ... up to maxK and the first
+    Proven K is the answer; a false K is refuted cheaply, mostly by the exact
+    dyadic grid of prove_nonneg.
     """
     if maxK < 1:
         raise ValueError("maxK must be >= 1")
-    if params is None:
-        params = MeshParams(maxK=maxK)
     timings = {}
     t0 = time.perf_counter()
     eq = find_equilibrium(spec)
@@ -127,22 +125,9 @@ def prove(
             equilibrium=eq, las=las, timings=timings,
         )
 
-    start_k = 1
-    if not prove_each_k:
-        t0 = time.perf_counter()
-        mesh_params = MeshParams(params.eps, params.N, params.restarts, maxK)
-        conjectured = conjecture_k(spec, eq, mesh_params)
-        timings["conjecture"] = time.perf_counter() - t0
-        if conjectured is None:
-            return PipelineResult(
-                "FAIL", "no-contraction-exponent-conjectured",
-                equilibrium=eq, las=las, timings=timings,
-            )
-        start_k = conjectured
-
     t0 = time.perf_counter()
     last_cert = None
-    for K in range(start_k, maxK + 1):
+    for K in range(1, maxK + 1):
         P = build_contraction_poly(spec, eq, K)
         if P.is_zero():
             continue
@@ -224,7 +209,6 @@ def webbook(
     count: int,
     seed: int,
     maxK: int = 10,
-    params: MeshParams | None = None,
     depth_limit: int = 12,
     order: int | None = None,
 ) -> WebbookReport:
@@ -258,7 +242,7 @@ def webbook(
             )
         try:
             spec = parse_rde(rde, order)
-            result = prove(spec, maxK, params, depth_limit)
+            result = prove(spec, maxK, depth_limit)
         except UnsupportedInputError as exc:
             rows.append(WebbookRow(values, rde, "skipped", exc.kind))
             continue

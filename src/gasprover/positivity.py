@@ -2,15 +2,20 @@
 
 The orthant is split at the distinguished point xbar into 2^n regions, each
 mapped back onto the orthant by exact shift/inversion substitutions. Cheap
-coefficient tests certify or refute each region; inconclusive regions are
-mapped onto a finite box and subdivided recursively, every sub-box being
+coefficient tests certify or refute each region. Before the first
+inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
+grid, which refutes most false inputs at once; otherwise inconclusive regions
+are mapped onto a finite box and subdivided recursively, every sub-box being
 mapped onto the orthant again. The whole run is recorded as a replayable
 certificate, and refutations carry an exact witness point in the original
 coordinates.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -319,8 +324,40 @@ def _search_negative(P: MultiPoly, outward: bool) -> list[Fraction] | None:
     return None
 
 
-def _refine_witness(P: MultiPoly, point) -> list[Fraction]:
-    return point
+# The refutation grid: per axis the values 2^j, j spread evenly over
+# [-_GRID_SCALE, _GRID_SCALE], and at most _GRID_POINTS points in all.
+_GRID_SCALE = 10
+_GRID_POINTS = 512
+
+
+def _grid_exponents(nvars: int) -> list[int]:
+    """The exponents j of the per-axis grid values 2^j, in increasing order."""
+    m = 2 * _GRID_SCALE + 1
+    while m > 1 and m ** nvars > _GRID_POINTS:
+        m -= 1
+    if m == 1:
+        return [0]
+    return [round(Fraction(2 * _GRID_SCALE * k, m - 1)) - _GRID_SCALE
+            for k in range(m)]
+
+
+def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
+    """The first point of the dyadic grid where P < 0, in a fixed order.
+
+    Integer arithmetic only: with the coefficients scaled by their common
+    denominator, the term c*x^e at x = 2^j is c << (e.j), all shifted by
+    _GRID_SCALE * deg(P) so that no shift is negative.
+    """
+    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    terms = [(c.numerator * (den // c.denominator), exps)
+             for exps, c in P.terms.items()]
+    offset = _GRID_SCALE * P.total_degree()
+    for js in itertools.product(_grid_exponents(P.nvars), repeat=P.nvars):
+        total = sum(c << (offset + sum(map(operator.mul, exps, js)))
+                    for c, exps in terms)
+        if total < 0:
+            return [Fraction(2) ** j for j in js]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +407,9 @@ def prove_nonneg(
 
     Returns a certificate whose verdict is Proven, Disproven (with an exact
     negative witness in the original coordinates), or Fail when the recursion
-    cap is reached.
+    cap is reached. The dyadic grid is searched once, just before the first
+    region would be subdivided, so inputs decided at region level never pay
+    for it.
     """
     if P.is_zero():
         raise ValueError("cannot prove the zero polynomial non-negative")
@@ -384,11 +423,14 @@ def prove_nonneg(
     )
     hit_depth_limit = False
     cannot_finitize = False
+    grid_tried = False
 
     def record(node: CertNode):
         cert.nodes.append(node)
 
-    def disprove(point, value):
+    def disprove(point):
+        value = P.evaluate(point)
+        assert value < 0
         cert.verdict = "Disproven"
         cert.witness = point
         cert.witness_value = value
@@ -409,10 +451,7 @@ def prove_nonneg(
             )
             if status == "refute":
                 in_box = boxed_to_box(child, local)
-                original = finitized_to_original(region, in_box)
-                value = P.evaluate(original)
-                assert value < 0
-                disprove(original, value)
+                disprove(finitized_to_original(region, in_box))
                 return True
             if status == "split":
                 if solve_box(region, P_fin, child, child_path, depth + 1):
@@ -425,10 +464,7 @@ def prove_nonneg(
         node = CertNode((region.label,), region, None, rp.digest(), outcomes, status)
         if status == "refute":
             record(node)
-            original = region_to_original(region, local)
-            value = P.evaluate(original)
-            assert value < 0
-            disprove(original, value)
+            disprove(region_to_original(region, local))
             return cert
         if status == "split":
             if region.xbar == 0:
@@ -437,6 +473,12 @@ def prove_nonneg(
                 record(node)
                 continue
             record(node)
+            if not grid_tried:
+                grid_tried = True
+                point = _grid_negative(P)
+                if point is not None:
+                    disprove(point)
+                    return cert
             P_fin, box = finitize(P, region)
             if solve_box(region, P_fin, box, (region.label,), 1):
                 return cert

@@ -349,6 +349,9 @@ def test_criterion_6_degenerate_paths(criterion):
             P = build_contraction_poly(spec, eq, K)
             minima = mesh_minimize(P, MeshParams())
             assert min(v for _, v in minima) < 0
+            cert = prove_nonneg(P, eq.value)
+            assert cert.verdict == "Disproven"
+            assert P.evaluate(cert.witness) == cert.witness_value < 0
         assert prove(spec, maxK=4).verdict == "FAIL"
 
         assert main(["prove", "--rde", "(1+x0)/(1+2*x0)", "--max-k", "4"]) == 3

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from gasprover.cli import main
-from gasprover.conjecture import MeshParams
 from gasprover.driver import prove, prove_k, webbook
-from gasprover.recurrence import parse_rde
+from gasprover.positivity import replay_certificate
+from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
 
@@ -67,12 +67,37 @@ class TestProve:
         assert result.verdict == "FAIL"
         assert result.las.outcome == "inconclusive"
 
+    @pytest.mark.parametrize("rde, verdict, K", [
+        ("(4+x0)/(1+x1)", "true", 5),
+        ("(1+2*x1)/(1+x0+x1)", "true", 2),
+        ("x1/(2+x0+x1)", "true", 2),
+        ("x1/(2+x1)", "true", 2),
+        ("2*x0/(1+x0)", "true", 1),
+        ("1+1/2*x0", "true", 1),
+        ("2*x0", "false", None),
+        ("1/x0", "FAIL", None),
+    ])
+    def test_planar_verdict_and_k(self, rde, verdict, K):
+        # the answers the mesh-seeded start gave on these maps
+        result = prove(parse_rde(rde), maxK=10)
+        assert (result.verdict, result.K) == (verdict, K)
+
+    def test_grid_refutes_third_order_map(self):
+        spec = parse_rde("(2+x0)/(1+x1+x2)")
+        eq = find_equilibrium(spec)
+        for K in (1, 2, 3):
+            result = prove_k(spec, K)
+            assert result.verdict == "false"
+            cert = result.certificate
+            assert all(node.box is None for node in cert.nodes)
+            assert replay_certificate(cert, build_contraction_poly(spec, eq, K))
+
     def test_max_k_too_small(self):
         result = prove(parse_rde("(4+x0)/(1+x1)"), maxK=3)
         assert result.verdict == "FAIL"
 
     def test_prove_each_k(self):
-        result = prove(parse_rde("1/2*x0"), maxK=3, prove_each_k=True)
+        result = prove(parse_rde("1/2*x0"), maxK=3)
         assert result.verdict == "true"
         assert result.K == 1
 

@@ -8,6 +8,7 @@ from gasprover.polynomial import MultiPoly
 from gasprover.positivity import (
     BoxSpec,
     RegionSpec,
+    _search_negative,
     certificate_from_json,
     certificate_to_json,
     finitize,
@@ -390,6 +391,28 @@ class TestProveNonneg:
         assert cert.verdict == "Disproven"
         assert p.evaluate(cert.witness) == cert.witness_value < 0
         assert all(x > 0 for x in cert.witness)
+
+    def test_grid_finds_negative_off_the_ray(self):
+        # negative only where x0/x1 is near 1024; positive on the diagonal
+        p = P("(x0-1024*x1)^2-1/1000*x0*x1")
+        assert _search_negative(p, True) is None
+        assert _search_negative(p, False) is None
+        cert = prove_nonneg(p, F(1), 10)
+        assert cert.verdict == "Disproven"
+        assert all(n.box is None for n in cert.nodes)
+        assert p.evaluate(cert.witness) == cert.witness_value < 0
+        for x in cert.witness:
+            assert x.numerator & (x.numerator - 1) == 0
+            assert x.denominator & (x.denominator - 1) == 0
+        assert replay_certificate(cert, p)
+
+    def test_deterministic_certificate(self):
+        spec = parse_rde("(2+x0)/(1+x1+x2)")
+        eq = find_equilibrium(spec)
+        for K in (1, 2):
+            p = build_contraction_poly(spec, eq, K)
+            first = certificate_to_json(prove_nonneg(p, eq.value))
+            assert certificate_to_json(prove_nonneg(p, eq.value)) == first
 
     def test_fail_when_unfinitizable(self):
         # positive except on a whole axis, with zero split point
