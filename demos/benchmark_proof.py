@@ -46,6 +46,6 @@ for node in cert.nodes:
     tests = ", ".join(f"{o.test}={o.result}" for o in node.outcomes)
     print(f"  region {node.region.label}: {node.status} ({tests})")
 
-print(f"\ncertificate replays independently: {replay_certificate(cert, P)}")
+print(f"\ncertificate re-checks: {replay_certificate(cert, P)}")
 print(f"certificate JSON size: {len(certificate_to_json(cert))} bytes")
 print("\nconclusion: the equilibrium 2 is globally asymptotically stable.")

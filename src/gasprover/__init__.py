@@ -1,7 +1,6 @@
 """Exact prover for global asymptotic stability of rational difference
 equations, via polynomial positivity certificates on the positive orthant."""
 
-from .conjecture import MeshParams, conjecture_k, mesh_minimize
 from .driver import PipelineResult, prove, prove_k, webbook
 from .parsing import ParseError, parse_poly
 from .polynomial import MultiPoly, RatFun
@@ -26,7 +25,6 @@ from .stability import LasVerdict, las_check
 __all__ = [
     "Equilibrium",
     "LasVerdict",
-    "MeshParams",
     "MultiPoly",
     "ParseError",
     "PipelineResult",
@@ -37,10 +35,8 @@ __all__ = [
     "build_contraction_poly",
     "certificate_from_json",
     "certificate_to_json",
-    "conjecture_k",
     "find_equilibrium",
     "las_check",
-    "mesh_minimize",
     "parse_poly",
     "parse_rde",
     "prove",

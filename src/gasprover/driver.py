@@ -50,50 +50,55 @@ class PipelineResult:
     timings: dict = field(default_factory=dict)
 
 
+# The pipeline verdict and reason for each positivity verdict.
+_VERDICTS = {
+    "Proven": ("true", "positivity-proven"),
+    "Disproven": ("false", "negative-witness"),
+    "Fail": ("FAIL", "positivity-undecided"),
+}
+
+
+def _prove_step(
+    spec: RecurrenceSpec, eq: Equilibrium, K: int, depth_limit: int,
+    timings: dict,
+) -> PipelineResult:
+    """Build the contraction polynomial for K and run the positivity prover,
+    adding the stage times to `timings`.
+
+    An identically-zero polynomial (periodic maps at even powers) is "false":
+    strict contraction demands strict positivity off the equilibrium.
+    """
+    t0 = time.perf_counter()
+    P = build_contraction_poly(spec, eq, K)
+    timings["build"] = time.perf_counter() - t0
+    if P.is_zero():
+        return PipelineResult(
+            "false", "identically-zero-for-strictness", K=K, equilibrium=eq,
+            timings=timings,
+        )
+    t0 = time.perf_counter()
+    cert = prove_nonneg(P, eq.value, depth_limit)
+    timings["positivity"] = time.perf_counter() - t0
+    verdict, reason = _VERDICTS[cert.verdict]
+    return PipelineResult(
+        verdict, reason, K=K, equilibrium=eq, certificate=cert, timings=timings,
+    )
+
+
 def prove_k(
     spec: RecurrenceSpec, K: int, depth_limit: int = 12
 ) -> PipelineResult:
     """Decide whether the given contraction exponent K works.
 
     "true" iff the contraction polynomial is proven non-negative on the
-    orthant. An identically-zero polynomial (periodic maps at even powers)
-    is "false": strict contraction demands strict positivity off the
-    equilibrium.
+    orthant; an identically-zero polynomial is "false".
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    timings = {}
     t0 = time.perf_counter()
     eq = find_equilibrium(spec)
-    timings["equilibrium"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    P = build_contraction_poly(spec, eq, K)
-    timings["build"] = time.perf_counter() - t0
-    if P.is_zero():
-        return PipelineResult(
-            "false",
-            "identically-zero-for-strictness",
-            K=K,
-            equilibrium=eq,
-            timings=timings,
-        )
-    t0 = time.perf_counter()
-    cert = prove_nonneg(P, eq.value, depth_limit)
-    timings["positivity"] = time.perf_counter() - t0
-    if cert.verdict == "Proven":
-        return PipelineResult(
-            "true", "positivity-proven", K=K, equilibrium=eq,
-            certificate=cert, timings=timings,
-        )
-    if cert.verdict == "Disproven":
-        return PipelineResult(
-            "false", "negative-witness", K=K, equilibrium=eq,
-            certificate=cert, timings=timings,
-        )
-    return PipelineResult(
-        "FAIL", "positivity-undecided", K=K, equilibrium=eq,
-        certificate=cert, timings=timings,
-    )
+    timings = {"equilibrium": time.perf_counter() - t0}
+    return _prove_step(spec, eq, K, depth_limit, timings)
 
 
 def prove(
@@ -128,17 +133,12 @@ def prove(
     t0 = time.perf_counter()
     last_cert = None
     for K in range(1, maxK + 1):
-        P = build_contraction_poly(spec, eq, K)
-        if P.is_zero():
-            continue
-        cert = prove_nonneg(P, eq.value, depth_limit)
-        last_cert = cert
-        if cert.verdict == "Proven":
+        step = _prove_step(spec, eq, K, depth_limit, {})
+        last_cert = step.certificate or last_cert
+        if step.verdict == "true":
             timings["positivity"] = time.perf_counter() - t0
-            return PipelineResult(
-                "true", "positivity-proven", K=K, equilibrium=eq,
-                las=las, certificate=cert, timings=timings,
-            )
+            step.las, step.timings = las, timings
+            return step
     timings["positivity"] = time.perf_counter() - t0
     return PipelineResult(
         "FAIL", "max-k-exhausted", K=maxK, equilibrium=eq,

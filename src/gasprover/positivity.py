@@ -6,16 +6,14 @@ coefficient tests certify or refute each region. Before the first
 inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
 grid, which refutes most false inputs at once; otherwise inconclusive regions
 are mapped onto a finite box and subdivided recursively, every sub-box being
-mapped onto the orthant again. The whole run is recorded as a replayable
-certificate, and refutations carry an exact witness point in the original
-coordinates.
+mapped onto the orthant again. The whole run is recorded as a certificate,
+which is checked by proving again and comparing node for node, and
+refutations carry an exact witness point in the original coordinates.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -342,22 +340,37 @@ def _grid_exponents(nvars: int) -> list[int]:
 
 
 def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
-    """The first point of the dyadic grid where P < 0, in a fixed order.
+    """The first point of the dyadic grid where P < 0, in itertools.product
+    order over _grid_exponents, or None if P >= 0 on the whole grid.
 
-    Integer arithmetic only: with the coefficients scaled by their common
-    denominator, the term c*x^e at x = 2^j is c << (e.j), all shifted by
-    _GRID_SCALE * deg(P) so that no shift is negative.
+    Integer arithmetic only. With d = deg(P) and y_i = 2^(j_i + _GRID_SCALE),
+    den * 2^(_GRID_SCALE * d) * P is an integer polynomial in y, whose term
+    c*y^e at y_i = 2^k_i is c << (e.k). The axes are substituted one at a
+    time, so each prefix of the point is paid for once, not once per point.
     """
     den = math.lcm(*(c.denominator for c in P.terms.values()))
-    terms = [(c.numerator * (den // c.denominator), exps)
-             for exps, c in P.terms.items()]
-    offset = _GRID_SCALE * P.total_degree()
-    for js in itertools.product(_grid_exponents(P.nvars), repeat=P.nvars):
-        total = sum(c << (offset + sum(map(operator.mul, exps, js)))
-                    for c, exps in terms)
-        if total < 0:
-            return [Fraction(2) ** j for j in js]
-    return None
+    deg = P.total_degree()
+    ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
+
+    def scan(terms: dict) -> list[int] | None:
+        if () in terms:
+            return [] if terms[()] < 0 else None
+        for k in ks:
+            rest: dict = {}
+            for exps, c in terms.items():
+                rest[exps[1:]] = rest.get(exps[1:], 0) + (c << k * exps[0])
+            tail = scan(rest)
+            if tail is not None:
+                return [k] + tail
+        return None
+
+    point = scan({
+        exps: c.numerator * (den // c.denominator) << _GRID_SCALE * (deg - sum(exps))
+        for exps, c in P.terms.items()
+    })
+    if point is None:
+        return None
+    return [Fraction(2) ** (k - _GRID_SCALE) for k in point]
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +426,8 @@ def prove_nonneg(
     """
     if P.is_zero():
         raise ValueError("cannot prove the zero polynomial non-negative")
+    if xbar < 0:
+        raise ValueError("split point must be non-negative")
     cert = ProofCertificate(
         input_digest=P.digest(),
         nvars=P.nvars,
@@ -425,8 +440,7 @@ def prove_nonneg(
     cannot_finitize = False
     grid_tried = False
 
-    def record(node: CertNode):
-        cert.nodes.append(node)
+    record = cert.nodes.append
 
     def disprove(point):
         value = P.evaluate(point)
@@ -514,8 +528,9 @@ def _detail_json(detail: dict):
     return out
 
 
-def certificate_to_json(cert: ProofCertificate) -> str:
-    doc = {
+def _document(cert: ProofCertificate) -> dict:
+    """The certificate as plain JSON data; equal documents are equal proofs."""
+    return {
         "input_digest": cert.input_digest,
         "nvars": cert.nvars,
         "xbar": _frac_str(cert.xbar),
@@ -557,7 +572,10 @@ def certificate_to_json(cert: ProofCertificate) -> str:
             for node in cert.nodes
         ],
     }
-    return json.dumps(doc, indent=2)
+
+
+def certificate_to_json(cert: ProofCertificate) -> str:
+    return json.dumps(_document(cert), indent=2)
 
 
 def certificate_from_json(text: str) -> ProofCertificate:
@@ -603,25 +621,10 @@ def certificate_from_json(text: str) -> ProofCertificate:
 
 
 def replay_certificate(cert: ProofCertificate, P: MultiPoly) -> bool:
-    """Re-derive every stored polynomial digest from P; False on any mismatch."""
-    if P.digest() != cert.input_digest:
+    """Check cert by proving P again at its xbar and depth_limit: True iff the
+    new certificate equals cert node for node, so a replay costs one prove.
+    False for another polynomial, a negative xbar or the zero polynomial.
+    """
+    if P.digest() != cert.input_digest or P.is_zero() or cert.xbar < 0:
         return False
-    finitized: dict[tuple[bool, ...], MultiPoly] = {}
-    for node in cert.nodes:
-        if node.status in ("depth-limit",):
-            continue
-        if node.box is None:
-            expected = region_poly(P, node.region)
-        else:
-            key = node.region.highs
-            if key not in finitized:
-                finitized[key] = finitize(P, node.region)[0]
-            expected = finitized[key].box_map(node.box.bounds)
-        if expected.digest() != node.digest:
-            return False
-    if cert.verdict == "Disproven":
-        if cert.witness is None or P.evaluate(cert.witness) >= 0:
-            return False
-        if P.evaluate(cert.witness) != cert.witness_value:
-            return False
-    return True
+    return _document(prove_nonneg(P, cert.xbar, cert.depth_limit)) == _document(cert)

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import gasprover.driver
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
 from gasprover.positivity import replay_certificate
@@ -91,6 +93,28 @@ class TestProve:
             cert = result.certificate
             assert all(node.box is None for node in cert.nodes)
             assert replay_certificate(cert, build_contraction_poly(spec, eq, K))
+
+    def test_k_loop_finds_the_equilibrium_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("find_equilibrium", "build_contraction_poly", "prove_nonneg"):
+            def counted(*args, _real=getattr(gasprover.driver, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(gasprover.driver, name, counted)
+        assert prove(parse_rde("(1+2*x1)/(1+x0+x1)"), maxK=4).K == 2
+        assert calls == {
+            "find_equilibrium": 1, "build_contraction_poly": 2, "prove_nonneg": 2,
+        }
+
+    def test_timings_keys(self):
+        assert list(prove(parse_rde("2*x0/(1+x0)")).timings) == ["las", "positivity"]
+        assert list(prove(parse_rde("(4+x0)/(1+x1)"), maxK=2).timings) == [
+            "las", "positivity",
+        ]
+        assert list(prove_k(parse_rde("2*x0/(1+x0)"), 1).timings) == [
+            "equilibrium", "build", "positivity",
+        ]
+        assert list(prove_k(parse_rde("1/x0"), 2).timings) == ["equilibrium", "build"]
 
     def test_max_k_too_small(self):
         result = prove(parse_rde("(4+x0)/(1+x1)"), maxK=3)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from gasprover.polynomial import MultiPoly
 from gasprover.positivity import (
     BoxSpec,
     RegionSpec,
+    _grid_exponents,
+    _grid_negative,
     _search_negative,
     certificate_from_json,
     certificate_to_json,
@@ -346,6 +349,60 @@ class TestSubdivide:
         assert labels == ["00", "01", "10", "11"]
 
 
+def _claim_proven(cert):
+    """Turn a Disproven certificate into a Proven one."""
+    assert cert.verdict == "Disproven"
+    cert.verdict = "Proven"
+    cert.witness = cert.witness_value = None
+    for node in cert.nodes:
+        if node.status == "refute":
+            node.status = "pass"
+
+
+def _drop_box_node(cert):
+    assert cert.verdict == "Proven"
+    cert.nodes.remove(next(n for n in cert.nodes if n.box is not None))
+
+
+def _flip_status(cert):
+    node = next(n for n in cert.nodes if n.status == "split")
+    node.status = "pass"
+
+
+def _plain_grid_negative(p):
+    """Reference scan: P.evaluate at every grid point, in product order."""
+    for js in itertools.product(_grid_exponents(p.nvars), repeat=p.nvars):
+        point = [F(2) ** j for j in js]
+        if p.evaluate(point) < 0:
+            return point
+    return None
+
+
+class TestGrid:
+    def test_matches_plain_scan(self):
+        rng = random.Random(89)
+        polys = [P("3"), P("-1/2", 2), P("x1^2-7", 3)]
+        for n in (1, 2, 3):
+            xs = [f"x{i}" for i in range(n)]
+            # negative only at the first grid point (all x_i = 2^-10), and
+            # only at the last one (all x_i = 2^10)
+            first = P("+".join(xs) + f"-{2 * n + 1}/2048")
+            last = P(f"3/4*1024^{n}-" + "*".join(xs))
+            assert _grid_negative(first) == [F(1, 1024)] * n
+            assert _grid_negative(last) == [F(1024)] * n
+            polys += [first, last]
+        for _ in range(300):
+            p = _random_poly(rng, rng.randrange(1, 4))
+            if not p.is_zero():
+                polys.append(p)
+        found = 0
+        for p in polys:
+            expected = _plain_grid_negative(p)
+            assert _grid_negative(p) == expected
+            found += expected is not None
+        assert 0 < found < len(polys)
+
+
 class TestProveNonneg:
     def test_example2_structure(self):
         cert = prove_nonneg(P(EX2), F(1), 10)
@@ -453,11 +510,31 @@ class TestProveNonneg:
         assert proved >= 5 and disproved >= 5
 
     def test_certificate_replay(self):
-        for text, xbar in ((EX2, F(1)), ("x0+x1-1", F(1))):
+        for text, forge in (
+            ("x0+x1-1", None),
+            ("x0^2-3*x0*x1+x1^2", _claim_proven),
+            (EX2, _drop_box_node),
+            (EX2, _flip_status),
+        ):
             p = P(text)
-            cert = prove_nonneg(p, xbar, 10)
+            cert = prove_nonneg(p, F(1), 10)
             assert replay_certificate(cert, p)
             assert not replay_certificate(cert, p + P("1", 2))
+            if forge is not None:
+                forged = certificate_from_json(certificate_to_json(cert))
+                forge(forged)
+                assert not replay_certificate(forged, p), (text, forge.__name__)
+
+    def test_negative_split_point_or_zero_polynomial_rejected(self):
+        p = P(EX2)
+        with pytest.raises(ValueError, match="split point"):
+            prove_nonneg(p, F(-1), 10)
+        cert = prove_nonneg(p, F(1), 10)
+        cert.xbar = F(-1)
+        assert not replay_certificate(cert, p)
+        zero = MultiPoly(2, {})
+        cert.xbar, cert.input_digest = F(1), zero.digest()
+        assert not replay_certificate(cert, zero)
 
     def test_certificate_json_roundtrip(self):
         p = P(EX2)
