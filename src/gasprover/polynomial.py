@@ -1,16 +1,20 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-Coefficients are `fractions.Fraction` throughout; nothing in this module ever
-touches floating point.  Polynomials are immutable and hashable so they can be
-shared freely between workers and used as dictionary keys (the recurrence
-module tracks factored denominators in a Counter keyed by polynomial).
+A polynomial's coefficients are non-zero `fractions.Fraction`s.  The two hot
+kernels, products and Taylor shifts, scale their operands to exact integers
+over a positive common denominator, run their term loops on those integers
+and divide once per output term; nothing in this module uses floating point.
+Polynomials are immutable and hashable so they can be shared freely between
+workers and used as dictionary keys (the recurrence module tracks factored
+denominators in a Counter keyed by polynomial).
 """
 from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import comb, gcd
-from typing import Iterable, Mapping, Sequence
+from math import comb, gcd, lcm
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -34,7 +38,7 @@ def grlex_key(exps: Exponents):
 class MultiPoly:
     """Sparse multivariate polynomial: exponent vectors -> nonzero Fractions."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_hash", "_digest")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction]):
         if nvars < 0:
@@ -52,6 +56,7 @@ class MultiPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_digest", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -77,6 +82,33 @@ class MultiPoly:
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff) -> "MultiPoly":
         return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+
+    @classmethod
+    def _from_integers(cls, nvars: int, terms: dict[Exponents, int], den: int) -> "MultiPoly":
+        """Polynomial with coefficients c/den for valid exponent tuples.
+
+        Takes over `terms` and converts it in place, dropping zeros, so a
+        kernel's result never exists as two dictionaries at once.
+        """
+        for e in [e for e, c in terms.items() if not c]:
+            del terms[e]
+        for e, c in terms.items():
+            terms[e] = Fraction(c, den)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        object.__setattr__(poly, "_digest", None)
+        return poly
+
+    def _integer_terms(self) -> tuple[int, Iterator[tuple[Exponents, int]]]:
+        """(D, lazy pairs (e, D*c)) with D the least positive common denominator."""
+        den = 1
+        # a loop, not lcm(*...): that argument tuple, as long as the
+        # polynomial, raised the peak resident memory of a run
+        for c in self.terms.values():
+            den = lcm(den, c.denominator)
+        return den, ((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
 
     # -- predicates / accessors -------------------------------------------
 
@@ -142,32 +174,39 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product; the term-pair loop runs on each operand scaled to integers."""
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
             return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, _ZERO) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+        d1, outer = self._integer_terms()
+        d2, inner = other._integer_terms()
+        inner = dict(inner)
+        terms: dict[Exponents, int] = {}
+        for e1, c1 in outer:
+            for e2, c2 in inner.items():
+                exps = tuple(map(add, e1, e2))
+                terms[exps] = terms.get(exps, 0) + c1 * c2
+        return MultiPoly._from_integers(self.nvars, terms, d1 * d2)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.constant(self.nvars, 1)
+        if n == 0:
+            return MultiPoly.constant(self.nvars, 1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -222,15 +261,23 @@ class MultiPoly:
         return result
 
     def _shift_one(self, var: int, mu: Fraction) -> "MultiPoly":
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
+        """Taylor shift x_var -> x_var + p/q in integers over D*q^d, d = degree_in(var)."""
+        p, q = mu.numerator, mu.denominator
+        d = self.degree_in(var)
+        den, scaled = self._integer_terms()
+        # c*x^e -> sum_j c * C(e,j) * p^(e-j) * q^(d-e+j) * x^j, all over q^d
+        weights = [
+            [comb(e, j) * p ** (e - j) * q ** (d - e + j) for j in range(e + 1)]
+            for e in range(d + 1)
+        ]
+        terms: dict[Exponents, int] = {}
+        for exps, c in scaled:
             base = list(exps)
-            for j in range(e + 1):
+            for j, w in enumerate(weights[exps[var]]):
                 base[var] = j
                 key = tuple(base)
-                terms[key] = terms.get(key, _ZERO) + coeff * comb(e, j) * mu ** (e - j)
-        return MultiPoly(self.nvars, terms)
+                terms[key] = terms.get(key, 0) + c * w
+        return MultiPoly._from_integers(self.nvars, terms, den * q ** d)
 
     def invert_var(self, var: int) -> "MultiPoly":
         """Substitute x_var -> 1/x_var and clear by x_var^degree_in(var).
@@ -343,11 +390,13 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self!s})"
 
     def digest(self) -> str:
-        """Stable SHA-256 digest of the canonical term list."""
-        canon = f"nvars={self.nvars};" + ";".join(
-            f"{','.join(map(str, e))}:{c}" for e, c in self.sorted_terms()
-        )
-        return hashlib.sha256(canon.encode()).hexdigest()
+        """Stable SHA-256 digest of the canonical term list, computed once."""
+        if self._digest is None:
+            canon = f"nvars={self.nvars};" + ";".join(
+                f"{','.join(map(str, e))}:{c}" for e, c in self.sorted_terms()
+            )
+            object.__setattr__(self, "_digest", hashlib.sha256(canon.encode()).hexdigest())
+        return self._digest
 
 
 class RatFun:

@@ -449,8 +449,14 @@ def prove_nonneg(
         cert.witness = point
         cert.witness_value = value
 
-    def solve_box(region, P_fin, box, path, depth) -> bool:
-        """True means a refutation was found (stop everything)."""
+    def solve_box(region, P_fin, box, path, depth, solve) -> bool:
+        """True means a refutation was found (stop everything).
+
+        It recurses through `solve` (itself), not through its own closure
+        cell: a self-referencing closure would be a reference cycle that
+        keeps P alive after this call returns, until the cyclic collector
+        runs.
+        """
         nonlocal hit_depth_limit
         if depth > depth_limit:
             hit_depth_limit = True
@@ -468,7 +474,7 @@ def prove_nonneg(
                 disprove(finitized_to_original(region, in_box))
                 return True
             if status == "split":
-                if solve_box(region, P_fin, child, child_path, depth + 1):
+                if solve(region, P_fin, child, child_path, depth + 1, solve):
                     return True
         return False
 
@@ -494,7 +500,7 @@ def prove_nonneg(
                     disprove(point)
                     return cert
             P_fin, box = finitize(P, region)
-            if solve_box(region, P_fin, box, (region.label,), 1):
+            if solve_box(region, P_fin, box, (region.label,), 1, solve_box):
                 return cert
         else:
             record(node)

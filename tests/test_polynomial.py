@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -226,6 +227,140 @@ class TestCanonicalForm:
         q = P("x1^2+x0^2-x0*x1")
         assert p.digest() == q.digest()
         assert p.digest() != P("x0^2+x1^2").digest()
+
+
+class TestPow:
+    @pytest.mark.parametrize("n", range(10))
+    def test_product_count(self, n, monkeypatch):
+        p = P("x0-2*x1+1/3")
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        got = p ** n
+        monkeypatch.undo()
+        expected = 0 if n <= 1 else n.bit_length() - 1 + bin(n).count("1") - 1
+        assert len(products) == expected
+        assert got == _ref_pow(p, n)
+        if n == 1:
+            assert got is p
+
+
+# Plain Fraction term-pair loops: the reference the integer kernels must match.
+
+
+def _ref_mul(a, b):
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            terms[exps] = terms.get(exps, F(0)) + c1 * c2
+    return MultiPoly(a.nvars, terms)
+
+
+def _ref_pow(p, n):
+    result = MultiPoly.constant(p.nvars, 1)
+    for _ in range(n):
+        result = _ref_mul(result, p)
+    return result
+
+
+def _ref_shift_one(p, var, mu):
+    terms = {}
+    for exps, coeff in p.terms.items():
+        e = exps[var]
+        base = list(exps)
+        for j in range(e + 1):
+            base[var] = j
+            key = tuple(base)
+            terms[key] = terms.get(key, F(0)) + coeff * comb(e, j) * mu ** (e - j)
+    return MultiPoly(p.nvars, terms)
+
+
+def _ref_shift(p, offsets):
+    for i, mu in enumerate(offsets):
+        if mu != 0:
+            p = _ref_shift_one(p, i, F(mu))
+    return p
+
+
+def _ref_box_map(p, bounds):
+    for i, (a, b) in enumerate(bounds):
+        if a != 0:
+            p = _ref_shift_one(p, i, a)
+        p = _ref_shift_one(p.invert_var(i), i, 1 / (b - a))
+    return p
+
+
+def _assert_clean(p):
+    assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
+
+
+def _assert_matches(got, want):
+    """Same terms in the same insertion order, which test details depend on."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    _assert_clean(got)
+
+
+def _mixed_poly(rng, nvars):
+    """Random sparse polynomial with mixed denominators and signs."""
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        exps = tuple(rng.randrange(0, 4) for _ in range(nvars))
+        terms[exps] = F(rng.randrange(-40, 41), rng.choice((1, 2, 3, 4, 6, 7, 9, 12, 25)))
+    return MultiPoly(nvars, terms)
+
+
+def _kernel_cases():
+    rng = random.Random(41)
+    cases = []
+    for nvars in range(4):
+        cases += [MultiPoly.zero(nvars), MultiPoly.constant(nvars, F(-5, 3))]
+        cases += [_mixed_poly(rng, nvars) for _ in range(25)]
+    return rng, cases
+
+
+class TestKernelsMatchFractionReference:
+    def test_mul_and_pow(self):
+        rng, cases = _kernel_cases()
+        for a in cases:
+            b = _mixed_poly(rng, a.nvars)
+            _assert_matches(a * b, _ref_mul(a, b))
+            _assert_matches(b * a, _ref_mul(b, a))
+            n = rng.randrange(0, 5)
+            got = a ** n
+            assert got == _ref_pow(a, n)
+            _assert_clean(got)
+
+    def test_shift_one_shift_and_box_map(self):
+        rng, cases = _kernel_cases()
+        for p in cases:
+            for var in range(p.nvars):
+                mu = F(rng.randrange(-9, 10), rng.randrange(1, 8))
+                _assert_matches(p._shift_one(var, mu), _ref_shift_one(p, var, mu))
+            offsets = [F(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(p.nvars)]
+            _assert_matches(p.shift(offsets), _ref_shift(p, offsets))
+            bounds = []
+            for _ in range(p.nvars):
+                a = F(rng.randrange(0, 5), rng.randrange(1, 6))
+                bounds.append((a, a + F(rng.randrange(1, 9), rng.randrange(1, 6))))
+            _assert_matches(p.box_map(bounds), _ref_box_map(p, bounds))
+
+    def test_cancellation_leaves_no_zero_term(self):
+        got = P("x0-x1") * P("x0+x1")
+        assert got == _ref_mul(P("x0-x1"), P("x0+x1")) == P("x0^2-x1^2")
+        assert set(got.terms) == {(2, 0), (0, 2)}
+        _assert_clean(got)
+        shifted = P("x0^2-2*x0+1/2*x1+1", 2)._shift_one(0, F(1))
+        assert shifted == P("x0^2+1/2*x1")
+        assert set(shifted.terms) == {(2, 0), (0, 1)}
+        _assert_clean(shifted)
+        assert (P("x0-x1") * MultiPoly.zero(2)).terms == {}
 
 
 def _random_fraction(rng):

@@ -536,6 +536,33 @@ class TestProveNonneg:
         cert.xbar, cert.input_digest = F(1), zero.digest()
         assert not replay_certificate(cert, zero)
 
+    def test_replay_hashes_the_input_once(self, monkeypatch):
+        p = P(EX2)
+        cert = prove_nonneg(p, F(1), 10)
+        fresh = P(EX2)
+        built = []
+        sorted_terms = MultiPoly.sorted_terms
+
+        def counting(self):
+            built.append(self is fresh)
+            return sorted_terms(self)
+
+        monkeypatch.setattr(MultiPoly, "sorted_terms", counting)
+        assert replay_certificate(cert, fresh)
+        assert built.count(True) == 1
+        assert fresh.digest() == cert.input_digest
+        assert built.count(True) == 1
+        assert not replay_certificate(cert, fresh + P("1", 2))
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: zero away from x̄ / on the boundary"
+    )
+    @pytest.mark.parametrize(
+        "text, xbar", [("(x0-1)^2+(x1-1)^2", F(2)), ("x0^2+(x1-1)^2", F(1))]
+    )
+    def test_zero_off_the_split_point_is_not_proven(self, text, xbar):
+        assert prove_nonneg(P(text), xbar, 10).verdict != "Proven"
+
     def test_certificate_json_roundtrip(self):
         p = P(EX2)
         cert = prove_nonneg(p, F(1), 10)
