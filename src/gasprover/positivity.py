@@ -5,10 +5,11 @@ mapped back onto the orthant by exact shift/inversion substitutions. Cheap
 coefficient tests certify or refute each region. Before the first
 inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
 grid, which refutes most false inputs at once; otherwise inconclusive regions
-are mapped onto a finite box and subdivided recursively, every sub-box being
-mapped onto the orthant again. The whole run is recorded as a certificate,
-which is checked by proving again and comparing node for node, and
-refutations carry an exact witness point in the original coordinates.
+are mapped onto a finite box. Regions and sub-boxes are visited depth first
+from one stack: each node is mapped onto the orthant and tested, and an
+inconclusive one pushes its 2^n half-boxes. The whole run is recorded as a
+certificate, which is checked by proving again and comparing node for node,
+and refutations carry an exact witness point in the original coordinates.
 """
 from __future__ import annotations
 
@@ -351,26 +352,31 @@ def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
     den = math.lcm(*(c.denominator for c in P.terms.values()))
     deg = P.total_degree()
     ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
-
-    def scan(terms: dict) -> list[int] | None:
-        if () in terms:
-            return [] if terms[()] < 0 else None
-        for k in ks:
-            rest: dict = {}
-            for exps, c in terms.items():
-                rest[exps[1:]] = rest.get(exps[1:], 0) + (c << k * exps[0])
-            tail = scan(rest)
-            if tail is not None:
-                return [k] + tail
-        return None
-
-    point = scan({
+    point = _grid_scan({
         exps: c.numerator * (den // c.denominator) << _GRID_SCALE * (deg - sum(exps))
         for exps, c in P.terms.items()
-    })
+    }, ks)
     if point is None:
         return None
     return [Fraction(2) ** (k - _GRID_SCALE) for k in point]
+
+
+def _grid_scan(terms: dict, ks: list[int]) -> list[int] | None:
+    """The first point [k_0, ..] in itertools.product order over ks where the
+    integer polynomial `terms` is negative at y_i = 2^k_i, or None.
+
+    A module-level function, so that the recursion makes no reference cycle.
+    """
+    if () in terms:
+        return [] if terms[()] < 0 else None
+    for k in ks:
+        rest: dict = {}
+        for exps, c in terms.items():
+            rest[exps[1:]] = rest.get(exps[1:], 0) + (c << k * exps[0])
+        tail = _grid_scan(rest, ks)
+        if tail is not None:
+            return [k] + tail
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +425,10 @@ def prove_nonneg(
     """Certify P >= 0 on the orthant (zero allowed only at the xbar corner image).
 
     Returns a certificate whose verdict is Proven, Disproven (with an exact
-    negative witness in the original coordinates), or Fail when the recursion
-    cap is reached. The dyadic grid is searched once, just before the first
-    region would be subdivided, so inputs decided at region level never pay
-    for it.
+    negative witness in the original coordinates), or Fail at the depth limit
+    or when xbar = 0 leaves a region unfinitized. Regions and sub-boxes are
+    visited depth first from one stack; the dyadic grid is searched once,
+    just before the first region would be subdivided.
     """
     if P.is_zero():
         raise ValueError("cannot prove the zero polynomial non-negative")
@@ -436,79 +442,47 @@ def prove_nonneg(
         verdict="Proven",
         nodes=[],
     )
-    hit_depth_limit = False
-    cannot_finitize = False
+    stack = [(region, None, None, (region.label,))
+             for region in reversed(_region_specs(P.nvars, xbar))]
     grid_tried = False
-
-    record = cert.nodes.append
-
-    def disprove(point):
-        value = P.evaluate(point)
-        assert value < 0
-        cert.verdict = "Disproven"
-        cert.witness = point
-        cert.witness_value = value
-
-    def solve_box(region, P_fin, box, path, depth, solve) -> bool:
-        """True means a refutation was found (stop everything).
-
-        It recurses through `solve` (itself), not through its own closure
-        cell: a self-referencing closure would be a reference cycle that
-        keeps P alive after this call returns, until the cyclic collector
-        runs.
-        """
-        nonlocal hit_depth_limit
-        if depth > depth_limit:
-            hit_depth_limit = True
-            record(CertNode(path, region, box, "", [], "depth-limit"))
-            return False
-        for bits, child in subdivide(box):
-            mapped = P_fin.box_map(child.bounds)
-            child_path = path + (bits,)
-            status, outcomes, local = _run_tests(mapped)
-            record(
-                CertNode(child_path, region, child, mapped.digest(), outcomes, status)
-            )
-            if status == "refute":
-                in_box = boxed_to_box(child, local)
-                disprove(finitized_to_original(region, in_box))
-                return True
-            if status == "split":
-                if solve(region, P_fin, child, child_path, depth + 1, solve):
-                    return True
-        return False
-
-    for region in _region_specs(P.nvars, xbar):
-        rp = region_poly(P, region)
-        status, outcomes, local = _run_tests(rp)
-        node = CertNode((region.label,), region, None, rp.digest(), outcomes, status)
-        if status == "refute":
-            record(node)
-            disprove(region_to_original(region, local))
-            return cert
-        if status == "split":
-            if region.xbar == 0:
+    while stack:
+        region, P_fin, box, path = stack.pop()
+        mapped = region_poly(P, region) if box is None else P_fin.box_map(box.bounds)
+        status, outcomes, local = _run_tests(mapped)
+        node = CertNode(path, region, box, mapped.digest(), outcomes, status)
+        cert.nodes.append(node)
+        point = None
+        if status == "refute" and box is None:
+            point = region_to_original(region, local)
+        elif status == "refute":
+            point = finitized_to_original(region, boxed_to_box(box, local))
+        elif status == "split" and box is None:
+            if xbar == 0:
                 node.status = "cannot-finitize"
-                cannot_finitize = True
-                record(node)
                 continue
-            record(node)
             if not grid_tried:
                 grid_tried = True
                 point = _grid_negative(P)
-                if point is not None:
-                    disprove(point)
-                    return cert
-            P_fin, box = finitize(P, region)
-            if solve_box(region, P_fin, box, (region.label,), 1, solve_box):
-                return cert
-        else:
-            record(node)
+            if point is None:
+                P_fin, box = finitize(P, region)
+        if point is not None:
+            value = P.evaluate(point)
+            assert value < 0
+            cert.verdict = "Disproven"
+            cert.witness = point
+            cert.witness_value = value
+            return cert
+        if status == "split" and len(path) > depth_limit:
+            cert.nodes.append(CertNode(path, region, box, "", [], "depth-limit"))
+        elif status == "split":
+            stack.extend((region, P_fin, child, path + (bits,))
+                         for bits, child in reversed(subdivide(box)))
 
-    if cert.verdict == "Proven" and (hit_depth_limit or cannot_finitize):
+    statuses = {node.status for node in cert.nodes}
+    if "depth-limit" in statuses or "cannot-finitize" in statuses:
         cert.verdict = "Fail"
         cert.fail_reason = (
-            "depth-limit" if hit_depth_limit else "cannot-finitize-zero-split"
+            "depth-limit" if "depth-limit" in statuses else "cannot-finitize-zero-split"
         )
     return cert
 

@@ -154,7 +154,11 @@ def _expand_factors(factors: Counter, nvars: int) -> MultiPoly:
 def _poly_at_rational_args(
     poly: MultiPoly, nums: list[MultiPoly], dens: list[MultiPoly], degs: list[int]
 ) -> MultiPoly:
-    """poly(n_0/d_0, ..) cleared by prod d_i^degs[i] (degs[i] >= deg_i poly)."""
+    """poly(n_0/d_0, ..) cleared by prod d_i^degs[i] (degs[i] >= deg_i poly).
+
+    Each d_i is 1 or a product of non-constant factors, so a constant d_i is
+    1; products by 1, and by zeroth powers, are skipped.
+    """
     nvars = poly.nvars
     result = MultiPoly.zero(nvars)
     den_pows = [[MultiPoly.constant(nvars, 1)] for _ in range(nvars)]
@@ -168,8 +172,10 @@ def _poly_at_rational_args(
     for exps, coeff in poly.terms.items():
         term = MultiPoly.constant(nvars, coeff)
         for i, e in enumerate(exps):
-            term = term * power(num_pows[i], nums[i], e)
-            term = term * power(den_pows[i], dens[i], degs[i] - e)
+            if e:
+                term = term * power(num_pows[i], nums[i], e)
+            if degs[i] > e and not dens[i].is_constant():
+                term = term * power(den_pows[i], dens[i], degs[i] - e)
         result = result + term
     return result
 
@@ -233,15 +239,11 @@ def _q_power_factored(spec: RecurrenceSpec, K: int) -> list[Component]:
     if K < 1:
         raise ValueError("K must be >= 1")
     nvars = spec.order
-    den0 = spec.R.den
-    pool: list[MultiPoly] = [den0] if den0.total_degree() > 0 else []
-    first: Component = _cancel(spec.R.num, Counter({den0: 1}) if den0.total_degree() > 0 else Counter())
-    if den0.total_degree() == 0 and den0.constant_term() != 1:
-        first = (first[0] * MultiPoly.constant(nvars, 1 / den0.constant_term()), first[1])
-    state: list[Component] = [first] + [
-        (MultiPoly.variable(nvars, i), Counter()) for i in range(nvars - 1)
+    pool: list[MultiPoly] = []
+    state: list[Component] = [
+        (MultiPoly.variable(nvars, i), Counter()) for i in range(nvars)
     ]
-    for _ in range(K - 1):
+    for _ in range(K):
         state = [_compose_first(spec, state, pool)] + state[:-1]
     return state
 
@@ -275,8 +277,9 @@ def build_contraction_poly(
         for f, mult in factors.items():
             lcm[f] = max(lcm[f], 2 * mult)
 
+    # Every exponent in lcm is even, so lcm_poly(xbar) > 0 iff no factor vanishes.
+    assert all(f.evaluate(eq.vector) != 0 for f in lcm)
     lcm_poly = _expand_factors(lcm, nvars)
-    assert lcm_poly.evaluate(eq.vector) > 0
 
     xbar_c = MultiPoly.constant(nvars, xbar)
     dist = MultiPoly.zero(nvars)

@@ -127,8 +127,10 @@ def classify_roots(p: Poly) -> tuple[str, list[tuple[Fraction, Fraction]]]:
 
 
 def las_check(spec: RecurrenceSpec, eq: Equilibrium) -> LasVerdict:
-    c = tuple(spec.R.diff(i).evaluate(eq.vector) for i in range(spec.order))
     p = characteristic_poly(spec, eq)
+    # trim keeps p's leading 1, so p[m-1-i] = -c_i with c_i = dR/dx_i
+    m = spec.order
+    c = tuple(-p[m - 1 - i] for i in range(m))
     kind, table = classify_roots(p)
     outcome = {"inside": "LAS", "outside": "unstable", "on-circle": "inconclusive"}[
         kind

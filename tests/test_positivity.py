@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -472,10 +474,66 @@ class TestProveNonneg:
             assert certificate_to_json(prove_nonneg(p, eq.value)) == first
 
     def test_fail_when_unfinitizable(self):
-        # positive except on a whole axis, with zero split point
-        cert = prove_nonneg(P("x0*x1-x0-x1+2"), F(0), 10)
-        assert cert.verdict == "Fail"
-        assert cert.fail_reason == "cannot-finitize-zero-split"
+        # With a zero split point the one all-high region cannot be mapped
+        # onto a finite box, so an undecided region gives Fail, whether P
+        # is negative somewhere (the first input is -2 at (0, 4)) or >= 1
+        # everywhere (the second).
+        for text in ("x0*x1-x0-x1+2", "(x0-x1)^2+x0+1"):
+            cert = prove_nonneg(P(text), F(0), 10)
+            assert cert.verdict == "Fail"
+            assert cert.fail_reason == "cannot-finitize-zero-split"
+            assert [n.status for n in cert.nodes] == ["cannot-finitize"]
+
+    @pytest.mark.parametrize(
+        "text,xbar,depth,ending,sha",
+        [
+            ("x0^2+x0*x1+x1^2+1", F(1), 12, ("Proven", ["pass"], False),
+             "1806194cd11c24a1a5ec1d110a47c0d3acf82564985025f5e11a9bdabbacc4f0"),
+            ("x0^2-3*x0*x1+x1^2", F(1), 12, ("Disproven", ["refute"], False),
+             "b5e274bc35fa4152e4ab7cdf90f43af901b0fc760ffe29c5c938de34e700f0c8"),
+            ("(x0-1024*x1)^2-x0*x1/1000", F(1), 12,
+             ("Disproven", ["split"], False),
+             "f6397addcae1c305aeee96fcd8c0f5ea498ff2794e676d019bafbc77d3d377f4"),
+            ("6*x0^3+x0^2-4*x0+1", F(1, 2), 12,
+             ("Disproven", ["pass", "refute", "split"], True),
+             "978ce3d6a76e573e9bc98a8bb44c4f5cf1f68320c5d87c04d18a1cdd5f6e0128"),
+            ("(x0-1/3)^2+(x1-1/3)^2", F(1), 2,
+             ("Fail", ["depth-limit", "pass", "split"], True),
+             "8036ce287669995c6636a59cae5b52de128ee438cbc1b1bd8da58adfa9bbbec1"),
+            ("(x0-1/3)^2+(x1-1/3)^2", F(1), 0,
+             ("Fail", ["depth-limit", "pass", "split"], True),
+             "53f64a7f68c19a073338eb6b3fe935224250b6fa1855e83d3d7cc40f45613a6c"),
+            ("x0*x1-x0-x1+2", F(0), 10, ("Fail", ["cannot-finitize"], False),
+             "c0f5c740518ba3f31716ef15375a6de4ab7cbe148e38c5d4f50634f1415085be"),
+            (EX2, F(1), 12, ("Proven", ["pass", "split"], True),
+             "e982c2b49e1edf436868502c4451169d725626aa1098778912db26d5966a8d4e"),
+        ],
+        ids=["region-pass", "region-refute", "grid-refute", "box-refute",
+             "depth-limit", "depth-limit-at-region", "cannot-finitize",
+             "proven-subdivided"],
+    )
+    def test_golden_certificate(self, text, xbar, depth, ending, sha):
+        # One input per way a run can end, with the SHA-256 of its
+        # certificate_to_json pinned, so any change of node order, status,
+        # witness or detail shows up as a changed byte.
+        cert = prove_nonneg(P(text), xbar, depth)
+        statuses = sorted({n.status for n in cert.nodes})
+        has_box = any(n.box is not None for n in cert.nodes)
+        assert (cert.verdict, statuses, has_box) == ending
+        doc = certificate_to_json(cert)
+        assert hashlib.sha256(doc.encode()).hexdigest() == sha
+
+    def test_leaves_no_cyclic_garbage(self):
+        # EX2 subdivides after a grid scan that finds nothing; neither the
+        # node loop nor the scan may leave reference cycles behind.
+        p = P(EX2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert prove_nonneg(p, F(1)).verdict == "Proven"
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_depth_limit_fail(self):
         # non-negative, but with an interior zero the box tests cannot isolate

@@ -114,6 +114,19 @@ class TestQPower:
         assert c0.den == parse_poly("1+x1", 2)
         assert c1.num == parse_poly("x0", 2)
 
+    def test_k1_is_the_map_itself(self):
+        # Q^1 = (R, x0, .., x_{k-1}), including a constant denominator,
+        # which RatFun normalises to 1 by scaling the numerator
+        for text in (BENCH, "(1+x0+x1)/3", "x1/(2+x0+x1)", "9/x0"):
+            spec = parse_rde(text)
+            n = spec.order
+            first, *rest = q_power(spec, 1)
+            assert (first.num, first.den) == (spec.R.num, spec.R.den)
+            assert [(c.num, c.den) for c in rest] == [
+                (MultiPoly.variable(n, i), MultiPoly.constant(n, 1))
+                for i in range(n - 1)
+            ]
+
     def test_reciprocal_period_two(self):
         spec = parse_rde("1/x0")
         (c,) = q_power(spec, 2)

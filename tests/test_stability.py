@@ -29,6 +29,15 @@ class TestCharacteristicPoly:
     def test_multipliers_recorded(self):
         v = _las("(4+x0)/(1+x1)")
         assert v.multipliers == (F(1, 3), F(-2, 3))
+        # the partial derivatives of R at the equilibrium, zero ones included
+        for text in ("x2/(2+x0+x1+x2)", "(2+x0)/(1+x1+x2)", "1/2*x0", "9/x0",
+                     "1+x2/2"):
+            spec = parse_rde(text)
+            eq = find_equilibrium(spec)
+            expected = tuple(
+                spec.R.diff(i).evaluate(eq.vector) for i in range(spec.order)
+            )
+            assert las_check(spec, eq).multipliers == expected
 
     def test_linear_map(self):
         spec = parse_rde("1/2*x0")
