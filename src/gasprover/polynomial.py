@@ -4,6 +4,10 @@ A polynomial's coefficients are non-zero `fractions.Fraction`s.  The two hot
 kernels, products and Taylor shifts, scale their operands to exact integers
 over a positive common denominator, run their term loops on those integers
 and divide once per output term; nothing in this module uses floating point.
+Products also pack each exponent vector into one int, so the term-pair loop
+adds ints, not tuples.  Exact division updates one remainder dict in place,
+taking leading terms from a grlex heap.  Sums, negation and scaling build
+their result through one unchecked constructor.
 Polynomials are immutable and hashable so they can be shared freely between
 workers and used as dictionary keys (the recurrence module tracks factored
 denominators in a Counter keyed by polynomial).
@@ -12,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, lshift, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -80,25 +85,35 @@ class MultiPoly:
         return cls(nvars, {tuple(exps): _ONE})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Sequence[int], coeff) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Polynomial over `terms` (valid exponent tuples -> coefficients), unchecked.
 
-    @classmethod
-    def _from_integers(cls, nvars: int, terms: dict[Exponents, int], den: int) -> "MultiPoly":
-        """Polynomial with coefficients c/den for valid exponent tuples.
-
-        Takes over `terms` and converts it in place, dropping zeros, so a
-        kernel's result never exists as two dictionaries at once.
+        Takes over `terms` and drops its zero coefficients in place.
         """
         for e in [e for e, c in terms.items() if not c]:
             del terms[e]
-        for e, c in terms.items():
-            terms[e] = Fraction(c, den)
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", terms)
         object.__setattr__(poly, "_hash", None)
         object.__setattr__(poly, "_digest", None)
+        return poly
+
+    @classmethod
+    def _from_integers(cls, nvars: int, terms: dict[Exponents, int], den: int) -> "MultiPoly":
+        """Polynomial with coefficients c/den for valid exponent tuples.
+
+        Takes over `terms`, drops its zeros while they are still ints and
+        converts it in place, so a kernel's result never exists as two
+        dictionaries at once.
+        """
+        poly = cls._trusted(nvars, terms)
+        if den == 1:
+            for e, c in terms.items():
+                terms[e] = Fraction(c)
+        else:
+            for e, c in terms.items():
+                terms[e] = Fraction(c, den)
         return poly
 
     def _integer_terms(self) -> tuple[int, Iterator[tuple[Exponents, int]]]:
@@ -126,7 +141,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Max total degree over terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def degree_in(self, var: int) -> int:
         """Max exponent of `var`; 0 for the zero polynomial."""
@@ -147,7 +162,8 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other for op in (add, sub), term by term."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
@@ -155,40 +171,58 @@ class MultiPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, _ZERO) + coeff
-        return MultiPoly(self.nvars, terms)
+            terms[exps] = op(terms.get(exps, _ZERO), coeff)
+        return MultiPoly._trusted(self.nvars, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        """Product; the term-pair loop runs on each operand scaled to integers."""
+        """Product; the term-pair loop runs on integers with packed exponents.
+
+        Each operand is scaled to integers over a positive common denominator,
+        and each exponent vector is packed into one int with fields of
+        (deg self + deg other).bit_length() bits, wide enough that no sum of
+        two exponents carries into the next field. The loop adds packed keys;
+        each output term is unpacked once. A constant operand (no exponent
+        vector with a non-zero entry) takes the scalar path.
+        """
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
-            return MultiPoly(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return MultiPoly._trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
+        if not any(map(any, other.terms)):
+            return self * other.constant_term()
+        if not any(map(any, self.terms)):
+            return other * self.constant_term()
+        width = (self.total_degree() + other.total_degree()).bit_length()
+        shifts = range(0, self.nvars * width, width)
+        mask = (1 << width) - 1
         d1, outer = self._integer_terms()
         d2, inner = other._integer_terms()
-        inner = dict(inner)
-        terms: dict[Exponents, int] = {}
+        inner = [(sum(map(lshift, e, shifts)), c) for e, c in inner]
+        packed: dict[int, int] = {}
+        get = packed.get
         for e1, c1 in outer:
-            for e2, c2 in inner.items():
-                exps = tuple(map(add, e1, e2))
-                terms[exps] = terms.get(exps, 0) + c1 * c2
+            k1 = sum(map(lshift, e1, shifts))
+            for k2, c2 in inner:
+                k = k1 + k2
+                packed[k] = get(k, 0) + c1 * c2
+        terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
+        del packed, get  # before the Fractions are made, to keep the peak down
         return MultiPoly._from_integers(self.nvars, terms, d1 * d2)
 
     __rmul__ = __mul__
@@ -339,24 +373,47 @@ class MultiPoly:
         return c, self * (1 / c)
 
     def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Exact multivariate division; None if divisor does not divide self."""
+        """Exact multivariate division; None if divisor does not divide self.
+
+        The remainder is one dict updated in place, with a grlex max-heap of
+        its keys. Every term a step touches is below the popped leading term,
+        so a key that has cancelled is skipped when popped (lazy deletion).
+        Returns None at the first quotient exponent that would be negative.
+        """
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return self
         lead_e, lead_c = divisor.leading_term()
+        rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+        remainder = dict(self.terms)
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in remainder]
+        heapify(heap)
         quotient: dict[Exponents, Fraction] = {}
-        remainder = self
-        while not remainder.is_zero():
-            r_e, r_c = remainder.leading_term()
-            q_e = tuple(a - b for a, b in zip(r_e, lead_e))
+        while heap:
+            r_e = heappop(heap)[2]
+            r_c = remainder.pop(r_e, None)
+            if r_c is None:
+                continue
+            q_e = tuple(map(sub, r_e, lead_e))
             if any(e < 0 for e in q_e):
                 return None
             q_c = r_c / lead_c
             quotient[q_e] = q_c
-            remainder = remainder - divisor * MultiPoly.monomial(self.nvars, q_e, q_c)
-        return MultiPoly(self.nvars, quotient)
+            for e, c in rest:
+                key = tuple(map(add, q_e, e))
+                old = remainder.get(key)
+                if old is None:
+                    remainder[key] = -c * q_c
+                    heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                else:
+                    new = old - c * q_c
+                    if new:
+                        remainder[key] = new
+                    else:
+                        del remainder[key]
+        return MultiPoly._trusted(self.nvars, quotient)
 
     # -- canonical text form ----------------------------------------------
 

@@ -420,7 +420,7 @@ def _run_tests(P: MultiPoly):
 
 
 def prove_nonneg(
-    P: MultiPoly, xbar: Fraction, depth_limit: int = 12
+    P: MultiPoly, xbar: Fraction | int, depth_limit: int = 12
 ) -> ProofCertificate:
     """Certify P >= 0 on the orthant (zero allowed only at the xbar corner image).
 
@@ -430,6 +430,9 @@ def prove_nonneg(
     visited depth first from one stack; the dyadic grid is searched once,
     just before the first region would be subdivided.
     """
+    if not isinstance(xbar, (int, Fraction)):
+        raise TypeError(f"xbar must be an int or Fraction, got {type(xbar).__name__}")
+    xbar = Fraction(xbar)
     if P.is_zero():
         raise ValueError("cannot prove the zero polynomial non-negative")
     if xbar < 0:

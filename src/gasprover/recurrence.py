@@ -144,11 +144,19 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
 Component = tuple[MultiPoly, Counter]
 
 
-def _expand_factors(factors: Counter, nvars: int) -> MultiPoly:
-    result = MultiPoly.constant(nvars, 1)
+def _expand_factors(factors: Counter, nvars: int, powers: dict) -> MultiPoly:
+    """Product of f**mult over the factors.
+
+    `powers` maps (f, mult) to f**mult. The caller makes one such dict per
+    build, so each power is raised once and the dict goes with the build.
+    """
+    result = None
     for f, mult in factors.items():
-        result = result * f ** mult
-    return result
+        power = powers.get((f, mult))
+        if power is None:
+            power = powers[f, mult] = f ** mult
+        result = power if result is None else result * power
+    return MultiPoly.constant(nvars, 1) if result is None else result
 
 
 def _poly_at_rational_args(
@@ -219,12 +227,14 @@ def _cancel(num: MultiPoly, den: Counter) -> tuple[MultiPoly, Counter]:
     return num, den
 
 
-def _compose_first(spec: RecurrenceSpec, state: list[Component], pool) -> Component:
+def _compose_first(
+    spec: RecurrenceSpec, state: list[Component], pool, powers: dict
+) -> Component:
     """R applied to the current component vector, in cancelled form."""
     nvars = spec.order
     num_r, den_r = spec.R.num, spec.R.den
     nums = [c[0] for c in state]
-    dens = [_expand_factors(c[1], nvars) for c in state]
+    dens = [_expand_factors(c[1], nvars, powers) for c in state]
     degs = [
         max(num_r.degree_in(i), den_r.degree_in(i)) for i in range(nvars)
     ]
@@ -235,7 +245,7 @@ def _compose_first(spec: RecurrenceSpec, state: list[Component], pool) -> Compon
     return _cancel(num, factors)
 
 
-def _q_power_factored(spec: RecurrenceSpec, K: int) -> list[Component]:
+def _q_power_factored(spec: RecurrenceSpec, K: int, powers: dict) -> list[Component]:
     if K < 1:
         raise ValueError("K must be >= 1")
     nvars = spec.order
@@ -244,16 +254,17 @@ def _q_power_factored(spec: RecurrenceSpec, K: int) -> list[Component]:
         (MultiPoly.variable(nvars, i), Counter()) for i in range(nvars)
     ]
     for _ in range(K):
-        state = [_compose_first(spec, state, pool)] + state[:-1]
+        state = [_compose_first(spec, state, pool, powers)] + state[:-1]
     return state
 
 
 def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
     """The k+1 components of Q^K as rational functions in x0..xk."""
     nvars = spec.order
+    powers: dict = {}
     components = []
-    for num, factors in _q_power_factored(spec, K):
-        den = _expand_factors(factors, nvars)
+    for num, factors in _q_power_factored(spec, K, powers):
+        den = _expand_factors(factors, nvars, powers)
         assert all(c > 0 for c in den.terms.values())
         components.append(RatFun(num, den))
     return components
@@ -270,7 +281,8 @@ def build_contraction_poly(
     """
     nvars = spec.order
     xbar = eq.value
-    components = _q_power_factored(spec, K)
+    powers: dict = {}
+    components = _q_power_factored(spec, K, powers)
 
     lcm: Counter = Counter()
     for _, factors in components:
@@ -279,7 +291,7 @@ def build_contraction_poly(
 
     # Every exponent in lcm is even, so lcm_poly(xbar) > 0 iff no factor vanishes.
     assert all(f.evaluate(eq.vector) != 0 for f in lcm)
-    lcm_poly = _expand_factors(lcm, nvars)
+    lcm_poly = _expand_factors(lcm, nvars, powers)
 
     xbar_c = MultiPoly.constant(nvars, xbar)
     dist = MultiPoly.zero(nvars)
@@ -289,11 +301,11 @@ def build_contraction_poly(
 
     result = dist * lcm_poly
     for num, factors in components:
-        g = num - xbar_c * _expand_factors(factors, nvars)
+        g = num - xbar_c * _expand_factors(factors, nvars, powers)
         cofactor = Counter()
         for f, mult in lcm.items():
             rem = mult - 2 * factors.get(f, 0)
             if rem:
                 cofactor[f] = rem
-        result = result - g * g * _expand_factors(cofactor, nvars)
+        result = result - g * g * _expand_factors(cofactor, nvars, powers)
     return result

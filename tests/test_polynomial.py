@@ -296,6 +296,45 @@ def _ref_box_map(p, bounds):
     return p
 
 
+def _ref_add(a, b, sign=1):
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, F(0)) + sign * c
+    return MultiPoly(a.nvars, terms)
+
+
+def _ref_neg(a):
+    return MultiPoly(a.nvars, {e: -c for e, c in a.terms.items()})
+
+
+def _ref_scale(a, c):
+    return MultiPoly(a.nvars, {e: v * c for e, v in a.terms.items()})
+
+
+def _ref_divide(a, b):
+    """(quotient or None, quotient terms found): long division on a plain dict,
+    rescanning the remainder for its grlex-leading term at every step."""
+    lead_e = max(b.terms, key=lambda e: (sum(e), e))
+    lead_c = b.terms[lead_e]
+    quotient = {}
+    remainder = dict(a.terms)
+    while remainder:
+        r_e = max(remainder, key=lambda e: (sum(e), e))
+        q_e = tuple(x - y for x, y in zip(r_e, lead_e))
+        if min(q_e, default=0) < 0:
+            return None, len(quotient)
+        q_c = remainder[r_e] / lead_c
+        quotient[q_e] = q_c
+        for e, c in b.terms.items():
+            key = tuple(x + y for x, y in zip(q_e, e))
+            value = remainder.get(key, F(0)) - c * q_c
+            if value:
+                remainder[key] = value
+            else:
+                del remainder[key]
+    return MultiPoly(a.nvars, quotient), len(quotient)
+
+
 def _assert_clean(p):
     assert all(isinstance(c, Fraction) and c != 0 for c in p.terms.values())
 
@@ -350,6 +389,67 @@ class TestKernelsMatchFractionReference:
                 a = F(rng.randrange(0, 5), rng.randrange(1, 6))
                 bounds.append((a, a + F(rng.randrange(1, 9), rng.randrange(1, 6))))
             _assert_matches(p.box_map(bounds), _ref_box_map(p, bounds))
+
+    def test_add_sub_neg_and_scalar_mul(self):
+        rng, cases = _kernel_cases()
+        for a in cases:
+            b = _mixed_poly(rng, a.nvars)
+            for x, y in ((a, b), (b, a), (a, a), (a, -a)):
+                _assert_matches(x + y, _ref_add(x, y))
+                _assert_matches(x - y, _ref_add(x, y, -1))
+            _assert_matches(-a, _ref_neg(a))
+            for c in (0, 1, -3, F(-7, 4), F(0)):
+                _assert_matches(a * c, _ref_scale(a, F(c)))
+                _assert_matches(c * a, _ref_scale(a, F(c)))
+            assert (a * 0).terms == {}
+
+    def test_divide_exact(self):
+        rng, cases = _kernel_cases()
+        late = 0
+        for b in cases:
+            if b.is_zero():
+                continue
+            a = _mixed_poly(rng, b.nvars)
+            exact = a * b
+            got = exact.divide_exact(b)
+            want, _ = _ref_divide(exact, b)
+            _assert_matches(got, want)
+            assert got == a
+            zero = MultiPoly.zero(b.nvars)
+            assert zero.divide_exact(b) == zero
+            if b.total_degree() == 0:
+                continue
+            # a constant left over fails only once every quotient term of the
+            # exact part has been taken
+            perturbed = exact + 1
+            assert perturbed.divide_exact(b) is None
+            want, steps = _ref_divide(perturbed, b)
+            assert want is None
+            late += steps >= 3
+        assert late >= 10
+
+    def test_mul_at_the_packing_width(self):
+        # exponent sums that fill a whole field of the packed key, and
+        # 0-variable and constant operands
+        pairs = [
+            (P("x0^255"), P("x0")),
+            (P("x0^256", 2), P("x1^3", 2)),
+            (P("x0^100+x1^100"), P("x0^155-3*x1^155+x0")),
+            (P("x0^127*x1-x1^128"), P("x0^128+2*x1^127")),
+            (P("x0^3+1/2"), P("1+x0^4")),
+            (MultiPoly.constant(0, F(2, 3)), MultiPoly.constant(0, -5)),
+            (MultiPoly.zero(0), MultiPoly.constant(0, 7)),
+            (MultiPoly.constant(3, F(-1, 2)), P("x0^7*x2-x1+1", 3)),
+            (MultiPoly.constant(2, 4), MultiPoly.constant(2, F(1, 4))),
+        ]
+        for a, b in pairs:
+            _assert_matches(a * b, _ref_mul(a, b))
+            _assert_matches(b * a, _ref_mul(b, a))
+        assert P("x0^255") * P("x0") == P("x0^256")
+        assert P("x0^256", 2) * P("x1^3", 2) == P("x0^256*x1^3")
+        assert (P("x0^100+x1^100") * P("x0^155+x1^155")).terms == {
+            (255, 0): 1, (100, 155): 1, (155, 100): 1, (0, 255): 1,
+        }
 
     def test_cancellation_leaves_no_zero_term(self):
         got = P("x0-x1") * P("x0+x1")

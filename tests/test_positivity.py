@@ -535,6 +535,21 @@ class TestProveNonneg:
         finally:
             gc.enable()
 
+    def test_int_xbar_is_coerced(self):
+        # an int split point is the same Fraction; 1 / xbar must not turn
+        # into a float inside the region transforms
+        for text in (EX2, "x0^2-3*x0*x1+x1^2", "(x0-2)^2+(x1-2)^2+x0*x1"):
+            p = P(text)
+            for xbar in (1, 2):
+                got = prove_nonneg(p, xbar)
+                assert isinstance(got.xbar, Fraction)
+                assert certificate_to_json(got) == certificate_to_json(
+                    prove_nonneg(p, F(xbar)))
+
+    def test_float_xbar_rejected(self):
+        with pytest.raises(TypeError):
+            prove_nonneg(P(EX2), 2.0)
+
     def test_depth_limit_fail(self):
         # non-negative, but with an interior zero the box tests cannot isolate
         p = P("(x0-1/3)^2+(x1-1/3)^2")

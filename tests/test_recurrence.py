@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -198,3 +201,62 @@ class TestBuildContractionPoly:
                         (c.evaluate(v) - eq.value) ** 2 for c in comps
                     )
                     assert sign(p.evaluate(v)) == sign(before - after)
+
+
+# SHA-256 of repr(list(P.terms.items())) for builds of the workload maps,
+# insertion order included: a faster kernel must give the same terms in the
+# same order, since certificate details depend on that order.
+BUILD_PINS = [
+    ("x2/(2+x0+x1+x2)", 3,
+     "a38b80f0542fd0469855e1fadd4258b52f8e417efa563187c46b78e93014979d"),
+    ("(2+x0)/(1+x1+x2)", 1,
+     "9aeb67433d0ec0b769675d8f10b16009b19997b263486422bed61e1cd7f73b9a"),
+    ("(2+x0)/(1+x1+x2)", 2,
+     "78497a2dc61fab8f4f2485775bbdb99d3a980446ab88055e1b70f10f2c85ac7c"),
+    ("(2+x0)/(1+x1+x2)", 3,
+     "77d25c2123daadc3f27066582514814a665537f3707ffe80c35eff0837be9baf"),
+    ("(2+x0)/(1+x1+x2)", 4,
+     "3c2d544f3df70233908c008e1cf04416d46b1a8f18052d5f490a35c4adb8159d"),
+    (BENCH, 5,
+     "61b17b8c1e052a8965d54e676b4a4c5ad7dfa21a1f8e00357c2dcefa1d54cdf3"),
+    ("(1+2*x1)/(1+x0+x1)", 2,
+     "ab41c72d607501afa604f38f5129f4bede346956ed8c349dc712db3648d641f9"),
+]
+
+
+class TestBuildPinned:
+    @pytest.mark.parametrize("text,K,sha", BUILD_PINS)
+    def test_terms_in_order(self, text, K, sha):
+        spec = parse_rde(text)
+        p = build_contraction_poly(spec, find_equilibrium(spec), K)
+        assert hashlib.sha256(repr(list(p.terms.items())).encode()).hexdigest() == sha
+
+    def test_each_factor_power_raised_once(self, monkeypatch):
+        pow_ = MultiPoly.__pow__
+        for text, K in (("x2/(2+x0+x1+x2)", 3), ("(2+x0)/(1+x1+x2)", 4), (BENCH, 5)):
+            spec = parse_rde(text)
+            eq = find_equilibrium(spec)
+            for build in (lambda: build_contraction_poly(spec, eq, K),
+                          lambda: q_power(spec, K)):
+                raised = Counter()
+
+                def counting(f, n):
+                    raised[f, n] += 1
+                    return pow_(f, n)
+
+                monkeypatch.setattr(MultiPoly, "__pow__", counting)
+                build()
+                monkeypatch.undo()
+                assert raised
+                assert set(raised.values()) == {1}
+
+    def test_leaves_no_cyclic_garbage(self):
+        spec = parse_rde("x2/(2+x0+x1+x2)")
+        eq = find_equilibrium(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            assert not build_contraction_poly(spec, eq, 3).is_zero()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
