@@ -3,7 +3,8 @@
 Verbs: prove (full pipeline), prove-k (fixed contraction exponent),
 positivity (raw polynomial non-negativity on the orthant), webbook (batch
 proving of a parameterized template). Exit codes: 0 = true/Proven,
-1 = false/Disproven, 2 = FAIL, 3 = unsupported input.
+1 = false/Disproven, 2 = FAIL, 3 = unsupported input, or an input, usage or
+file error.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .driver import prove, prove_k, webbook
-from .parsing import ParseError, parse_poly
+from .parsing import ParseError, parse_poly, parse_rational
 from .positivity import certificate_to_json, orthant_split, prove_nonneg
 from .recurrence import UnsupportedInputError, parse_rde
 
@@ -34,24 +35,32 @@ _VERDICT_EXIT = {
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _range_spec(text: str) -> tuple[str, Fraction, Fraction]:
+    name, _, interval = text.partition("=")
+    lo, _, hi = interval.partition("..")
     try:
-        name, _, interval = text.partition("=")
-        lo, _, hi = interval.partition("..")
-        return name, Fraction(lo), Fraction(hi)
-    except (ValueError, ZeroDivisionError) as exc:
+        return name, parse_rational(lo), parse_rational(hi)
+    except ParseError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected NAME=LO..HI with rational bounds, got {text!r}"
+            f"expected NAME=LO..HI with rational bounds, got {text!r}: {exc}"
         ) from exc
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_UNSUPPORTED."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_UNSUPPORTED, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gasprover",
         description=(
             "Prove global asymptotic stability of rational difference "
@@ -141,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "prove":
             spec = parse_rde(args.rde, args.order)
             result = prove(spec, args.max_k, depth_limit=args.depth)
-            _print_result(result, args.verbose)
             _write_cert(args.cert, result.certificate)
+            _print_result(result, args.verbose)
             return _VERDICT_EXIT[result.verdict]
 
         if args.verb == "prove-k":
@@ -154,8 +163,8 @@ def main(argv: list[str] | None = None) -> int:
                 eq = find_equilibrium(spec)
                 P = build_contraction_poly(spec, eq, args.k)
                 _print_regions(P, eq.value)
-            _print_result(result, args.verbose)
             _write_cert(args.cert, result.certificate)
+            _print_result(result, args.verbose)
             return _VERDICT_EXIT[result.verdict]
 
         if args.verb == "positivity":
@@ -163,13 +172,13 @@ def main(argv: list[str] | None = None) -> int:
                     else args.poly_file.read_text())
             P = parse_poly(text)
             cert = prove_nonneg(P, args.xbar, args.depth)
+            _write_cert(args.cert, cert)
             if args.verbose:
                 _print_regions(P, args.xbar)
             print(f"verdict: {cert.verdict}")
             if cert.witness is not None:
                 point = ", ".join(str(x) for x in cert.witness)
                 print(f"witness: ({point}) -> {cert.witness_value}")
-            _write_cert(args.cert, cert)
             return _VERDICT_EXIT[cert.verdict]
 
         if args.verb == "webbook":
@@ -189,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedInputError as exc:
         print(f"unsupported input ({exc.kind}): {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     raise AssertionError(f"unhandled verb {args.verb}")

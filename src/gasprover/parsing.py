@@ -24,7 +24,8 @@ _TOKEN_RE = re.compile(
 def tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
-    while pos < len(text):
+    end = len(text.rstrip())
+    while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             raise ParseError(f"unexpected character {text[pos:].lstrip()[:1]!r} at position {pos}")
@@ -55,6 +56,11 @@ def _infer_nvars(tokens) -> int:
     return max(top + 1, 1)
 
 
+# Each level costs the recursive descent about five stack frames, so this
+# stays well inside Python's default recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     """Recursive descent over + - * / ^ with unary minus."""
 
@@ -62,6 +68,16 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0
+
+    def nested(self, parse) -> RatFun:
+        """parse() one parenthesis or unary sign deeper, up to _MAX_DEPTH."""
+        if self.depth == _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -83,13 +99,7 @@ class _Parser:
         return result
 
     def expr(self) -> RatFun:
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            term = self.term()
-            result = -term if value == "-" else term
-        else:
-            result = self.term()
+        result = self.term()
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "+-":
@@ -106,6 +116,8 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.take()
                 rhs = self.factor()
+                if value == "/" and rhs.num.is_zero():
+                    raise ParseError("division by zero")
                 result = result * rhs if value == "*" else result / rhs
             else:
                 return result
@@ -114,7 +126,7 @@ class _Parser:
         kind, value = self.peek()
         if kind == "op" and value in "+-":
             self.take()
-            inner = self.factor()
+            inner = self.nested(self.factor)
             return -inner if value == "-" else inner
         base = self.atom()
         kind, value = self.peek()
@@ -146,7 +158,7 @@ class _Parser:
                 raise ParseError(f"variable x{index} out of range for {self.nvars} variables")
             return RatFun.from_poly(MultiPoly.variable(self.nvars, index))
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {value!r}" if value is not None else "unexpected end of input")

@@ -196,10 +196,13 @@ class MultiPoly:
         (deg self + deg other).bit_length() bits, wide enough that no sum of
         two exponents carries into the next field. The loop adds packed keys;
         each output term is unpacked once. A constant operand (no exponent
-        vector with a non-zero entry) takes the scalar path.
+        vector with a non-zero entry) takes the scalar path, and a product by
+        1 is self, which is safe because polynomials are immutable.
         """
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
+            if c == 1:
+                return self
             return MultiPoly._trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -356,12 +359,11 @@ class MultiPoly:
         """
         if not self.terms:
             return _ONE
+        den, scaled = self._integer_terms()
         num_gcd = 0
-        den_lcm = 1
-        for coeff in self.terms.values():
-            num_gcd = gcd(num_gcd, coeff.numerator)
-            den_lcm = den_lcm * coeff.denominator // gcd(den_lcm, coeff.denominator)
-        return Fraction(num_gcd, den_lcm)
+        for _, c in scaled:
+            num_gcd = gcd(num_gcd, c)
+        return Fraction(num_gcd, den)
 
     def primitive(self) -> tuple[Fraction, "MultiPoly"]:
         """Split into (c, q) with self = c*q, q primitive with positive leading coeff."""

@@ -14,7 +14,6 @@ and refutations carry an exact witness point in the original coordinates.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -312,12 +311,11 @@ def boxed_to_box(box: BoxSpec, point) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _search_negative(P: MultiPoly, outward: bool) -> list[Fraction] | None:
-    """A point on the all-ones ray where P < 0: inward 1/2^m or outward 2^m."""
+def _search_negative(P: MultiPoly) -> list[Fraction] | None:
+    """A point 2^m * (1, .., 1), m = 1..63, where P < 0, or None."""
     n = P.nvars
     for m in range(1, 64):
-        t = Fraction(2) ** m if outward else Fraction(1, 2 ** m)
-        point = [t] * n
+        point = [Fraction(2) ** m] * n
         if P.evaluate(point) < 0:
             return point
     return None
@@ -349,12 +347,12 @@ def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
     c*y^e at y_i = 2^k_i is c << (e.k). The axes are substituted one at a
     time, so each prefix of the point is paid for once, not once per point.
     """
-    den = math.lcm(*(c.denominator for c in P.terms.values()))
+    _, scaled = P._integer_terms()
     deg = P.total_degree()
     ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
     point = _grid_scan({
-        exps: c.numerator * (den // c.denominator) << _GRID_SCALE * (deg - sum(exps))
-        for exps, c in P.terms.items()
+        exps: c << _GRID_SCALE * (deg - sum(exps))
+        for exps, c in scaled
     }, ks)
     if point is None:
         return None
@@ -403,7 +401,7 @@ def _run_tests(P: MultiPoly):
     lc = test_lcoeff(P)
     outcomes.append(lc)
     if lc.result == "refute":
-        witness = _search_negative(P, outward=True)
+        witness = _search_negative(P)
         if witness is not None:
             return "refute", outcomes, witness
         outcomes[-1] = TestOutcome(
@@ -412,10 +410,8 @@ def _run_tests(P: MultiPoly):
     co = test_const(P)
     outcomes.append(co)
     if co.result == "refute":
-        witness = _search_negative(P, outward=False)
-        if witness is not None:
-            return "refute", outcomes, witness
-        outcomes[-1] = TestOutcome("Const", "fail", {"reason": "no-witness-on-ray"})
+        # P at the local origin is its negative constant
+        return "refute", outcomes, [Fraction(0)] * P.nvars
     return "split", outcomes, None
 
 
@@ -495,17 +491,13 @@ def prove_nonneg(
 # ---------------------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _detail_json(detail: dict):
     out = {}
     for k, v in detail.items():
         if isinstance(v, Fraction):
-            out[k] = _frac_str(v)
+            out[k] = str(v)
         elif isinstance(v, list) and v and isinstance(v[0], Fraction):
-            out[k] = [_frac_str(f) for f in v]
+            out[k] = [str(f) for f in v]
         else:
             out[k] = v
     return out
@@ -516,12 +508,12 @@ def _document(cert: ProofCertificate) -> dict:
     return {
         "input_digest": cert.input_digest,
         "nvars": cert.nvars,
-        "xbar": _frac_str(cert.xbar),
+        "xbar": str(cert.xbar),
         "depth_limit": cert.depth_limit,
         "verdict": cert.verdict,
-        "witness": [_frac_str(x) for x in cert.witness] if cert.witness else None,
+        "witness": [str(x) for x in cert.witness] if cert.witness else None,
         "witness_value": (
-            _frac_str(cert.witness_value) if cert.witness_value is not None else None
+            str(cert.witness_value) if cert.witness_value is not None else None
         ),
         "fail_reason": cert.fail_reason,
         "tree": [
@@ -529,12 +521,12 @@ def _document(cert: ProofCertificate) -> dict:
                 "path": list(node.path),
                 "region": {
                     "highs": ["H" if h else "L" for h in node.region.highs],
-                    "xbar": _frac_str(node.region.xbar),
+                    "xbar": str(node.region.xbar),
                 },
                 "box": (
                     {
                         "bounds": [
-                            [_frac_str(a), _frac_str(b)] for a, b in node.box.bounds
+                            [str(a), str(b)] for a, b in node.box.bounds
                         ],
                         "open_low": list(node.box.open_low),
                     }

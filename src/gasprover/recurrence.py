@@ -150,23 +150,19 @@ def _expand_factors(factors: Counter, nvars: int, powers: dict) -> MultiPoly:
     `powers` maps (f, mult) to f**mult. The caller makes one such dict per
     build, so each power is raised once and the dict goes with the build.
     """
-    result = None
+    result = MultiPoly.constant(nvars, 1)
     for f, mult in factors.items():
         power = powers.get((f, mult))
         if power is None:
             power = powers[f, mult] = f ** mult
-        result = power if result is None else result * power
-    return MultiPoly.constant(nvars, 1) if result is None else result
+        result = result * power
+    return result
 
 
 def _poly_at_rational_args(
     poly: MultiPoly, nums: list[MultiPoly], dens: list[MultiPoly], degs: list[int]
 ) -> MultiPoly:
-    """poly(n_0/d_0, ..) cleared by prod d_i^degs[i] (degs[i] >= deg_i poly).
-
-    Each d_i is 1 or a product of non-constant factors, so a constant d_i is
-    1; products by 1, and by zeroth powers, are skipped.
-    """
+    """poly(n_0/d_0, ..) cleared by prod d_i^degs[i] (degs[i] >= deg_i poly)."""
     nvars = poly.nvars
     result = MultiPoly.zero(nvars)
     den_pows = [[MultiPoly.constant(nvars, 1)] for _ in range(nvars)]
@@ -180,10 +176,8 @@ def _poly_at_rational_args(
     for exps, coeff in poly.terms.items():
         term = MultiPoly.constant(nvars, coeff)
         for i, e in enumerate(exps):
-            if e:
-                term = term * power(num_pows[i], nums[i], e)
-            if degs[i] > e and not dens[i].is_constant():
-                term = term * power(den_pows[i], dens[i], degs[i] - e)
+            term = term * power(num_pows[i], nums[i], e)
+            term = term * power(den_pows[i], dens[i], degs[i] - e)
         result = result + term
     return result
 

@@ -61,14 +61,12 @@ def _jury_all_inside(p: Poly) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
     return True, table
 
 
-def _strip_root(p: Poly, r: Fraction) -> tuple[Poly, int]:
-    count = 0
+def _strip_root(p: Poly, r: Fraction) -> Poly:
     while p and uni.evaluate(p, r) == 0:
         q = uni.div_exact(p, [-r, Fraction(1)])
         assert q is not None
         p = q
-        count += 1
-    return p, count
+    return p
 
 
 def _palindromic_reduce(h: Poly) -> Poly:
@@ -90,8 +88,8 @@ def _palindromic_reduce(h: Poly) -> Poly:
 
 def _circle_factor_all_on_circle(g: Poly) -> bool:
     """True iff every root of the squarefree reciprocal factor g lies on |z| = 1."""
-    g, _ = _strip_root(g, Fraction(1))
-    g, _ = _strip_root(g, Fraction(-1))
+    g = _strip_root(g, Fraction(1))
+    g = _strip_root(g, Fraction(-1))
     if uni.degree(g) <= 0:
         return True
     rev = _reverse(g)

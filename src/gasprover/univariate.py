@@ -141,30 +141,16 @@ def sturm_variations_at(chain: list[Poly], x: Fraction) -> int:
 
 
 def count_roots_half_open(p: Poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in (a, b]."""
-    p = squarefree(p)
-    while p and evaluate(p, a) == 0:
-        q = div_exact(p, [-a, Fraction(1)])
-        assert q is not None
-        p = q
-    if not p or degree(p) == 0:
-        return 0
-    chain = sturm_chain(p)
+    """Number of distinct real roots of p in (a, b]; Sturm's count with zero
+    entries skipped is exact there also when a or b is a root."""
+    chain = sturm_chain(squarefree(p))
     return sturm_variations_at(chain, a) - sturm_variations_at(chain, b)
 
 
 def count_roots_open(p: Poly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p strictly inside (a, b)."""
-    p = squarefree(p)
-    for endpoint in (a, b):
-        while evaluate(p, endpoint) == 0:
-            q = div_exact(p, [-endpoint, Fraction(1)])
-            assert q is not None
-            p = q
-    if not p or degree(p) == 0:
-        return 0
-    chain = sturm_chain(p)
-    return sturm_variations_at(chain, a) - sturm_variations_at(chain, b)
+    b_is_root = a < b and any(p) and evaluate(p, b) == 0
+    return count_roots_half_open(p, a, b) - b_is_root
 
 
 def cauchy_bound(p: Poly) -> Fraction:

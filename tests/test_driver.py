@@ -203,7 +203,7 @@ class TestCli:
 
     def test_positivity_poly_file(self, tmp_path, capsys):
         f = tmp_path / "p.txt"
-        f.write_text("x0^2+x1^2+1")
+        f.write_text("x0^2+x1^2+1\n")
         code = main(["positivity", "--poly-file", str(f), "--xbar", "1/2"])
         assert code == 0
 
@@ -241,3 +241,56 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "region" in out
+
+
+class TestCliInputErrors:
+    """Input, usage and file errors exit 3, never with a verdict's code."""
+
+    def _usage_exit(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    def test_prove_without_rde(self, capsys):
+        assert self._usage_exit(["prove"]) == 3
+        assert "--rde" in capsys.readouterr().err
+
+    def test_xbar_not_a_rational(self, capsys):
+        assert self._usage_exit(["positivity", "--poly", "x0", "--xbar", "zz"]) == 3
+
+    def test_xbar_float_rejected(self, capsys):
+        assert self._usage_exit(["positivity", "--poly", "x0", "--xbar", "0.5"]) == 3
+        assert "floating-point" in capsys.readouterr().err
+
+    def test_range_float_rejected(self, capsys):
+        code = self._usage_exit([
+            "webbook", "--template", "b*x0/(1+x0)", "--range", "b=0.5..3",
+            "--count", "1", "--seed", "1",
+        ])
+        assert code == 3
+        assert "floating-point" in capsys.readouterr().err
+
+    def test_division_by_zero_rde(self, capsys):
+        assert main(["prove", "--rde", "1/0"]) == 3
+        assert "division by zero" in capsys.readouterr().err
+
+    def test_division_by_zero_poly(self, capsys):
+        assert main(["positivity", "--poly", "x0/(x0-x0)", "--xbar", "1"]) == 3
+        assert "division by zero" in capsys.readouterr().err
+
+    def test_deep_nesting(self, capsys):
+        rde = "(" * 400 + "4+x0" + ")" * 400 + "/(1+x1)"
+        assert main(["prove", "--rde", rde]) == 3
+        assert "nested" in capsys.readouterr().err
+
+    def test_missing_poly_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.txt")
+        assert main(["positivity", "--poly-file", missing, "--xbar", "1"]) == 3
+        assert "absent.txt" in capsys.readouterr().err
+
+    def test_unwritable_cert(self, tmp_path, capsys):
+        cert = str(tmp_path / "no" / "c.json")
+        assert main(["prove", "--rde", "(4+x0)/(1+x1)", "--cert", cert]) == 3
+        out, err = capsys.readouterr()
+        assert "verdict" not in out
+        assert "c.json" in err

@@ -59,6 +59,24 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("   ")
 
+    @pytest.mark.parametrize("tail", [" ", "\n", "  \n", "\t\n\n"])
+    def test_trailing_whitespace(self, tail):
+        assert parse_poly("x0+1" + tail) == parse_poly("x0+1")
+
+    @pytest.mark.parametrize("text", ["1/0", "x0/(x0-x0)", "1/(2-2)*x0"])
+    def test_rejects_division_by_zero(self, text):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_ratfun(text)
+
+    @pytest.mark.parametrize("text", ["(" * 400 + "x0" + ")" * 400, "-" * 400 + "x0"],
+                             ids=["parentheses", "signs"])
+    def test_rejects_deep_nesting(self, text):
+        with pytest.raises(ParseError, match="nested"):
+            parse_ratfun(text)
+
+    def test_moderate_nesting(self):
+        assert parse_poly("(" * 50 + "x0" + ")" * 50) == parse_poly("x0")
+
 
 class TestParseRatFun:
     def test_recurrence_map(self):

@@ -451,11 +451,18 @@ class TestProveNonneg:
         assert p.evaluate(cert.witness) == cert.witness_value < 0
         assert all(x > 0 for x in cert.witness)
 
+    def test_const_refutes_at_the_corner(self):
+        # the region polynomial's constant is P(xbar) times a positive factor
+        p = P("x0^2-3*x0*x1+x1^2")
+        cert = prove_nonneg(p, F(1), 12)
+        assert cert.nodes[-1].outcomes[-1].test == "Const"
+        assert cert.witness == [F(1), F(1)]
+        assert cert.witness_value == -1
+
     def test_grid_finds_negative_off_the_ray(self):
         # negative only where x0/x1 is near 1024; positive on the diagonal
         p = P("(x0-1024*x1)^2-1/1000*x0*x1")
-        assert _search_negative(p, True) is None
-        assert _search_negative(p, False) is None
+        assert _search_negative(p) is None
         cert = prove_nonneg(p, F(1), 10)
         assert cert.verdict == "Disproven"
         assert all(n.box is None for n in cert.nodes)
@@ -490,13 +497,13 @@ class TestProveNonneg:
             ("x0^2+x0*x1+x1^2+1", F(1), 12, ("Proven", ["pass"], False),
              "1806194cd11c24a1a5ec1d110a47c0d3acf82564985025f5e11a9bdabbacc4f0"),
             ("x0^2-3*x0*x1+x1^2", F(1), 12, ("Disproven", ["refute"], False),
-             "b5e274bc35fa4152e4ab7cdf90f43af901b0fc760ffe29c5c938de34e700f0c8"),
+             "6b88caa66a54827a9ac1b183393c8d2549408017b0bb2f71662b9dfb3ec45a04"),
             ("(x0-1024*x1)^2-x0*x1/1000", F(1), 12,
              ("Disproven", ["split"], False),
              "f6397addcae1c305aeee96fcd8c0f5ea498ff2794e676d019bafbc77d3d377f4"),
             ("6*x0^3+x0^2-4*x0+1", F(1, 2), 12,
              ("Disproven", ["pass", "refute", "split"], True),
-             "978ce3d6a76e573e9bc98a8bb44c4f5cf1f68320c5d87c04d18a1cdd5f6e0128"),
+             "9431c339ced0ad312892a4fba33f652c493420baadf364c27dcc3eb1be6e9cdb"),
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 2,
              ("Fail", ["depth-limit", "pass", "split"], True),
              "8036ce287669995c6636a59cae5b52de128ee438cbc1b1bd8da58adfa9bbbec1"),

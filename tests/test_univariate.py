@@ -86,6 +86,38 @@ class TestSturm:
     def test_left_endpoint_root_excluded(self):
         assert uni.count_roots_half_open(_poly(0, 1), F(0), F(1)) == 0
 
+    def test_multiple_roots_at_endpoints(self):
+        # x^3 (x-1)^2 (x-1/2): a triple root at a, a double root at b
+        p = uni.mul(uni.mul(_poly(0, 0, 0, 1), uni.mul(_poly(-1, 1), _poly(-1, 1))),
+                    _poly(F(-1, 2), 1))
+        assert uni.count_roots_half_open(p, F(0), F(1)) == 2
+        assert uni.count_roots_open(p, F(0), F(1)) == 1
+        assert uni.count_roots_open(p, F(0), F(1, 2)) == 0
+
+    def test_empty_interval(self):
+        p = _poly(-2, 1)
+        assert uni.count_roots_half_open(p, F(2), F(2)) == 0
+        assert uni.count_roots_open(p, F(2), F(2)) == 0
+
+    def test_zero_polynomial_has_no_counted_roots(self):
+        assert uni.count_roots_half_open([], F(0), F(1)) == 0
+        assert uni.count_roots_open([], F(0), F(1)) == 0
+        assert uni.count_roots_open([F(0), F(0)], F(0), F(1)) == 0
+
+    def test_random_endpoint_roots_against_known_roots(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a = F(rng.randrange(-4, 5), rng.randrange(1, 3))
+            b = a + F(rng.randrange(1, 5), rng.randrange(1, 3))
+            roots = [rng.choice([a, b, F(rng.randrange(-8, 9), rng.randrange(1, 4))])
+                     for _ in range(rng.randrange(1, 6))]
+            p = _poly(rng.randrange(1, 4))
+            for r in roots:
+                p = uni.mul(p, _poly(-r, 1))
+            distinct = set(roots)
+            assert uni.count_roots_half_open(p, a, b) == sum(a < r <= b for r in distinct)
+            assert uni.count_roots_open(p, a, b) == sum(a < r < b for r in distinct)
+
     def test_random_against_known_roots(self):
         rng = random.Random(19)
         for _ in range(50):
