@@ -63,14 +63,14 @@ def _prove_step(
     timings: dict,
 ) -> PipelineResult:
     """Build the contraction polynomial for K and run the positivity prover,
-    adding the stage times to `timings`.
+    adding the stage times to the running totals in `timings`.
 
     An identically-zero polynomial (periodic maps at even powers) is "false":
     strict contraction demands strict positivity off the equilibrium.
     """
     t0 = time.perf_counter()
     P = build_contraction_poly(spec, eq, K)
-    timings["build"] = time.perf_counter() - t0
+    timings["build"] = timings.get("build", 0.0) + time.perf_counter() - t0
     if P.is_zero():
         return PipelineResult(
             "false", "identically-zero-for-strictness", K=K, equilibrium=eq,
@@ -78,7 +78,7 @@ def _prove_step(
         )
     t0 = time.perf_counter()
     cert = prove_nonneg(P, eq.value, depth_limit)
-    timings["positivity"] = time.perf_counter() - t0
+    timings["positivity"] = timings.get("positivity", 0.0) + time.perf_counter() - t0
     verdict, reason = _VERDICTS[cert.verdict]
     return PipelineResult(
         verdict, reason, K=K, equilibrium=eq, certificate=cert, timings=timings,
@@ -114,9 +114,10 @@ def prove(
     """
     if maxK < 1:
         raise ValueError("maxK must be >= 1")
-    timings = {}
     t0 = time.perf_counter()
     eq = find_equilibrium(spec)
+    timings = {"equilibrium": time.perf_counter() - t0}
+    t0 = time.perf_counter()
     las = las_check(spec, eq)
     timings["las"] = time.perf_counter() - t0
     if las.outcome == "unstable":
@@ -130,16 +131,13 @@ def prove(
             equilibrium=eq, las=las, timings=timings,
         )
 
-    t0 = time.perf_counter()
     last_cert = None
     for K in range(1, maxK + 1):
-        step = _prove_step(spec, eq, K, depth_limit, {})
+        step = _prove_step(spec, eq, K, depth_limit, timings)
         last_cert = step.certificate or last_cert
         if step.verdict == "true":
-            timings["positivity"] = time.perf_counter() - t0
-            step.las, step.timings = las, timings
+            step.las = las
             return step
-    timings["positivity"] = time.perf_counter() - t0
     return PipelineResult(
         "FAIL", "max-k-exhausted", K=maxK, equilibrium=eq,
         las=las, certificate=last_cert, timings=timings,

@@ -61,16 +61,25 @@ def _infer_nvars(tokens) -> int:
 _MAX_DEPTH = 100
 
 
+Pair = tuple[MultiPoly, MultiPoly]
+
+
 class _Parser:
-    """Recursive descent over + - * / ^ with unary minus."""
+    """Recursive descent over + - * / ^ with unary minus, into (num, den) pairs.
+
+    Every den is primitive with a positive grlex lead, as in RatFun.  Atoms
+    have den 1; products, powers, sums and negation keep the property, so only
+    division normalises, through the RatFun constructor.
+    """
 
     def __init__(self, tokens, nvars: int):
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
         self.depth = 0
+        self.one = MultiPoly.constant(nvars, 1)
 
-    def nested(self, parse) -> RatFun:
+    def nested(self, parse) -> Pair:
         """parse() one parenthesis or unary sign deeper, up to _MAX_DEPTH."""
         if self.depth == _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels")
@@ -92,43 +101,49 @@ class _Parser:
         if kind != "op" or value != op:
             raise ParseError(f"expected {op!r}, got {value!r}")
 
-    def parse(self) -> RatFun:
+    def parse(self) -> Pair:
         result = self.expr()
         if self.pos != len(self.tokens):
             raise ParseError(f"unexpected trailing token {self.peek()[1]!r}")
         return result
 
-    def expr(self) -> RatFun:
-        result = self.term()
+    def expr(self) -> Pair:
+        num, den = self.term()
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+                n, d = self.term()
+                if value == "-":
+                    n = -n
+                num, den = num * d + n * den, den * d
             else:
-                return result
+                return num, den
 
-    def term(self) -> RatFun:
-        result = self.factor()
+    def term(self) -> Pair:
+        num, den = self.factor()
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                rhs = self.factor()
-                if value == "/" and rhs.num.is_zero():
+                n, d = self.factor()
+                if value == "*":
+                    num, den = num * n, den * d
+                elif n.is_zero():
                     raise ParseError("division by zero")
-                result = result * rhs if value == "*" else result / rhs
+                else:
+                    q = RatFun(num * d, den * n)
+                    num, den = q.num, q.den
             else:
-                return result
+                return num, den
 
-    def factor(self) -> RatFun:
+    def factor(self) -> Pair:
         kind, value = self.peek()
         if kind == "op" and value in "+-":
             self.take()
-            inner = self.nested(self.factor)
-            return -inner if value == "-" else inner
-        base = self.atom()
+            num, den = self.nested(self.factor)
+            return (-num if value == "-" else num), den
+        num, den = self.atom()
         kind, value = self.peek()
         if kind == "op" and value == "^":
             self.take()
@@ -142,13 +157,13 @@ class _Parser:
             n = int(exp_value)
             if neg:
                 raise ParseError("negative exponents are not allowed; use division")
-            return base ** n
-        return base
+            return num ** n, den ** n
+        return num, den
 
-    def atom(self) -> RatFun:
+    def atom(self) -> Pair:
         kind, value = self.take()
         if kind == "int":
-            return RatFun.constant(self.nvars, int(value))
+            return MultiPoly.constant(self.nvars, int(value)), self.one
         if kind == "name":
             m = _VAR_RE.match(value)
             if not m:
@@ -156,7 +171,7 @@ class _Parser:
             index = int(m.group(1))
             if index >= self.nvars:
                 raise ParseError(f"variable x{index} out of range for {self.nvars} variables")
-            return RatFun.from_poly(MultiPoly.variable(self.nvars, index))
+            return MultiPoly.variable(self.nvars, index), self.one
         if kind == "op" and value == "(":
             inner = self.nested(self.expr)
             self.expect_op(")")
@@ -171,7 +186,7 @@ def parse_ratfun(text: str, nvars: int | None = None) -> RatFun:
         raise ParseError("empty expression")
     if nvars is None:
         nvars = _infer_nvars(tokens)
-    return _Parser(tokens, nvars).parse()
+    return RatFun(*_Parser(tokens, nvars).parse())
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
@@ -195,7 +210,3 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise ParseError("zero denominator")
     return Fraction(num, den)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)

@@ -11,6 +11,10 @@ their result through one unchecked constructor.
 Polynomials are immutable and hashable so they can be shared freely between
 workers and used as dictionary keys (the recurrence module tracks factored
 denominators in a Counter keyed by polynomial).
+
+A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
+place that normalises a denominator, and the parser, which owns the
+arithmetic on (num, den) pairs, calls it only to divide.
 """
 from __future__ import annotations
 
@@ -459,12 +463,14 @@ class MultiPoly:
 
 
 class RatFun:
-    """Quotient of two MultiPoly, content-normalized.
+    """A parsed map num/den with den primitive and of positive grlex lead.
 
-    The denominator is normalized to be primitive with positive leading
-    coefficient (graded lex).  The proof pipeline additionally maintains the
-    stronger invariant that every denominator coefficient is positive; use
-    `has_positive_den` to check it.
+    The constructor establishes that invariant by scaling both parts by the
+    signed content of den; the parser reuses it for every division.  Products,
+    powers, sums (den = d1*d2) and negation of such pairs keep the invariant
+    by Gauss's lemma and because grlex leads multiply, so the parser builds
+    those without normalising.  The proof pipeline additionally needs every
+    den coefficient positive; use `has_positive_den` to check it.
     """
 
     __slots__ = ("num", "den")
@@ -484,14 +490,6 @@ class RatFun:
     def nvars(self) -> int:
         return self.num.nvars
 
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFun":
-        return cls(p, MultiPoly.constant(p.nvars, 1))
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "RatFun":
-        return cls.from_poly(MultiPoly.constant(nvars, c))
-
     def is_poly(self) -> bool:
         return self.den.is_constant()
 
@@ -509,59 +507,6 @@ class RatFun:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.evaluate(point) / d
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = self._coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        return RatFun(self.num ** n, self.den ** n)
-
-    def _coerce(self, other) -> "RatFun":
-        if isinstance(other, MultiPoly):
-            return RatFun.from_poly(other)
-        return RatFun.constant(self.nvars, other)
-
     def __eq__(self, other):
         if not isinstance(other, RatFun):
             return NotImplemented
@@ -570,12 +515,6 @@ class RatFun:
     def __hash__(self):
         n_c, n_p = self.num.primitive()
         return hash((n_c, n_p, self.den))
-
-    def diff(self, var: int) -> "RatFun":
-        return RatFun(
-            self.num.diff(var) * self.den - self.num * self.den.diff(var),
-            self.den * self.den,
-        )
 
     def __str__(self):
         if self.is_poly():

@@ -190,8 +190,6 @@ def _decompose(poly: MultiPoly, pool: list[MultiPoly]) -> tuple[Counter, Fractio
     factors: Counter = Counter()
     rest = poly
     for f in pool:
-        if f.total_degree() == 0:
-            continue
         while True:
             q = rest.divide_exact(f)
             if q is None:

@@ -27,9 +27,18 @@ class LasVerdict:
 
 
 def characteristic_poly(spec: RecurrenceSpec, eq: Equilibrium) -> Poly:
-    """lambda^(k+1) - sum c_i lambda^(k-i), c_i = dR/dx_i at the equilibrium."""
+    """lambda^(k+1) - sum c_i lambda^(k-i), c_i = dR/dx_i at the equilibrium.
+
+    The quotient rule on R = num/den, evaluated at the equilibrium vector.
+    """
     m = spec.order
-    c = [spec.R.diff(i).evaluate(eq.vector) for i in range(m)]
+    v = eq.vector
+    num, den = spec.R.num, spec.R.den
+    n_v, d_v = num.evaluate(v), den.evaluate(v)
+    c = [
+        (num.diff(i).evaluate(v) * d_v - n_v * den.diff(i).evaluate(v)) / d_v**2
+        for i in range(m)
+    ]
     p = [Fraction(0)] * (m + 1)
     p[m] = Fraction(1)
     for i, ci in enumerate(c):
@@ -92,11 +101,8 @@ def _circle_factor_all_on_circle(g: Poly) -> bool:
     g = _strip_root(g, Fraction(-1))
     if uni.degree(g) <= 0:
         return True
-    rev = _reverse(g)
-    if uni.monic(rev) != uni.monic(g):
-        # reciprocal-closed but not palindromic after +-1 stripping should not
-        # happen for real polynomials; treat conservatively
-        return False
+    # g's roots are simple, non-zero and closed under z -> 1/z, none of them
+    # +-1 now, so monic g is palindromic of even degree
     g = uni.monic(g)
     m = uni.degree(g) // 2
     H = _palindromic_reduce(g)

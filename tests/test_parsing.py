@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gasprover.parsing import (
     ParseError,
-    format_rational,
+    _Parser,
     parse_poly,
     parse_ratfun,
     parse_rational,
+    tokenize,
 )
 from gasprover.polynomial import MultiPoly
 
@@ -93,6 +95,63 @@ class TestParseRatFun:
         assert rf.evaluate([2, 0]) == -1
 
 
+def _random_expression(rng, nvars, depth):
+    """(text, value) of a random expression; value(point) evaluates it in
+    Fractions and raises ZeroDivisionError where a divisor vanishes."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            i = rng.randrange(nvars)
+            return f"x{i}", lambda v: v[i]
+        c = rng.randrange(10)
+        return str(c), lambda v: Fraction(c)
+    op = rng.choice("+-*/^~")
+    a, fa = _random_expression(rng, nvars, depth - 1)
+    if op == "~":
+        return f"-({a})", lambda v: -fa(v)
+    if op == "^":
+        k = rng.randrange(4)
+        return f"({a})^{k}", lambda v: fa(v) ** k
+    b, fb = _random_expression(rng, nvars, depth - 1)
+    ops = {
+        "+": lambda v: fa(v) + fb(v),
+        "-": lambda v: fa(v) - fb(v),
+        "*": lambda v: fa(v) * fb(v),
+        "/": lambda v: fa(v) / fb(v),
+    }
+    return f"({a}){op}({b})", ops[op]
+
+
+class TestRandomExpressions:
+    def test_value_and_normalised_denominator(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            text, value = _random_expression(rng, nvars, 4)
+            points = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(nvars)]
+                for _ in range(3)
+            ]
+            try:
+                num, den = _Parser(tokenize(text), nvars).parse()
+            except ParseError as exc:
+                # only a divisor that is identically zero is refused
+                assert str(exc) == "division by zero"
+                with pytest.raises(ZeroDivisionError):
+                    value(points[0])
+                continue
+            # the parser's own den is normalised, before parse_ratfun wraps it
+            assert den.content() == 1
+            assert den.leading_term()[1] > 0
+            rf = parse_ratfun(text, nvars)
+            assert (rf.num, rf.den) == (num, den)
+            for point in points:
+                try:
+                    expected = value(point)
+                except ZeroDivisionError:
+                    continue
+                assert rf.evaluate(point) == expected, text
+
+
 class TestParseRational:
     def test_integer(self):
         assert parse_rational("7") == 7
@@ -104,7 +163,7 @@ class TestParseRational:
 
     def test_roundtrip(self):
         for text in ("0", "5", "-5", "3/4", "-17/12"):
-            assert format_rational(parse_rational(text)) == text
+            assert str(parse_rational(text)) == text
 
     def test_rejects_float(self):
         with pytest.raises(ParseError):

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from gasprover.parsing import parse_poly
+from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.polynomial import MultiPoly, RatFun
 
 F = Fraction
@@ -193,10 +193,9 @@ class TestDivideExact:
 
 class TestRatFun:
     def test_positive_den_closure(self):
-        a = RatFun(P("x0+1", 2), P("x1+2"))
-        b = RatFun(P("x0", 2), P("x0+x1+1"))
-        for combo in (a + b, a * b):
-            assert combo.has_positive_den()
+        a, b = "(x0+1)/(x1+2)", "x0/(x0+x1+1)"
+        for combo in (f"{a} + {b}", f"{a} * ({b})"):
+            assert parse_ratfun(combo, 2).has_positive_den()
 
     def test_den_normalized_positive_lead(self):
         r = RatFun(P("x0"), P("-2*x0-2"))

@@ -29,13 +29,17 @@ class TestCharacteristicPoly:
     def test_multipliers_recorded(self):
         v = _las("(4+x0)/(1+x1)")
         assert v.multipliers == (F(1, 3), F(-2, 3))
-        # the partial derivatives of R at the equilibrium, zero ones included
+        # the partial derivatives of R = N/D at the equilibrium, zero ones
+        # included: the quotient rule built as polynomials, then evaluated
         for text in ("x2/(2+x0+x1+x2)", "(2+x0)/(1+x1+x2)", "1/2*x0", "9/x0",
                      "1+x2/2"):
             spec = parse_rde(text)
             eq = find_equilibrium(spec)
+            N, D = spec.R.num, spec.R.den
             expected = tuple(
-                spec.R.diff(i).evaluate(eq.vector) for i in range(spec.order)
+                (N.diff(i) * D - N * D.diff(i)).evaluate(eq.vector)
+                / (D * D).evaluate(eq.vector)
+                for i in range(spec.order)
             )
             assert las_check(spec, eq).multipliers == expected
 
