@@ -513,8 +513,9 @@ class RatFun:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        n_c, n_p = self.num.primitive()
-        return hash((n_c, n_p, self.den))
+        # Equal maps share nvars and, unless zero, deg num - deg den (den is not reduced).
+        degree = None if self.num.is_zero() else self.num.total_degree() - self.den.total_degree()
+        return hash((self.nvars, degree))
 
     def __str__(self):
         if self.is_poly():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .parsing import parse_rational
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, grlex_key
 
 
 @dataclass(frozen=True)
@@ -199,16 +199,12 @@ def quadratic_form_matrix(P: MultiPoly) -> list[list[Fraction]]:
 
 
 def test_subpoly_n(P: MultiPoly) -> TestOutcome:
-    for exps, coeff in P.terms.items():
-        if coeff >= 0:
-            continue
-        support = [i for i, e in enumerate(exps) if e]
-        if sum(exps) != 2 or len(support) != 2:
-            return TestOutcome(
-                "SubPolyN",
-                "fail",
-                {"reason": "not-applicable", "negative_term": list(exps)},
-            )
+    # Every negative term must be a mixed quadratic x_i*x_j; the first one
+    # that is not, in sorted_terms() order as in PosCoeffs, is reported.
+    bad = [e for e, c in P.terms.items() if c < 0 and (sum(e) != 2 or 2 in e)]
+    if bad:
+        detail = {"reason": "not-applicable", "negative_term": list(max(bad, key=grlex_key))}
+        return TestOutcome("SubPolyN", "fail", detail)
     A = quadratic_form_matrix(P)
     minors = _leading_principal_minors(A)
     detail: dict = {"minors": minors}
@@ -396,7 +392,7 @@ def _run_tests(P: MultiPoly):
             return "pass", outcomes, None
     sp = test_subpoly_n(P)
     outcomes.append(sp)
-    if sp.result == "pass" and P.constant_term() >= 0:
+    if sp.result == "pass":
         return "pass", outcomes, None
     lc = test_lcoeff(P)
     outcomes.append(lc)

@@ -105,30 +105,27 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
         )
     bound = uni.cauchy_bound(e_poly)
     n_positive = uni.count_roots_half_open(e_poly, Fraction(0), bound)
-    zero_root = spec.closed_domain and uni.evaluate(e_poly, Fraction(0)) == 0
-    total = n_positive + (1 if zero_root else 0)
-
-    if total == 0:
-        raise UnsupportedInputError("no-equilibrium", "no fixed point in the domain")
-    if total == 1 and zero_root:
+    zero_root = spec.closed_domain and e_poly[0] == 0
+    if n_positive == 0 and zero_root:
         return Equilibrium(Fraction(0), spec.order)
-    if total > 1 and not (total == 2 and zero_root and n_positive == 1):
+    if n_positive == 0:
+        raise UnsupportedInputError("no-equilibrium", "no fixed point in the domain")
+    if n_positive > 1:
         raise UnsupportedInputError(
             "multiple-equilibria",
-            f"{total} fixed points in the domain; a unique fixed point is required",
+            f"{n_positive + zero_root} fixed points in the domain; "
+            "a unique fixed point is required",
         )
-    # exactly one positive fixed point (possibly after dropping the boundary 0)
-    candidates = [r for r in uni.rational_roots(e_poly) if r > 0]
-    if not candidates:
+    # exactly one positive fixed point (a boundary 0 beside it is dropped)
+    roots = uni.rational_roots(e_poly, Fraction(0), bound)
+    assert len(roots) <= 1
+    if not roots:
         raise UnsupportedInputError(
             "irrational-equilibrium",
             "the unique positive fixed point is irrational; exact transforms "
             "require a rational equilibrium",
         )
-    assert len(candidates) == 1
-    value = candidates[0]
-    assert uni.evaluate(e_poly, value) == 0
-    return Equilibrium(value, spec.order)
+    return Equilibrium(roots[0], spec.order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ and unit-circle root detection.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 Poly = list[Fraction]
 
@@ -190,25 +190,23 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots (distinct), via the rational root theorem."""
-    p = trim(list(p))
-    if not p:
+def rational_roots(p: Poly, a: Fraction, b: Fraction) -> list[Fraction]:
+    """The distinct rational roots of p in (a, b], ascending: each reduced
+    candidate r/s of the rational root theorem in (a, b] is tested as the
+    integer sum of c_i * r^i * s^(d-i) over p's integer coefficients c_i."""
+    ints = to_integer_poly(trim(p))
+    if not ints:
         raise ValueError("zero polynomial has every root")
-    roots = []
-    # strip x^m factor
-    m = 0
-    while p[m] == 0:
-        m += 1
-    if m:
-        roots.append(_ZERO)
-        p = p[m:]
-    if degree(p) < 1:
-        return roots
-    ints = to_integer_poly(p)
-    for q in _divisors(ints[-1]):
+    m = next(i for i, c in enumerate(ints) if c)  # p = x^m * q, q(0) != 0
+    roots = [_ZERO] if m and a < 0 <= b else []
+    ints = ints[m:]
+    d = len(ints) - 1
+    for s in _divisors(ints[-1]):
+        lo, hi = floor(a * s), floor(b * s)  # a*s < num <= b*s in integers
         for r in _divisors(ints[0]):
-            for cand in (Fraction(r, q), Fraction(-r, q)):
-                if cand not in roots and evaluate(p, cand) == 0:
-                    roots.append(cand)
+            for num in (r, -r):
+                if lo < num <= hi and gcd(r, s) == 1 and sum(
+                    c * num ** i * s ** (d - i) for i, c in enumerate(ints)
+                ) == 0:
+                    roots.append(Fraction(num, s))
     return sorted(roots)

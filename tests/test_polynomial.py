@@ -205,6 +205,10 @@ class TestRatFun:
     def test_equality(self):
         assert RatFun(P("2*x0"), P("2", 1)) == RatFun(P("x0"), P("1", 1))
 
+    def test_equal_maps_hash_alike(self):
+        assert len({parse_ratfun("x0/x0"), parse_ratfun("1")}) == 1
+        assert len({parse_ratfun("0/(1+x0)"), parse_ratfun("0", 1)}) == 1
+
     def test_evaluate(self):
         r = RatFun(P("4+x0", 2), P("1+x1"))
         assert r.evaluate([2, 2]) == 2

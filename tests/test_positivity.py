@@ -497,23 +497,23 @@ class TestProveNonneg:
             ("x0^2+x0*x1+x1^2+1", F(1), 12, ("Proven", ["pass"], False),
              "1806194cd11c24a1a5ec1d110a47c0d3acf82564985025f5e11a9bdabbacc4f0"),
             ("x0^2-3*x0*x1+x1^2", F(1), 12, ("Disproven", ["refute"], False),
-             "6b88caa66a54827a9ac1b183393c8d2549408017b0bb2f71662b9dfb3ec45a04"),
+             "6651786181878e24b72f1cf3751a050d4050a3c239b39b46b89135100d82e260"),
             ("(x0-1024*x1)^2-x0*x1/1000", F(1), 12,
              ("Disproven", ["split"], False),
              "f6397addcae1c305aeee96fcd8c0f5ea498ff2794e676d019bafbc77d3d377f4"),
             ("6*x0^3+x0^2-4*x0+1", F(1, 2), 12,
              ("Disproven", ["pass", "refute", "split"], True),
-             "9431c339ced0ad312892a4fba33f652c493420baadf364c27dcc3eb1be6e9cdb"),
+             "f2477b0832b80b2e1fbf139b38e5be054d98e341d6a3fd3db3f5ceb9cbe2d919"),
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 2,
              ("Fail", ["depth-limit", "pass", "split"], True),
-             "8036ce287669995c6636a59cae5b52de128ee438cbc1b1bd8da58adfa9bbbec1"),
+             "300b010635a0d3d26baf923e54f6d5fdd320249f1ff79e298f7e59ceefbd7299"),
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 0,
              ("Fail", ["depth-limit", "pass", "split"], True),
-             "53f64a7f68c19a073338eb6b3fe935224250b6fa1855e83d3d7cc40f45613a6c"),
+             "c31d392c470f6dc815226167afa8ab4a629dcb6455e0c7b58fe6ba173077078c"),
             ("x0*x1-x0-x1+2", F(0), 10, ("Fail", ["cannot-finitize"], False),
              "c0f5c740518ba3f31716ef15375a6de4ab7cbe148e38c5d4f50634f1415085be"),
             (EX2, F(1), 12, ("Proven", ["pass", "split"], True),
-             "e982c2b49e1edf436868502c4451169d725626aa1098778912db26d5966a8d4e"),
+             "a0381330d8e92c0847b6bce8220b22c256292311a60e69b807be7ef4040c938d"),
         ],
         ids=["region-pass", "region-refute", "grid-refute", "box-refute",
              "depth-limit", "depth-limit-at-region", "cannot-finitize",
@@ -604,6 +604,22 @@ class TestProveNonneg:
                 forged = certificate_from_json(certificate_to_json(cert))
                 forge(forged)
                 assert not replay_certificate(forged, p), (text, forge.__name__)
+
+    def test_replay_ignores_term_order(self):
+        # A certificate depends on P, not on the order its terms were built
+        # in: replaying it on the same terms reversed or shuffled succeeds.
+        rng = random.Random(97)
+        inputs = [(P("(x0-1/3)^2+(x1-1/3)^2"), F(1), 2)]
+        for _ in range(200):
+            p = _random_poly(rng, rng.randrange(1, 4))
+            if not p.is_zero():
+                inputs.append((p, rng.choice([F(0), F(1, 2), F(1), F(2)]), 4))
+        for p, xbar, depth in inputs:
+            cert = prove_nonneg(p, xbar, depth)
+            items = list(p.terms.items())
+            assert replay_certificate(cert, MultiPoly(p.nvars, dict(items[::-1])))
+            rng.shuffle(items)
+            assert replay_certificate(cert, MultiPoly(p.nvars, dict(items))), str(p)
 
     def test_negative_split_point_or_zero_polynomial_rejected(self):
         p = P(EX2)

@@ -68,6 +68,13 @@ class TestParseRde:
         spec = parse_rde("x0+1", 3)
         assert spec.order == 3
 
+    def test_equal_specs_hash_alike(self):
+        # the parser does not cancel (1+x0), so the two dens differ
+        a, b = parse_rde("x0*(1+x0)/((1+x0)*(2+x0))"), parse_rde("x0/(2+x0)")
+        assert a.R.den != b.R.den and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 class TestFindEquilibrium:
     def test_benchmark(self):

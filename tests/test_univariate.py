@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -145,10 +146,13 @@ class TestBoundsAndRoots:
     def test_rational_roots(self):
         # (2x-1)(x+3)x = 2x^3 + 5x^2 - 3x
         p = uni.mul(uni.mul(_poly(-1, 2), _poly(3, 1)), _poly(0, 1))
-        assert uni.rational_roots(p) == [F(-3), F(0), F(1, 2)]
+        bound = uni.cauchy_bound(p)
+        assert uni.rational_roots(p, -bound, bound) == [F(-3), F(0), F(1, 2)]
 
     def test_rational_roots_none(self):
-        assert uni.rational_roots(_poly(-2, 0, 1)) == []
+        p = _poly(-2, 0, 1)
+        bound = uni.cauchy_bound(p)
+        assert uni.rational_roots(p, -bound, bound) == []
 
     def test_rational_roots_matches_sturm_for_products(self):
         rng = random.Random(31)
@@ -157,6 +161,37 @@ class TestBoundsAndRoots:
             p = _poly(1)
             for r in roots:
                 p = uni.mul(p, _poly(-r, 1))
-            assert uni.rational_roots(p) == roots
             bound = uni.cauchy_bound(p)
+            assert uni.rational_roots(p, -bound, bound) == roots
             assert uni.count_roots_half_open(p, -bound, bound) == len(roots)
+
+    def test_rational_roots_in_random_intervals(self):
+        # p = c * x^m * (linear factors, repeats allowed) * (quadratics with
+        # no rational root); the roots in (a, b] are known by construction.
+        rng = random.Random(37)
+
+        def rat(lo, hi):
+            return F(rng.randrange(lo, hi), rng.randrange(1, 5))
+
+        def is_square(q):
+            return q >= 0 and all(isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+        for _ in range(300):
+            m = rng.randrange(0, 3)
+            p = uni.mul(_poly(rat(1, 9) * rng.choice([1, -1])), [F(0)] * m + [F(1)])
+            roots = {F(0)} if m else set()
+            for _ in range(rng.randrange(0, 4)):
+                r = rat(-12, 13)
+                roots.add(r)
+                p = uni.mul(p, _poly(-r, 1))
+            for _ in range(rng.randrange(0, 3)):
+                b1, c0 = rat(-6, 7), rat(-6, 7)
+                if not is_square(b1 * b1 - 4 * c0):
+                    p = uni.mul(p, _poly(c0, b1, 1))
+            a = rat(-12, 13)
+            b = a + rat(0, 25)
+            if rng.random() < 0.3 and roots:
+                a, b = rng.choice([(a, max(roots)), (min(roots), b)])
+            found = uni.rational_roots(p, a, b)
+            assert found == sorted(r for r in roots if a < r <= b)
+            assert (F(0) in found) == (F(0) in roots and a < 0 <= b)
