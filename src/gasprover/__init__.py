@@ -1,9 +1,9 @@
 """Exact prover for global asymptotic stability of rational difference
 equations, via polynomial positivity certificates on the positive orthant."""
 
-from .driver import PipelineResult, prove, prove_k, webbook
-from .parsing import ParseError, parse_poly
-from .polynomial import MultiPoly, RatFun
+# positivity first: without a bytecode cache every import compiles the
+# sources, and compiling the largest module while the fewest others are
+# loaded keeps the peak memory of the import down.
 from .positivity import (
     ProofCertificate,
     certificate_from_json,
@@ -11,6 +11,9 @@ from .positivity import (
     prove_nonneg,
     replay_certificate,
 )
+from .driver import PipelineResult, prove, prove_k, webbook
+from .parsing import ParseError, parse_poly
+from .polynomial import MultiPoly, RatFun
 from .recurrence import (
     Equilibrium,
     RecurrenceSpec,

@@ -108,17 +108,37 @@ class _Parser:
         return result
 
     def expr(self) -> Pair:
+        """A sum; a run of summands over den 1 accumulates in one dict, in place.
+
+        The dict gets the terms, in the order, that adding the summands one
+        by one would give: a key that cancels is deleted, so it comes back last.
+        """
         num, den = self.term()
+        terms = None
         while True:
             kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                n, d = self.term()
-                if value == "-":
-                    n = -n
-                num, den = num * d + n * den, den * d
-            else:
-                return num, den
+            if not (kind == "op" and value in "+-"):
+                break
+            self.take()
+            n, d = self.term()
+            if value == "-":
+                n = -n
+            if den == self.one and d == self.one:
+                if terms is None:
+                    terms = dict(num.terms)
+                for e, c in n.terms.items():
+                    c += terms.get(e, 0)
+                    if c:
+                        terms[e] = c
+                    else:
+                        del terms[e]
+                continue
+            if terms is not None:
+                num, terms = MultiPoly._trusted(self.nvars, terms), None
+            num, den = num * d + n * den, den * d
+        if terms is not None:
+            num = MultiPoly._trusted(self.nvars, terms)
+        return num, den
 
     def term(self) -> Pair:
         num, den = self.factor()

@@ -1,16 +1,15 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-A polynomial's coefficients are non-zero `fractions.Fraction`s.  The two hot
+A `MultiPoly`'s coefficients are non-zero `fractions.Fraction`s.  Its two hot
 kernels, products and Taylor shifts, scale their operands to exact integers
 over a positive common denominator, run their term loops on those integers
 and divide once per output term; nothing in this module uses floating point.
-Products also pack each exponent vector into one int, so the term-pair loop
-adds ints, not tuples.  Exact division updates one remainder dict in place,
-taking leading terms from a grlex heap.  Sums, negation and scaling build
-their result through one unchecked constructor.
-Polynomials are immutable and hashable so they can be shared freely between
-workers and used as dictionary keys (the recurrence module tracks factored
-denominators in a Counter keyed by polynomial).
+Sums, negation and scaling build their result through one unchecked
+constructor.  Polynomials are immutable and hashable, so they can be shared
+freely.
+
+Products run the term-pair loop of `packed.mul_packed` on integer
+coefficients and packed exponents; each output term is unpacked once.
 
 A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
 place that normalises a denominator, and the parser, which owns the
@@ -20,12 +19,11 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
-from operator import add, lshift, neg, sub
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-Exponents = tuple[int, ...]
+from .packed import Exponents, Packing, drop_zeros, mul_packed, power_by_squaring
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -94,11 +92,9 @@ class MultiPoly:
 
         Takes over `terms` and drops its zero coefficients in place.
         """
-        for e in [e for e, c in terms.items() if not c]:
-            del terms[e]
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "terms", drop_zeros(terms))
         object.__setattr__(poly, "_hash", None)
         object.__setattr__(poly, "_digest", None)
         return poly
@@ -193,13 +189,11 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product; the term-pair loop runs on integers with packed exponents.
+        """Product; `mul_packed`'s term-pair loop runs on integers and packed keys.
 
         Each operand is scaled to integers over a positive common denominator,
-        and each exponent vector is packed into one int with fields of
-        (deg self + deg other).bit_length() bits, wide enough that no sum of
-        two exponents carries into the next field. The loop adds packed keys;
-        each output term is unpacked once. A constant operand (no exponent
+        and its exponent vectors are packed for degree deg self + deg other.
+        Each output term is unpacked once. A constant operand (no exponent
         vector with a non-zero entry) takes the scalar path, and a product by
         1 is self, which is safe because polynomials are immutable.
         """
@@ -215,21 +209,13 @@ class MultiPoly:
             return self * other.constant_term()
         if not any(map(any, self.terms)):
             return other * self.constant_term()
-        width = (self.total_degree() + other.total_degree()).bit_length()
-        shifts = range(0, self.nvars * width, width)
-        mask = (1 << width) - 1
+        packing = Packing(self.nvars, self.total_degree() + other.total_degree())
+        pack = packing.pack
         d1, outer = self._integer_terms()
         d2, inner = other._integer_terms()
-        inner = [(sum(map(lshift, e, shifts)), c) for e, c in inner]
-        packed: dict[int, int] = {}
-        get = packed.get
-        for e1, c1 in outer:
-            k1 = sum(map(lshift, e1, shifts))
-            for k2, c2 in inner:
-                k = k1 + k2
-                packed[k] = get(k, 0) + c1 * c2
-        terms = {tuple([(k >> s) & mask for s in shifts]): c for k, c in packed.items()}
-        del packed, get  # before the Fractions are made, to keep the peak down
+        packed = mul_packed({pack(e): c for e, c in outer}, {pack(e): c for e, c in inner})
+        terms = packing.unpack_terms(packed)
+        del packed  # before the Fractions are made, to keep the peak down
         return MultiPoly._from_integers(self.nvars, terms, d1 * d2)
 
     __rmul__ = __mul__
@@ -239,15 +225,11 @@ class MultiPoly:
             raise ValueError("exponent must be a non-negative integer")
         if n == 0:
             return MultiPoly.constant(self.nvars, 1)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if len(self.terms) == 1 and n > 1:
+            # a monomial, such as a parsed x0^9: one term, no products
+            [(exps, c)] = self.terms.items()
+            return MultiPoly._trusted(self.nvars, {tuple(e * n for e in exps): c ** n})
+        return power_by_squaring(self, n, mul)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -354,7 +336,7 @@ class MultiPoly:
             result = result._shift_one(i, 1 / (b - a))
         return result
 
-    # -- content / exact division -----------------------------------------
+    # -- content ----------------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients.
@@ -377,49 +359,6 @@ class MultiPoly:
         if self.leading_term()[1] < 0:
             c = -c
         return c, self * (1 / c)
-
-    def divide_exact(self, divisor: "MultiPoly") -> "MultiPoly | None":
-        """Exact multivariate division; None if divisor does not divide self.
-
-        The remainder is one dict updated in place, with a grlex max-heap of
-        its keys. Every term a step touches is below the popped leading term,
-        so a key that has cancelled is skipped when popped (lazy deletion).
-        Returns None at the first quotient exponent that would be negative.
-        """
-        self._check_compatible(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        lead_e, lead_c = divisor.leading_term()
-        rest = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
-        remainder = dict(self.terms)
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in remainder]
-        heapify(heap)
-        quotient: dict[Exponents, Fraction] = {}
-        while heap:
-            r_e = heappop(heap)[2]
-            r_c = remainder.pop(r_e, None)
-            if r_c is None:
-                continue
-            q_e = tuple(map(sub, r_e, lead_e))
-            if any(e < 0 for e in q_e):
-                return None
-            q_c = r_c / lead_c
-            quotient[q_e] = q_c
-            for e, c in rest:
-                key = tuple(map(add, q_e, e))
-                old = remainder.get(key)
-                if old is None:
-                    remainder[key] = -c * q_c
-                    heappush(heap, (-sum(key), tuple(map(neg, key)), key))
-                else:
-                    new = old - c * q_c
-                    if new:
-                        remainder[key] = new
-                    else:
-                        del remainder[key]
-        return MultiPoly._trusted(self.nvars, quotient)
 
     # -- canonical text form ----------------------------------------------
 

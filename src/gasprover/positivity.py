@@ -462,7 +462,8 @@ def prove_nonneg(
                 P_fin, box = finitize(P, region)
         if point is not None:
             value = P.evaluate(point)
-            assert value < 0
+            if value >= 0:
+                raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
             cert.verdict = "Disproven"
             cert.witness = point
             cert.witness_value = value

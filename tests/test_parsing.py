@@ -152,6 +152,60 @@ class TestRandomExpressions:
                 assert rf.evaluate(point) == expected, text
 
 
+def _fold_sum(summands, nvars):
+    """(num, den) of the summands added one by one, as the parser once did."""
+    num, den = None, None
+    for text in summands:
+        rf = parse_ratfun(text, nvars)
+        if num is None:
+            num, den = rf.num, rf.den
+        else:
+            num, den = num * rf.den + rf.num * den, den * rf.den
+    return num, den
+
+
+class TestLongSums:
+    def test_4000_summands_term_for_term(self):
+        # 4,000 one-term summands over 400 monomials, with cancellations: a
+        # key that cancels comes back last, as when the summands are added one
+        # by one
+        rng = random.Random(17)
+        expected = {}
+        pieces = []
+        for _ in range(4000):
+            e = (rng.randrange(20), rng.randrange(20))
+            c = rng.choice((1, 2, Fraction(1, 2))) * rng.choice((1, -1))
+            pieces.append(f"{'-' if c < 0 else '+'}{abs(c)}*x0^{e[0]}*x1^{e[1]}")
+            c += expected.get(e, 0)
+            if c:
+                expected[e] = c
+            else:
+                del expected[e]
+        p = parse_poly("".join(pieces), 2)
+        assert list(p.terms.items()) == list(expected.items())
+        assert sum(1 for piece in pieces if piece[0] == "-") > 1000
+
+    def test_matches_adding_one_by_one(self):
+        # runs of den-1 summands broken by rational summands, and sums that
+        # cancel to zero
+        rng = random.Random(19)
+        for _ in range(40):
+            summands = []
+            for _ in range(rng.randrange(1, 30)):
+                r = rng.random()
+                if r < 0.1:
+                    summands.append(f"x0/({rng.randrange(1, 4)}+x1)")
+                elif r < 0.2:
+                    summands.append(f"{rng.randrange(1, 5)}/{rng.randrange(1, 5)}")
+                else:
+                    a, b = rng.randrange(3), rng.randrange(3)
+                    summands.append(f"({rng.randrange(-2, 3)}*x0^{a}-x1^{b})")
+            num, den = _Parser(tokenize("+".join(summands)), 2).parse()
+            want_num, want_den = _fold_sum(summands, 2)
+            assert list(num.terms.items()) == list(want_num.terms.items())
+            assert list(den.terms.items()) == list(want_den.terms.items())
+
+
 class TestParseRational:
     def test_integer(self):
         assert parse_rational("7") == 7

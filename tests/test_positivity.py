@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gasprover import positivity
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly
 from gasprover.positivity import (
@@ -471,6 +472,13 @@ class TestProveNonneg:
             assert x.numerator & (x.numerator - 1) == 0
             assert x.denominator & (x.denominator - 1) == 0
         assert replay_certificate(cert, p)
+
+    def test_non_negative_witness_raises(self, monkeypatch):
+        # a refuting point where P >= 0 would be a fault of the prover; the
+        # check is not an assert, so it also holds under python -O
+        monkeypatch.setattr(positivity, "_grid_negative", lambda p: [F(1)] * p.nvars)
+        with pytest.raises(RuntimeError, match="not < 0"):
+            prove_nonneg(P(EX2), F(1), 10)
 
     def test_deterministic_certificate(self):
         spec = parse_rde("(2+x0)/(1+x1+x2)")

@@ -1,15 +1,18 @@
 import gc
 import hashlib
+import heapq
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gasprover.parsing import parse_poly
-from gasprover.polynomial import MultiPoly
+from gasprover import recurrence
+from gasprover.parsing import parse_poly, parse_ratfun
+from gasprover.polynomial import MultiPoly, RatFun
 from gasprover.recurrence import (
     Equilibrium,
+    RecurrenceSpec,
     UnsupportedInputError,
     build_contraction_poly,
     find_equilibrium,
@@ -158,6 +161,14 @@ class TestQPower:
                 for comp in q_power(spec, k):
                     assert comp.evaluate(eq.vector) == eq.value
 
+    def test_non_positive_denominator_raises(self):
+        # a map outside the method's scope; the check is not an assert, so it
+        # also holds under python -O
+        spec = RecurrenceSpec(1, parse_ratfun("1/(1-x0+x0^2)"), True)
+        with pytest.raises(UnsupportedInputError) as exc:
+            q_power(spec, 1)
+        assert exc.value.kind == "non-positive-denominator"
+
     def test_denominator_positivity(self):
         for text in (BENCH, "9/x0", "(1+x0+x1)/(2+x2)"):
             spec = parse_rde(text)
@@ -239,7 +250,7 @@ class TestBuildPinned:
         assert hashlib.sha256(repr(list(p.terms.items())).encode()).hexdigest() == sha
 
     def test_each_factor_power_raised_once(self, monkeypatch):
-        pow_ = MultiPoly.__pow__
+        pow_ = recurrence.pow_packed
         for text, K in (("x2/(2+x0+x1+x2)", 3), ("(2+x0)/(1+x1+x2)", 4), (BENCH, 5)):
             spec = parse_rde(text)
             eq = find_equilibrium(spec)
@@ -248,10 +259,10 @@ class TestBuildPinned:
                 raised = Counter()
 
                 def counting(f, n):
-                    raised[f, n] += 1
+                    raised[tuple(f.items()), n] += 1
                     return pow_(f, n)
 
-                monkeypatch.setattr(MultiPoly, "__pow__", counting)
+                monkeypatch.setattr(recurrence, "pow_packed", counting)
                 build()
                 monkeypatch.undo()
                 assert raised
@@ -267,3 +278,176 @@ class TestBuildPinned:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# The Fraction composition and assembly that the integer build replaced, kept
+# as the reference it must match term for term, insertion order included.
+
+
+def _ref_divide_exact(a, b):
+    """a/b by heap division on Fraction terms; None if b does not divide a."""
+    lead_e = max(b.terms, key=lambda e: (sum(e), e))
+    lead_c = b.terms[lead_e]
+    rest = [(e, c) for e, c in b.terms.items() if e != lead_e]
+    remainder = dict(a.terms)
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in remainder]
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        r_e = heapq.heappop(heap)[2]
+        r_c = remainder.pop(r_e, None)
+        if r_c is None:
+            continue
+        q_e = tuple(x - y for x, y in zip(r_e, lead_e))
+        if min(q_e, default=0) < 0:
+            return None
+        q_c = r_c / lead_c
+        quotient[q_e] = q_c
+        for e, c in rest:
+            key = tuple(x + y for x, y in zip(q_e, e))
+            old = remainder.get(key)
+            if old is None:
+                remainder[key] = -c * q_c
+                heapq.heappush(heap, (-sum(key), tuple(-x for x in key), key))
+            elif old - c * q_c:
+                remainder[key] = old - c * q_c
+            else:
+                del remainder[key]
+    return MultiPoly(a.nvars, quotient)
+
+
+def _ref_expand(factors, nvars, powers):
+    result = MultiPoly.constant(nvars, 1)
+    for f, mult in factors.items():
+        if (f, mult) not in powers:
+            powers[f, mult] = f ** mult
+        result = result * powers[f, mult]
+    return result
+
+
+def _ref_poly_at(poly, nums, dens, degs):
+    nvars = poly.nvars
+    result = MultiPoly.zero(nvars)
+    num_pows = [[MultiPoly.constant(nvars, 1)] for _ in range(nvars)]
+    den_pows = [[MultiPoly.constant(nvars, 1)] for _ in range(nvars)]
+
+    def power(cache, base, e):
+        while len(cache) <= e:
+            cache.append(cache[-1] * base)
+        return cache[e]
+
+    for exps, coeff in poly.terms.items():
+        term = MultiPoly.constant(nvars, coeff)
+        for i, e in enumerate(exps):
+            term = term * power(num_pows[i], nums[i], e)
+            term = term * power(den_pows[i], dens[i], degs[i] - e)
+        result = result + term
+    return result
+
+
+def _ref_cancel(num, den):
+    den = Counter(den)
+    for f in list(den):
+        while den[f] > 0:
+            q = _ref_divide_exact(num, f)
+            if q is None:
+                break
+            num = q
+            den[f] -= 1
+        if den[f] == 0:
+            del den[f]
+    return num, den
+
+
+def _ref_compose_first(spec, state, pool, powers):
+    nvars = spec.order
+    num_r, den_r = spec.R.num, spec.R.den
+    nums = [c[0] for c in state]
+    dens = [_ref_expand(c[1], nvars, powers) for c in state]
+    degs = [max(num_r.degree_in(i), den_r.degree_in(i)) for i in range(nvars)]
+    top = _ref_poly_at(num_r, nums, dens, degs)
+    bottom = _ref_poly_at(den_r, nums, dens, degs)
+    factors, rest = Counter(), bottom
+    for f in pool:
+        while (q := _ref_divide_exact(rest, f)) is not None:
+            factors[f] += 1
+            rest = q
+    if rest.total_degree() > 0:
+        content, prim = rest.primitive()
+        pool.append(prim)
+        factors[prim] += 1
+    else:
+        content = rest.constant_term()
+    return _ref_cancel(top * MultiPoly.constant(nvars, 1 / content), factors)
+
+
+def _ref_q_power_factored(spec, K, powers):
+    nvars = spec.order
+    pool = []
+    state = [(MultiPoly.variable(nvars, i), Counter()) for i in range(nvars)]
+    for _ in range(K):
+        state = [_ref_compose_first(spec, state, pool, powers)] + state[:-1]
+    return state
+
+
+def _ref_build(spec, xbar, K):
+    """(the components of Q^K, P), from one composition."""
+    nvars = spec.order
+    powers = {}
+    components = _ref_q_power_factored(spec, K, powers)
+    q_power_ = [RatFun(num, _ref_expand(factors, nvars, powers))
+                for num, factors in components]
+    lcm = Counter()
+    for _, factors in components:
+        for f, mult in factors.items():
+            lcm[f] = max(lcm[f], 2 * mult)
+    lcm_poly = _ref_expand(lcm, nvars, powers)
+    xbar_c = MultiPoly.constant(nvars, xbar)
+    dist = MultiPoly.zero(nvars)
+    for i in range(nvars):
+        t = MultiPoly.variable(nvars, i) - xbar_c
+        dist = dist + t * t
+    result = dist * lcm_poly
+    for num, factors in components:
+        g = num - xbar_c * _ref_expand(factors, nvars, powers)
+        cofactor = Counter()
+        for f, mult in lcm.items():
+            rem = mult - 2 * factors.get(f, 0)
+            if rem:
+                cofactor[f] = rem
+        result = result - g * g * _ref_expand(cofactor, nvars, powers)
+    return q_power_, result
+
+
+def _random_map(rng):
+    """A positive-coefficient map of order 1-3 with rational coefficients,
+    linear but for one quadratic monomial in about a third of the maps."""
+    order = rng.randrange(1, 4)
+    coeffs = ("1", "2", "3", "1/2", "2/3", "5/4")
+    monos = [f"x{i}" for i in range(order)]
+    if rng.random() < 0.3:
+        monos.append(f"x{rng.randrange(order)}*x{rng.randrange(order)}")
+
+    def part(const_ok):
+        pool = monos + ["1"] * const_ok
+        picked = rng.sample(pool, rng.randrange(1, min(3, len(pool)) + 1))
+        return "+".join(f"{rng.choice(coeffs)}*{m}" for m in picked)
+
+    return parse_rde(f"({part(True)})/({part(rng.random() < 0.8)})", order)
+
+
+class TestBuildMatchesFractionReference:
+    def test_random_maps(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            spec = _random_map(rng)
+            xbar = rng.choice((F(1, 2), F(1), F(2), F(3, 2)))
+            for K in (1, 2, 3):
+                want_q, want = _ref_build(spec, xbar, K)
+                got = build_contraction_poly(spec, Equilibrium(xbar, spec.order), K)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+                for c, r in zip(q_power(spec, K), want_q, strict=True):
+                    assert c.num == r.num and c.den == r.den
+                    assert list(c.num.terms) == list(r.num.terms)
+                    assert list(c.den.terms) == list(r.den.terms)
