@@ -408,8 +408,8 @@ class RatFun:
     signed content of den; the parser reuses it for every division.  Products,
     powers, sums (den = d1*d2) and negation of such pairs keep the invariant
     by Gauss's lemma and because grlex leads multiply, so the parser builds
-    those without normalising.  The proof pipeline additionally needs every
-    den coefficient positive; use `has_positive_den` to check it.
+    those without normalising.  The proof pipeline additionally needs no
+    negative coefficient in num or den; `parse_rde` rejects such maps itself.
     """
 
     __slots__ = ("num", "den")

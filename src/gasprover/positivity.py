@@ -133,11 +133,10 @@ def orthant_split(P: MultiPoly, xbar: Fraction):
 
 
 def test_poscoeffs(P: MultiPoly) -> TestOutcome:
-    for exps, coeff in P.sorted_terms():
-        if coeff < 0:
-            return TestOutcome(
-                "PosCoeffs", "fail", {"negative_term": list(exps), "coeff": coeff}
-            )
+    neg = [e for e, c in P.terms.items() if c < 0]
+    if neg:  # report the grlex-largest negative term
+        e = max(neg, key=grlex_key)
+        return TestOutcome("PosCoeffs", "fail", {"negative_term": list(e), "coeff": P.terms[e]})
     const = P.constant_term()
     if const > 0:
         return TestOutcome("PosCoeffs", "pass", {"constant": const})
@@ -199,8 +198,8 @@ def quadratic_form_matrix(P: MultiPoly) -> list[list[Fraction]]:
 
 
 def test_subpoly_n(P: MultiPoly) -> TestOutcome:
-    # Every negative term must be a mixed quadratic x_i*x_j; the first one
-    # that is not, in sorted_terms() order as in PosCoeffs, is reported.
+    # Every negative term must be a mixed quadratic x_i*x_j; the grlex-largest
+    # one that is not is reported, as in PosCoeffs.
     bad = [e for e, c in P.terms.items() if c < 0 and (sum(e) != 2 or 2 in e)]
     if bad:
         detail = {"reason": "not-applicable", "negative_term": list(max(bad, key=grlex_key))}

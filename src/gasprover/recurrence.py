@@ -127,7 +127,6 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
         )
     # exactly one positive fixed point (a boundary 0 beside it is dropped)
     roots = uni.rational_roots(e_poly, Fraction(0), bound)
-    assert len(roots) <= 1
     if not roots:
         raise UnsupportedInputError(
             "irrational-equilibrium",

@@ -106,7 +106,7 @@ def _circle_factor_all_on_circle(g: Poly) -> bool:
     g = uni.monic(g)
     m = uni.degree(g) // 2
     H = _palindromic_reduce(g)
-    return uni.count_roots_open(uni.squarefree(H), Fraction(-2), Fraction(2)) == m
+    return uni.count_roots_open(H, Fraction(-2), Fraction(2)) == m
 
 
 def classify_roots(p: Poly) -> tuple[str, list[tuple[Fraction, Fraction]]]:

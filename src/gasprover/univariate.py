@@ -30,7 +30,7 @@ def is_zero(p: Poly) -> bool:
 
 
 def evaluate(p: Poly, x: Fraction) -> Fraction:
-    result = _ZERO
+    result = 0  # an int p at an int x stays in ints
     for c in reversed(p):
         result = result * x + c
     return result
@@ -177,36 +177,37 @@ def to_integer_poly(p: Poly) -> list[int]:
     return [c // g for c in ints]
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
-
-
 def rational_roots(p: Poly, a: Fraction, b: Fraction) -> list[Fraction]:
-    """The distinct rational roots of p in (a, b], ascending: each reduced
-    candidate r/s of the rational root theorem in (a, b] is tested as the
-    integer sum of c_i * r^i * s^(d-i) over p's integer coefficients c_i."""
-    ints = to_integer_poly(trim(p))
-    if not ints:
+    """The rational root of p in (a, b], as a list of at most one; p must
+    have at most one distinct root there.
+
+    With f an integer form of p and L = |lead f|, h(y) = L^d*f(y/L) is +-L
+    times a monic polynomial in Z[y], so a rational root r has L*r in Z.  The
+    root is the first integer n in (L*a, L*b] where h's sign leaves its first
+    value, and it is rational iff h(n) = 0.  A root of even multiplicity
+    changes no sign, so only when h keeps one sign over the range is the
+    search run again on p's squarefree part.
+    """
+    p = trim(p)
+    if not p:
         raise ValueError("zero polynomial has every root")
-    m = next(i for i, c in enumerate(ints) if c)  # p = x^m * q, q(0) != 0
-    roots = [_ZERO] if m and a < 0 <= b else []
-    ints = ints[m:]
-    d = len(ints) - 1
-    for s in _divisors(ints[-1]):
-        lo, hi = floor(a * s), floor(b * s)  # a*s < num <= b*s in integers
-        for r in _divisors(ints[0]):
-            for num in (r, -r):
-                if lo < num <= hi and gcd(r, s) == 1 and sum(
-                    c * num ** i * s ** (d - i) for i, c in enumerate(ints)
-                ) == 0:
-                    roots.append(Fraction(num, s))
-    return sorted(roots)
+    for sf in (False, True):
+        f = to_integer_poly(squarefree(p) if sf else p)
+        L = abs(f[-1])
+        h = [c * L ** (len(f) - 1 - i) for i, c in enumerate(f)]
+        lo, hi = floor(L * a) + 1, floor(L * b)  # the integers in (L*a, L*b]
+        if lo > hi:
+            return []
+        first = evaluate(h, lo)
+        if first == 0:
+            return [Fraction(lo, L)]
+        if first * evaluate(h, hi) > 0:
+            continue
+        while hi - lo > 1:  # h(lo) has first's sign, h(hi) has not
+            mid = (lo + hi) // 2
+            if first * evaluate(h, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return [Fraction(hi, L)] if evaluate(h, hi) == 0 else []
+    return []

@@ -232,6 +232,23 @@ class TestCli:
         ])
         assert code == 3
 
+    def test_prove_verbose(self, capsys):
+        code = main(["prove", "--rde", "2*x0/(1+x0)", "--verbose"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "local stability: LAS (characteristic coefficients low-to-high: -1/2, 1)" in lines
+        stages = [line.split("]")[0] for line in lines if line.startswith("time[")]
+        assert stages == ["time[equilibrium", "time[las", "time[build", "time[positivity"]
+
+    def test_prove_k_verbose(self, capsys):
+        code = main(["prove-k", "--rde", "2*x0/(1+x0)", "--k", "1", "--verbose"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert "region H: x0^4 + 4*x0^3 + 3*x0^2" in lines
+        assert "region L: 2*x0^3 + 3*x0^2" in lines
+        stages = [line.split("]")[0] for line in lines if line.startswith("time[")]
+        assert stages == ["time[equilibrium", "time[build", "time[positivity"]
+
     def test_verbose_prints_regions(self, capsys):
         code = main([
             "positivity", "--poly", "x0^2-2*x0+2", "--xbar", "1",

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import heapq
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -102,6 +103,20 @@ class TestFindEquilibrium:
         with pytest.raises(UnsupportedInputError) as exc:
             find_equilibrium(parse_rde("(1+x0)/(1+2*x0)"))
         assert exc.value.kind == "irrational-equilibrium"
+
+    def test_large_constants_do_not_stall(self):
+        # the root search bisects in integers; it never factors the constant
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedInputError) as exc:
+            find_equilibrium(parse_rde("(10000000000000061+x0)/(1+x0)"))
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.kind == "irrational-equilibrium"
+        eq = find_equilibrium(parse_rde("(100000000000000000000000000+x0)/(1+x0)"))
+        assert eq.value == 10**13
+
+    def test_double_positive_root(self):
+        # x = x^2/(1/4+x^2) holds at 0 and, as a double root, at 1/2
+        assert find_equilibrium(parse_rde("x0^2/(1/4+x0^2)")).value == F(1, 2)
 
     def test_multiple_rejected(self):
         with pytest.raises(UnsupportedInputError) as exc:
