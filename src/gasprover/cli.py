@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .driver import prove, prove_k, webbook
+from .driver import _prove_k, prove, webbook
 from .parsing import ParseError, parse_poly, parse_rational
 from .positivity import certificate_to_json, orthant_split, prove_nonneg
 from .recurrence import UnsupportedInputError, parse_rde
@@ -156,13 +156,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.verb == "prove-k":
             spec = parse_rde(args.rde, args.order)
-            result = prove_k(spec, args.k, args.depth)
+            result, P = _prove_k(spec, args.k, args.depth)
             if args.verbose and result.certificate is not None:
-                from .recurrence import build_contraction_poly, find_equilibrium
-
-                eq = find_equilibrium(spec)
-                P = build_contraction_poly(spec, eq, args.k)
-                _print_regions(P, eq.value)
+                _print_regions(P, result.equilibrium.value)
             _write_cert(args.cert, result.certificate)
             _print_result(result, args.verbose)
             return _VERDICT_EXIT[result.verdict]

@@ -19,6 +19,7 @@ from fractions import Fraction
 # Not called by the pipeline; imported so that driver.conjecture_k stays a
 # hook target of bench/layers.py until the mesh module is retired.
 from .conjecture import conjecture_k
+from .polynomial import MultiPoly
 from .positivity import ProofCertificate, prove_nonneg
 from .recurrence import (
     Equilibrium,
@@ -61,9 +62,10 @@ _VERDICTS = {
 def _prove_step(
     spec: RecurrenceSpec, eq: Equilibrium, K: int, depth_limit: int,
     timings: dict,
-) -> PipelineResult:
+) -> tuple[PipelineResult, MultiPoly]:
     """Build the contraction polynomial for K and run the positivity prover,
-    adding the stage times to the running totals in `timings`.
+    adding the stage times to the running totals in `timings`; returns the
+    result and the polynomial.
 
     An identically-zero polynomial (periodic maps at even powers) is "false":
     strict contraction demands strict positivity off the equilibrium.
@@ -75,14 +77,14 @@ def _prove_step(
         return PipelineResult(
             "false", "identically-zero-for-strictness", K=K, equilibrium=eq,
             timings=timings,
-        )
+        ), P
     t0 = time.perf_counter()
     cert = prove_nonneg(P, eq.value, depth_limit)
     timings["positivity"] = timings.get("positivity", 0.0) + time.perf_counter() - t0
     verdict, reason = _VERDICTS[cert.verdict]
     return PipelineResult(
         verdict, reason, K=K, equilibrium=eq, certificate=cert, timings=timings,
-    )
+    ), P
 
 
 def prove_k(
@@ -93,6 +95,13 @@ def prove_k(
     "true" iff the contraction polynomial is proven non-negative on the
     orthant; an identically-zero polynomial is "false".
     """
+    return _prove_k(spec, K, depth_limit)[0]
+
+
+def _prove_k(
+    spec: RecurrenceSpec, K: int, depth_limit: int
+) -> tuple[PipelineResult, MultiPoly]:
+    """prove_k's result and the contraction polynomial it decided."""
     if K < 1:
         raise ValueError("K must be >= 1")
     t0 = time.perf_counter()
@@ -133,7 +142,7 @@ def prove(
 
     last_cert = None
     for K in range(1, maxK + 1):
-        step = _prove_step(spec, eq, K, depth_limit, timings)
+        step = _prove_step(spec, eq, K, depth_limit, timings)[0]
         last_cert = step.certificate or last_cert
         if step.verdict == "true":
             step.las = las

@@ -78,42 +78,36 @@ def parse_rde(text: str, order: int | None = None) -> RecurrenceSpec:
     )
 
 
-def _collapse_diagonal(poly: MultiPoly) -> list[Fraction]:
-    """Univariate polynomial obtained by setting every variable to x."""
-    out: dict[int, Fraction] = {}
-    for exps, coeff in poly.terms.items():
-        t = sum(exps)
-        out[t] = out.get(t, Fraction(0)) + coeff
-    if not out:
-        return []
-    dense = [Fraction(0)] * (max(out) + 1)
-    for t, coeff in out.items():
-        dense[t] = coeff
-    return uni.trim(dense)
-
-
-def equilibrium_poly(spec: RecurrenceSpec) -> list[Fraction]:
-    """E(x) = x*den(x,..,x) - num(x,..,x); equilibria are its domain roots."""
-    num_d = _collapse_diagonal(spec.R.num)
-    den_d = _collapse_diagonal(spec.R.den)
-    return uni.sub(uni.mul([Fraction(0), Fraction(1)], den_d), num_d)
+def equilibrium_poly(spec: RecurrenceSpec) -> list[int]:
+    """A positive integer multiple of E(x) = x*den(x,..,x) - num(x,..,x), collapsed
+    on the diagonal; equilibria are its domain roots."""
+    d_num, num_terms = spec.R.num._integer_terms()
+    d_den, den_terms = spec.R.den._integer_terms()
+    out = [0] * (max(spec.R.num.total_degree(), spec.R.den.total_degree() + 1) + 1)
+    for exps, c in den_terms:
+        out[sum(exps) + 1] += d_num * c
+    for exps, c in num_terms:
+        out[sum(exps)] -= d_den * c
+    return uni.trim(out)
 
 
 def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
     """The unique fixed point of the recurrence on its domain, exactly.
 
     Uniqueness of real roots over the domain interval is certified by Sturm
-    counting. A closed-domain recurrence whose only fixed points are 0 and a
-    single positive value is narrowed to the open domain and the positive
-    fixed point is used.
+    counting on E's squarefree part, which the root search reuses. A
+    closed-domain recurrence whose only fixed points are 0 and a single
+    positive value is narrowed to the open domain and the positive fixed point
+    is used.
     """
     e_poly = equilibrium_poly(spec)
-    if uni.is_zero(e_poly):
+    if not e_poly:
         raise UnsupportedInputError(
             "multiple-equilibria", "every domain point is a fixed point"
         )
-    bound = uni.cauchy_bound(e_poly)
-    n_positive = uni.count_roots_half_open(e_poly, Fraction(0), bound)
+    e_sf = uni.squarefree(e_poly)
+    bound = uni.cauchy_bound(e_sf)
+    n_positive = uni.count_roots_half_open(e_sf, Fraction(0), bound)
     zero_root = spec.closed_domain and e_poly[0] == 0
     if n_positive == 0 and zero_root:
         return Equilibrium(Fraction(0), spec.order)
@@ -126,7 +120,7 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
             "a unique fixed point is required",
         )
     # exactly one positive fixed point (a boundary 0 beside it is dropped)
-    roots = uni.rational_roots(e_poly, Fraction(0), bound)
+    roots = uni.rational_roots(e_sf, Fraction(0), bound)
     if not roots:
         raise UnsupportedInputError(
             "irrational-equilibrium",

@@ -1,11 +1,12 @@
 """Exact local asymptotic stability check for the linearized recurrence.
 
 The recurrence is linearized at the equilibrium; its characteristic
-polynomial's root moduli are compared against 1 entirely in rational
-arithmetic: a Schur-Cohn (Jury) recursion for the strictly-inside test, and a
-reciprocal-factor / palindromic reduction to locate roots exactly on the unit
-circle. Outcomes are LAS, unstable, or inconclusive (some root of modulus
-exactly 1, where linearization proves nothing).
+polynomial's root moduli are compared against 1 exactly: its squarefree and
+reciprocal factors are found in Z[x], a Schur-Cohn (Jury) recursion on the
+monic rational cofactor tests for roots strictly inside, and a palindromic
+reduction of the reciprocal factor locates roots exactly on the unit circle.
+Outcomes are LAS, unstable, or inconclusive (some root of modulus exactly 1,
+where linearization proves nothing).
 """
 from __future__ import annotations
 
@@ -13,9 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import univariate as uni
+from .polynomial import MultiPoly
 from .recurrence import Equilibrium, RecurrenceSpec
 
-Poly = list[Fraction]
+Poly = list[int]
 
 
 @dataclass(frozen=True)
@@ -26,31 +28,43 @@ class LasVerdict:
     schur_table: tuple[tuple[Fraction, Fraction], ...] = field(default_factory=tuple)
 
 
-def characteristic_poly(spec: RecurrenceSpec, eq: Equilibrium) -> Poly:
+def _at_diagonal(poly: MultiPoly, x: Fraction, deg: int) -> tuple[int, int, list[int]]:
+    """(D, q^deg*f(x,..,x), [q^deg*df/dx_i(x,..,x)]) for f = D*poly in Z[x0..xk],
+    D > 0 and x = p/q; deg must be at least poly's total degree."""
+    p, q = x.numerator, x.denominator
+    den, terms = poly._integer_terms()
+    value, partials = 0, [0] * poly.nvars
+    for exps, c in terms:
+        t = sum(exps)
+        value += c * p**t * q ** (deg - t)
+        if t:
+            w = c * p ** (t - 1) * q ** (deg - t + 1)
+            for i, e in enumerate(exps):
+                if e:
+                    partials[i] += e * w
+    return den, value, partials
+
+
+def characteristic_poly(spec: RecurrenceSpec, eq: Equilibrium) -> list[Fraction]:
     """lambda^(k+1) - sum c_i lambda^(k-i), c_i = dR/dx_i at the equilibrium.
 
-    The quotient rule on R = num/den, evaluated at the equilibrium vector.
+    The quotient rule on R = num/den at the equilibrium vector, in integers:
+    every value and partial is scaled by the same power of x's denominator.
     """
-    m = spec.order
-    v = eq.vector
     num, den = spec.R.num, spec.R.den
-    n_v, d_v = num.evaluate(v), den.evaluate(v)
-    c = [
-        (num.diff(i).evaluate(v) * d_v - n_v * den.diff(i).evaluate(v)) / d_v**2
-        for i in range(m)
-    ]
-    p = [Fraction(0)] * (m + 1)
-    p[m] = Fraction(1)
-    for i, ci in enumerate(c):
-        p[m - 1 - i] -= ci
-    return uni.trim(p)
+    deg = max(num.total_degree(), den.total_degree())
+    d_num, n_v, n_d = _at_diagonal(num, eq.value, deg)
+    d_den, d_v, d_d = _at_diagonal(den, eq.value, deg)
+    c = [Fraction((a * d_v - n_v * b) * d_den, d_num * d_v * d_v)
+         for a, b in zip(n_d, d_d)]
+    return [-ci for ci in reversed(c)] + [Fraction(1)]
 
 
 def _reverse(p: Poly) -> Poly:
     return uni.trim(list(reversed(p)))
 
 
-def _jury_all_inside(p: Poly) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
+def _jury_all_inside(p: list[Fraction]) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
     """Strict Schur-Cohn recursion; False whenever a stage is not decisive.
 
     Sound for the caller's use on polynomials without unit-circle roots:
@@ -70,11 +84,9 @@ def _jury_all_inside(p: Poly) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
     return True, table
 
 
-def _strip_root(p: Poly, r: Fraction) -> Poly:
-    while p and uni.evaluate(p, r) == 0:
-        q = uni.div_exact(p, [-r, Fraction(1)])
-        assert q is not None
-        p = q
+def _strip_root(p: Poly, r: int) -> Poly:
+    while p and uni.sign_at(p, r) == 0:
+        p = uni.div_exact(p, [-r, 1])
     return p
 
 
@@ -83,44 +95,43 @@ def _palindromic_reduce(h: Poly) -> Poly:
     d = uni.degree(h)
     assert d % 2 == 0
     m = d // 2
+    H = [h[m]] + [0] * m
     # V_k(w) = z^k + z^(-k): V_0 = 2, V_1 = w, V_k = w V_{k-1} - V_{k-2}
-    v_prev: Poly = [Fraction(2)]
-    v_cur: Poly = [Fraction(0), Fraction(1)]
-    H = uni.scale([Fraction(1)], h[m]) if h[m] != 0 else []
+    v_prev, v_cur = [2], [0, 1]
     for k in range(1, m + 1):
-        vk = v_cur if k == 1 else uni.sub(uni.mul([Fraction(0), Fraction(1)], v_cur), v_prev)
-        if k > 1:
-            v_prev, v_cur = v_cur, vk
-        H = uni.add(H, uni.scale(vk, h[m + k]))
-    return H
+        for i, c in enumerate(v_cur):
+            H[i] += h[m + k] * c
+        v_next = [0] + v_cur
+        for i, c in enumerate(v_prev):
+            v_next[i] -= c
+        v_prev, v_cur = v_cur, v_next
+    return uni.trim(H)
 
 
 def _circle_factor_all_on_circle(g: Poly) -> bool:
     """True iff every root of the squarefree reciprocal factor g lies on |z| = 1."""
-    g = _strip_root(g, Fraction(1))
-    g = _strip_root(g, Fraction(-1))
+    g = _strip_root(g, 1)
+    g = _strip_root(g, -1)
     if uni.degree(g) <= 0:
         return True
     # g's roots are simple, non-zero and closed under z -> 1/z, none of them
-    # +-1 now, so monic g is palindromic of even degree
-    g = uni.monic(g)
+    # +-1 now, so g is palindromic of even degree and H is squarefree
     m = uni.degree(g) // 2
     H = _palindromic_reduce(g)
     return uni.count_roots_open(H, Fraction(-2), Fraction(2)) == m
 
 
-def classify_roots(p: Poly) -> tuple[str, list[tuple[Fraction, Fraction]]]:
-    """Classify max root modulus vs 1: 'inside', 'outside', or 'on-circle'."""
-    p_sf = uni.squarefree(p)
+def classify_roots(p: list[Fraction]) -> tuple[str, list[tuple[Fraction, Fraction]]]:
+    """Classify max root modulus vs 1: 'inside', 'outside', or 'on-circle'.
+
+    The factors are found in Z[x]; Jury's recursion runs on the monic u.
+    """
+    p_sf = uni.squarefree(uni.to_integer_poly(p))
     if uni.degree(p_sf) == 0:
         return "inside", []
     g = uni.gcd_poly(p_sf, _reverse(p_sf))
-    if uni.degree(g) > 0:
-        u = uni.div_exact(p_sf, g)
-        assert u is not None
-    else:
-        u = p_sf
-    inside, table = _jury_all_inside(u)
+    u = uni.div_exact(p_sf, g) if uni.degree(g) > 0 else p_sf
+    inside, table = _jury_all_inside([Fraction(c, u[-1]) for c in u])
     if not inside:
         return "outside", table
     if uni.degree(g) == 0:

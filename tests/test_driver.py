@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gasprover.driver
+import gasprover.recurrence
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
 from gasprover.positivity import replay_certificate
@@ -248,6 +249,19 @@ class TestCli:
         assert "region L: 2*x0^3 + 3*x0^2" in lines
         stages = [line.split("]")[0] for line in lines if line.startswith("time[")]
         assert stages == ["time[equilibrium", "time[build", "time[positivity"]
+
+    def test_prove_k_verbose_builds_once(self, monkeypatch, capsys):
+        calls = Counter()
+        for module in (gasprover.driver, gasprover.recurrence):
+            for name in ("find_equilibrium", "build_contraction_poly"):
+                def counted(*args, _real=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+                monkeypatch.setattr(module, name, counted)
+        assert main(["prove-k", "--rde", "(4+x0)/(1+x1)", "--k", "5", "--verbose"]) == 0
+        assert calls == {"find_equilibrium": 1, "build_contraction_poly": 1}
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("region ") for line in lines) == 4
 
     def test_verbose_prints_regions(self, capsys):
         code = main([

@@ -1,9 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
+from test_univariate import (
+    _ref_add,
+    _ref_count_open,
+    _ref_divmod,
+    _ref_evaluate,
+    _ref_gcd,
+    _ref_monic,
+    _ref_mul,
+    _ref_neg,
+    _ref_scale,
+    _ref_squarefree,
+    _ref_trim,
+)
 
-from gasprover.recurrence import find_equilibrium, parse_rde
+from gasprover.recurrence import UnsupportedInputError, find_equilibrium, parse_rde
 from gasprover.stability import (
+    LasVerdict,
     characteristic_poly,
     classify_roots,
     las_check,
@@ -125,3 +140,132 @@ class TestLasCheck:
         assert len(v.schur_table) >= 1
         for a0, an in v.schur_table:
             assert abs(a0) < abs(an)
+
+
+# The Fraction implementations that the integer ones replaced, kept as the
+# references those must match.
+
+
+def _ref_characteristic_poly(spec, eq):
+    m, v = spec.order, eq.vector
+    num, den = spec.R.num, spec.R.den
+    n_v, d_v = num.evaluate(v), den.evaluate(v)
+    c = [(num.diff(i).evaluate(v) * d_v - n_v * den.diff(i).evaluate(v)) / d_v**2
+         for i in range(m)]
+    p = [F(0)] * m + [F(1)]
+    for i, ci in enumerate(c):
+        p[m - 1 - i] -= ci
+    return p
+
+
+def _ref_jury_all_inside(p):
+    table = []
+    f = _ref_trim(list(p))
+    while len(f) > 1:
+        a0, an = f[0], f[-1]
+        table.append((a0, an))
+        if abs(a0) >= abs(an):
+            return False, table
+        g = [an * a - a0 * b for a, b in zip(f, reversed(f))]
+        f = _ref_trim(g[1:])
+    return True, table
+
+
+def _ref_strip_root(p, r):
+    while p and _ref_evaluate(p, r) == 0:
+        p = _ref_divmod(p, [-r, F(1)])[0]
+    return p
+
+
+def _ref_palindromic_reduce(h):
+    m = (len(h) - 1) // 2
+    v_prev, v_cur = [F(2)], [F(0), F(1)]
+    H = [h[m]] if h[m] != 0 else []
+    for k in range(1, m + 1):
+        vk = v_cur if k == 1 else _ref_add(_ref_mul([F(0), F(1)], v_cur), _ref_neg(v_prev))
+        if k > 1:
+            v_prev, v_cur = v_cur, vk
+        H = _ref_add(H, _ref_scale(vk, h[m + k]))
+    return H
+
+
+def _ref_circle_factor_all_on_circle(g):
+    g = _ref_strip_root(_ref_strip_root(g, F(1)), F(-1))
+    if len(g) <= 1:
+        return True
+    g = _ref_monic(g)
+    H = _ref_palindromic_reduce(g)
+    return _ref_count_open(H, F(-2), F(2)) == (len(g) - 1) // 2
+
+
+def _ref_classify_roots(p):
+    p_sf = _ref_squarefree(p)
+    if len(p_sf) == 1:
+        return "inside", []
+    g = _ref_gcd(p_sf, _ref_trim(list(reversed(p_sf))))
+    u = _ref_divmod(p_sf, g)[0] if len(g) > 1 else p_sf
+    inside, table = _ref_jury_all_inside(u)
+    if not inside:
+        return "outside", table
+    if len(g) == 1:
+        return "inside", table
+    return ("on-circle" if _ref_circle_factor_all_on_circle(g) else "outside"), table
+
+
+def _random_char_poly(rng):
+    """A polynomial of degree 0-8 built from factors with roots inside, on and
+    outside the unit circle, repeats, reciprocal pairs and 0 among them."""
+    def rat(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(1, 5))
+
+    factors = [
+        lambda: [-rng.choice([F(1), F(-1), F(0), F(1, 2), F(-2), rat(-9, 10)]), F(1)],
+        lambda: [F(1), rng.choice([F(-1), F(0), F(1), F(1, 2), F(-3, 2)]), F(1)],  # on |z| = 1
+        lambda: [F(1), F(-5, 2), F(1)],  # 2 and 1/2
+        lambda: [rng.choice([F(1, 4), F(4), F(1)]), F(0), F(1)],
+        lambda: [rat(-9, 10), rat(-9, 10), F(1)],
+    ]
+    p = [rat(1, 9) * rng.choice([1, -1])]
+    target = rng.randrange(0, 9)
+    while len(p) <= target:
+        p = _ref_mul(p, rng.choice(factors)())
+    return p
+
+
+class TestMatchesFractionReference:
+    def test_classify_roots(self):
+        rng = random.Random(67)
+        kinds = set()
+        for _ in range(500):
+            p = _random_char_poly(rng)
+            want = _ref_classify_roots(p)
+            assert classify_roots(p) == want
+            kinds.add(want[0])
+        assert kinds == {"inside", "outside", "on-circle"}
+
+    def test_las_check(self):
+        rng = random.Random(71)
+        coeffs = ("1", "2", "3", "1/2", "2/3", "5/4", "9")
+        outcomes = set()
+        for _ in range(300):
+            order = rng.randrange(1, 4)
+            monos = [f"x{i}" for i in range(order)] + [
+                f"x{rng.randrange(order)}*x{rng.randrange(order)}"]
+
+            def part(const_ok):
+                pool = monos + ["1"] * const_ok
+                picked = rng.sample(pool, rng.randrange(1, len(pool) + 1))
+                return "+".join(f"{rng.choice(coeffs)}*{m}" for m in picked)
+
+            spec = parse_rde(f"({part(True)})/({part(rng.random() < 0.8)})", order)
+            try:
+                eq = find_equilibrium(spec)
+            except UnsupportedInputError:
+                continue
+            p = _ref_characteristic_poly(spec, eq)
+            kind, table = _ref_classify_roots(p)
+            outcome = {"inside": "LAS", "outside": "unstable", "on-circle": "inconclusive"}[kind]
+            c = tuple(-p[order - 1 - i] for i in range(order))
+            assert las_check(spec, eq) == LasVerdict(outcome, tuple(p), c, tuple(table))
+            outcomes.add(outcome)
+        assert outcomes == {"LAS", "unstable", "inconclusive"}
