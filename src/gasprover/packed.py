@@ -6,13 +6,25 @@ order is grlex order and whose sum is the key of the summed exponents.  The
 kernels are `mul_packed`, the one term-pair product loop (which
 `MultiPoly.__mul__` also runs), `pow_packed`, `add_packed` and
 `divide_packed`, exact division in Z[x] with the remainder updated in place
-and leading terms taken from a heap of keys.  Each kernel fixes the order of
-the terms it returns, and none changes its operands.
+and leading terms taken from a heap of keys.
+
+A `PackedPoly` is such a dict over one positive denominator, with its layout:
+a polynomial over Q.  Its kernels are the variable substitutions of the
+positivity prover: `shift_packed`, the Taylor shift x_i -> x_i + p/q, which
+moves keys by multiples of `units[i]`; `invert_packed`, x_i -> 1/x_i cleared
+by x_i^deg; and `box_map_packed`, which composes the two.  None of them
+raises the degree in any one variable, so a layout sized for the sum of
+those degrees holds every polynomial they derive.
+
+Each kernel fixes the order of the terms it returns, and none changes its
+operands.
 """
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import comb
 from operator import mul
+from typing import NamedTuple
 
 Exponents = tuple[int, ...]
 
@@ -28,9 +40,10 @@ class Packing:
     is the key of x_i, and `key >> top` is a key's total degree.
     """
 
-    __slots__ = ("shifts", "units", "mask", "top", "guard")
+    __slots__ = ("nvars", "shifts", "units", "mask", "top", "guard")
 
     def __init__(self, nvars: int, max_degree: int):
+        self.nvars = nvars
         width = max_degree.bit_length() + 1
         self.top = nvars * width
         self.shifts = range(self.top - width, -1, -width)
@@ -40,6 +53,14 @@ class Packing:
 
     def pack(self, exps: Exponents) -> int:
         return sum(map(mul, exps, self.units))
+
+    def exponents(self, key: int) -> list[int]:
+        return [(key >> s) & self.mask for s in self.shifts]
+
+    def degree_in(self, terms: dict[int, int], var: int) -> int:
+        """The largest exponent of x_var in `terms`; 0 for no terms."""
+        s, mask = self.shifts[var], self.mask
+        return max([(k >> s) & mask for k in terms], default=0)
 
     def unpack_terms(self, packed: dict[int, int]) -> dict[Exponents, int]:
         """The same terms, in the same order, keyed by exponent tuples."""
@@ -142,3 +163,66 @@ def divide_packed(
                 else:
                     del remainder[k]
     return quotient
+
+
+class PackedPoly(NamedTuple):
+    """The polynomial terms/den: packed keys -> non-zero ints, den > 0."""
+
+    packing: Packing
+    terms: dict[int, int]
+    den: int
+
+    @property
+    def nvars(self) -> int:
+        return self.packing.nvars
+
+
+def shift_packed(poly: PackedPoly, var: int, p: int, q: int) -> PackedPoly:
+    """Taylor shift x_var -> x_var + p/q (q > 0), in integers over den*q^d.
+
+    With d the degree in x_var, c*x^e becomes sum_j c*C(e,j)*p^(e-j)*q^(d-e+j)
+    x^j over q^d.  Each term's images are met in order of rising j, terms in
+    their own order.
+    """
+    packing, terms, den = poly
+    s, mask, unit = packing.shifts[var], packing.mask, packing.units[var]
+    d = packing.degree_in(terms, var)
+    p_pow, q_pow = [1], [1]
+    for _ in range(d):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    weights = [[comb(e, j) * p_pow[e - j] * q_pow[d - e + j] for j in range(e + 1)]
+               for e in range(d + 1)]
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in terms.items():
+        e = (k >> s) & mask
+        k -= e * unit
+        for w in weights[e]:
+            out[k] = get(k, 0) + c * w
+            k += unit
+    return PackedPoly(packing, drop_zeros(out), den * q_pow[d])
+
+
+def invert_packed(poly: PackedPoly, var: int) -> PackedPoly:
+    """x_var -> 1/x_var, cleared by x_var^d with d the degree in x_var."""
+    packing, terms, den = poly
+    s, mask, unit = packing.shifts[var], packing.mask, packing.units[var]
+    d = packing.degree_in(terms, var)
+    return PackedPoly(
+        packing, {k + (d - 2 * ((k >> s) & mask)) * unit: c for k, c in terms.items()}, den
+    )
+
+
+def box_map_packed(poly: PackedPoly, bounds) -> PackedPoly:
+    """The box prod [a_i, b_i] (rational, 0 <= a_i < b_i) mapped onto the orthant.
+
+    Per axis x_i -> 1/(x_i + 1/(b_i - a_i)) + a_i: shift by a_i, invert, then
+    shift by 1/(b_i - a_i).
+    """
+    for i, (a, b) in enumerate(bounds):
+        if a:
+            poly = shift_packed(poly, i, a.numerator, a.denominator)
+        width = b - a
+        poly = shift_packed(invert_packed(poly, i), i, width.denominator, width.numerator)
+    return poly

@@ -1,15 +1,18 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-A `MultiPoly`'s coefficients are non-zero `fractions.Fraction`s.  Its two hot
-kernels, products and Taylor shifts, scale their operands to exact integers
-over a positive common denominator, run their term loops on those integers
-and divide once per output term; nothing in this module uses floating point.
-Sums, negation and scaling build their result through one unchecked
-constructor.  Polynomials are immutable and hashable, so they can be shared
-freely.
+A `MultiPoly`'s coefficients are non-zero `fractions.Fraction`s.  Its hot
+kernels, products, evaluation and the variable substitutions, scale their
+operands to exact integers over a positive common denominator, run their term
+loops on those integers and divide once per output term; nothing in this
+module uses floating point.  Sums, negation and scaling build their result
+through one unchecked constructor.  Polynomials are immutable and hashable,
+so they can be shared freely.
 
-Products run the term-pair loop of `packed.mul_packed` on integer
+Products run the term-pair loop of `packed.mul_packed`, and shifts,
+inversions and box maps the kernels of `packed.PackedPoly`, on integer
 coefficients and packed exponents; each output term is unpacked once.
+`digest_packed` hashes a `PackedPoly` to the digest of the same polynomial
+as a `MultiPoly`.
 
 A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
 place that normalises a denominator, and the parser, which owns the
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .packed import Exponents, Packing, drop_zeros, mul_packed, power_by_squaring
+from .packed import (Exponents, PackedPoly, Packing, box_map_packed, drop_zeros,
+                     invert_packed, mul_packed, power_by_squaring, shift_packed)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -125,6 +129,18 @@ class MultiPoly:
             den = lcm(den, c.denominator)
         return den, ((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
 
+    def packed(self) -> PackedPoly:
+        """self on packed keys, in the layout that its shifts, inversions and box
+        maps keep: fields for the sum over i of the degree in x_i."""
+        packing = Packing(self.nvars, sum(map(max, zip(*self.terms))))
+        units = packing.units
+        den, scaled = self._integer_terms()
+        return PackedPoly(packing, {sum(map(mul, e, units)): c for e, c in scaled}, den)
+
+    @classmethod
+    def from_packed(cls, poly: PackedPoly) -> "MultiPoly":
+        return cls._from_integers(poly.nvars, poly.packing.unpack_terms(poly.terms), poly.den)
+
     # -- predicates / accessors -------------------------------------------
 
     def is_zero(self) -> bool:
@@ -143,10 +159,13 @@ class MultiPoly:
         """Max total degree over terms; 0 for the zero polynomial."""
         return max(map(sum, self.terms), default=0)
 
-    def degree_in(self, var: int) -> int:
-        """Max exponent of `var`; 0 for the zero polynomial."""
+    def _check_var(self, var: int) -> None:
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
+
+    def degree_in(self, var: int) -> int:
+        """Max exponent of `var`; 0 for the zero polynomial."""
+        self._check_var(var)
         return max((e[var] for e in self.terms), default=0)
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
@@ -244,17 +263,27 @@ class MultiPoly:
     # -- evaluation and calculus ------------------------------------------
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """The exact value at `point`, summed in integers.
+
+        With x_i = a_i/b_i and d_i the degree in x_i, D * prod b_i^d_i * self
+        is an integer at the point; its term c*x^e is c times prod_i of
+        a_i^e_i * b_i^(d_i - e_i), read from one power table per variable.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
         point = [_as_fraction(p) for p in point]
-        total = _ZERO
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for p, e in zip(point, exps):
-                if e:
-                    value *= p ** e
-            total += value
-        return total
+        den, scaled = self._integer_terms()
+        tables = []
+        for i, p in enumerate(point):
+            d = self.degree_in(i)
+            tables.append([p.numerator ** e * p.denominator ** (d - e) for e in range(d + 1)])
+            den *= p.denominator ** d
+        total = 0
+        for exps, c in scaled:
+            for table, e in zip(tables, exps):
+                c *= table[e]
+            total += c
+        return Fraction(total, den)
 
     def diff(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.nvars:
@@ -275,45 +304,26 @@ class MultiPoly:
         """Substitute x_i -> x_i + offsets[i], expanded exactly."""
         if len(offsets) != self.nvars:
             raise ValueError(f"offsets length {len(offsets)} != nvars {self.nvars}")
-        result = self
-        for i, mu in enumerate(offsets):
-            mu = _as_fraction(mu)
-            if mu == 0:
-                continue
-            result = result._shift_one(i, mu)
-        return result
+        poly = None
+        for i, mu in enumerate(map(_as_fraction, offsets)):
+            if mu:
+                poly = shift_packed(poly or self.packed(), i, mu.numerator, mu.denominator)
+        return self if poly is None else MultiPoly.from_packed(poly)
 
     def _shift_one(self, var: int, mu: Fraction) -> "MultiPoly":
-        """Taylor shift x_var -> x_var + p/q in integers over D*q^d, d = degree_in(var)."""
-        p, q = mu.numerator, mu.denominator
-        d = self.degree_in(var)
-        den, scaled = self._integer_terms()
-        # c*x^e -> sum_j c * C(e,j) * p^(e-j) * q^(d-e+j) * x^j, all over q^d
-        weights = [
-            [comb(e, j) * p ** (e - j) * q ** (d - e + j) for j in range(e + 1)]
-            for e in range(d + 1)
-        ]
-        terms: dict[Exponents, int] = {}
-        for exps, c in scaled:
-            base = list(exps)
-            for j, w in enumerate(weights[exps[var]]):
-                base[var] = j
-                key = tuple(base)
-                terms[key] = terms.get(key, 0) + c * w
-        return MultiPoly._from_integers(self.nvars, terms, den * q ** d)
+        """Taylor shift x_var -> x_var + mu (`shift_packed`)."""
+        self._check_var(var)
+        mu = _as_fraction(mu)
+        return MultiPoly.from_packed(
+            shift_packed(self.packed(), var, mu.numerator, mu.denominator))
 
     def invert_var(self, var: int) -> "MultiPoly":
         """Substitute x_var -> 1/x_var and clear by x_var^degree_in(var).
 
         The zero polynomial maps to itself.
         """
-        d = self.degree_in(var)
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            new = list(exps)
-            new[var] = d - exps[var]
-            terms[tuple(new)] = coeff
-        return MultiPoly(self.nvars, terms)
+        self._check_var(var)
+        return MultiPoly.from_packed(invert_packed(self.packed(), var))
 
     def box_map(self, bounds: Sequence[tuple[Fraction, Fraction]]) -> "MultiPoly":
         """Map a box prod [a_i, b_i] onto the positive orthant.
@@ -325,16 +335,11 @@ class MultiPoly:
         """
         if len(bounds) != self.nvars:
             raise ValueError(f"bounds length {len(bounds)} != nvars {self.nvars}")
-        result = self
+        bounds = [(_as_fraction(a), _as_fraction(b)) for a, b in bounds]
         for i, (a, b) in enumerate(bounds):
-            a, b = _as_fraction(a), _as_fraction(b)
             if not 0 <= a < b:
                 raise ValueError(f"degenerate box bounds ({a}, {b}) in dimension {i}")
-            if a != 0:
-                result = result._shift_one(i, a)
-            result = result.invert_var(i)
-            result = result._shift_one(i, 1 / (b - a))
-        return result
+        return MultiPoly.from_packed(box_map_packed(self.packed(), bounds))
 
     # -- content ----------------------------------------------------------
 
@@ -394,11 +399,31 @@ class MultiPoly:
     def digest(self) -> str:
         """Stable SHA-256 digest of the canonical term list, computed once."""
         if self._digest is None:
-            canon = f"nvars={self.nvars};" + ";".join(
-                f"{','.join(map(str, e))}:{c}" for e, c in self.sorted_terms()
-            )
-            object.__setattr__(self, "_digest", hashlib.sha256(canon.encode()).hexdigest())
+            digest = _digest(self.nvars, (
+                f"{','.join(map(str, e))}:{c}" for e, c in self.sorted_terms()))
+            object.__setattr__(self, "_digest", digest)
         return self._digest
+
+
+def _digest(nvars: int, terms: Iterable[str]) -> str:
+    """SHA-256 of the canonical text: nvars, then "exponents:coefficient" for
+    each term in descending grlex order, the coefficient as a reduced fraction."""
+    canon = f"nvars={nvars};" + ";".join(terms)
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def digest_packed(poly: PackedPoly) -> str:
+    """`MultiPoly.digest` of the same polynomial, from the integers: packed keys
+    sort in grlex order, and each c/den is reduced by gcd(c, den)."""
+    packing, terms, den = poly
+    shifts, mask = packing.shifts, packing.mask
+    parts = []
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        g = gcd(c, den)
+        exps = ",".join([str((k >> s) & mask) for s in shifts])
+        parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
+    return _digest(poly.nvars, parts)
 
 
 class RatFun:

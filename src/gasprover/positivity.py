@@ -10,6 +10,16 @@ from one stack: each node is mapped onto the orthant and tested, and an
 inconclusive one pushes its 2^n half-boxes. The whole run is recorded as a
 certificate, which is checked by proving again and comparing node for node,
 and refutations carry an exact witness point in the original coordinates.
+
+Every node is a `PackedPoly`: integers on packed exponent keys over one
+positive denominator, in the one layout of P that its transforms keep.  The
+region substitutions act on one axis at a time and commute, so each region
+extends the transformed polynomial of its longest axis prefix shared with
+the region before (2 + 4 + 8 one-axis transforms for three variables, not
+24); the prefixes are made as the regions are reached.  The tests read signs,
+degrees and supports from the integers and the keys, and make Fractions only
+for the values a certificate records.  The public transforms and tests take
+and return `MultiPoly`s: they pack, run the same code and unpack.
 """
 from __future__ import annotations
 
@@ -17,8 +27,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .packed import PackedPoly, box_map_packed, invert_packed, shift_packed
 from .parsing import parse_rational
-from .polynomial import MultiPoly, grlex_key
+from .polynomial import MultiPoly, digest_packed
 
 
 @dataclass(frozen=True)
@@ -96,15 +107,37 @@ def _region_specs(nvars: int, xbar: Fraction) -> list[RegionSpec]:
     return specs
 
 
+def _axis_transform(poly: PackedPoly, var: int, high: bool, xbar: Fraction) -> PackedPoly:
+    """One axis of a region map: x -> x + xbar if high, else x -> 1/(x + 1/xbar)
+    cleared by (x + 1/xbar)^d; this is one `shift_packed` unless xbar = 0."""
+    if not high:
+        return shift_packed(invert_packed(poly, var), var, xbar.denominator, xbar.numerator)
+    return shift_packed(poly, var, xbar.numerator, xbar.denominator) if xbar else poly
+
+
+def _region_node(prefixes: list, highs: tuple[bool, ...], xbar: Fraction) -> PackedPoly:
+    """The region polynomial for `highs`, from the longest axis prefix it shares
+    with the entries of `prefixes`.
+
+    `prefixes[i]` is (highs[:i], P with axes < i transformed) for the previous
+    region, and `prefixes[0]` holds P itself; they are replaced by this
+    region's, up to highs[:-1], so consecutive regions share their work.
+    """
+    k = len(prefixes) - 1
+    while prefixes[k][0] != highs[:k]:
+        k -= 1
+    del prefixes[k + 1:]
+    poly = prefixes[k][1]
+    for i in range(k, len(highs)):
+        if i > k:
+            prefixes.append((highs[:i], poly))
+        poly = _axis_transform(poly, i, highs[i], xbar)
+    return poly
+
+
 def region_poly(P: MultiPoly, region: RegionSpec) -> MultiPoly:
     """P transformed so the region corresponds to the whole positive orthant."""
-    xbar = region.xbar
-    result = P.shift([xbar if h else Fraction(0) for h in region.highs])
-    if xbar != 0:
-        for i, high in enumerate(region.highs):
-            if not high:
-                result = result.invert_var(i)._shift_one(i, 1 / xbar)
-    return result
+    return MultiPoly.from_packed(_region_node([((), P.packed())], region.highs, region.xbar))
 
 
 def region_to_original(region: RegionSpec, point) -> list[Fraction]:
@@ -124,7 +157,9 @@ def orthant_split(P: MultiPoly, xbar: Fraction):
         raise ValueError("cannot split the zero polynomial")
     if xbar < 0:
         raise ValueError("split point must be non-negative")
-    return [(r, region_poly(P, r)) for r in _region_specs(P.nvars, xbar)]
+    prefixes = [((), P.packed())]
+    return [(r, MultiPoly.from_packed(_region_node(prefixes, r.highs, xbar)))
+            for r in _region_specs(P.nvars, xbar)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,28 +167,31 @@ def orthant_split(P: MultiPoly, xbar: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def test_poscoeffs(P: MultiPoly) -> TestOutcome:
-    neg = [e for e, c in P.terms.items() if c < 0]
+def _poscoeffs(poly: PackedPoly) -> TestOutcome:
+    packing, terms, den = poly
+    neg = [k for k, c in terms.items() if c < 0]
     if neg:  # report the grlex-largest negative term
-        e = max(neg, key=grlex_key)
-        return TestOutcome("PosCoeffs", "fail", {"negative_term": list(e), "coeff": P.terms[e]})
-    const = P.constant_term()
+        k = max(neg)
+        detail = {"negative_term": packing.exponents(k), "coeff": Fraction(terms[k], den)}
+        return TestOutcome("PosCoeffs", "fail", detail)
+    const = terms.get(0, 0)
     if const > 0:
-        return TestOutcome("PosCoeffs", "pass", {"constant": const})
+        return TestOutcome("PosCoeffs", "pass", {"constant": Fraction(const, den)})
     return TestOutcome("PosCoeffs", "fail", {"reason": "constant-zero"})
 
 
-def zero_only_at_origin(P: MultiPoly) -> TestOutcome:
-    if any(c < 0 for c in P.terms.values()) or P.constant_term() != 0:
+def _zero_only_at_origin(poly: PackedPoly) -> TestOutcome:
+    packing, terms, _ = poly
+    if any(c < 0 for c in terms.values()) or terms.get(0, 0) != 0:
         raise ValueError("requires non-negative coefficients and zero constant")
-    n = P.nvars
-    supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in P.terms]
-    for mask in range(1, 2 ** n - 1):
-        subset = frozenset(i for i in range(n) if (mask >> i) & 1)
-        if not any(s.isdisjoint(subset) for s in supports):
-            return TestOutcome(
-                "ZeroOnlyAtOrigin", "fail", {"vanishing_subset": sorted(subset)}
-            )
+    n = packing.nvars
+    for subset in range(1, 2 ** n - 1):
+        # P vanishes where the subset's variables are zero and the others
+        # positive iff every term has a variable of the subset (a field set)
+        vanishing = [i for i in range(n) if (subset >> i) & 1]
+        fields = sum(packing.mask << packing.shifts[i] for i in vanishing)
+        if all(k & fields for k in terms):
+            return TestOutcome("ZeroOnlyAtOrigin", "fail", {"vanishing_subset": vanishing})
     return TestOutcome("ZeroOnlyAtOrigin", "pass")
 
 
@@ -181,33 +219,36 @@ def _leading_principal_minors(A: list[list[Fraction]]) -> list[Fraction]:
     return minors
 
 
-def quadratic_form_matrix(P: MultiPoly) -> list[list[Fraction]]:
+def _quadratic_form(poly: PackedPoly) -> list[list[Fraction]]:
     """Symmetric matrix of the degree-2 part, off-diagonal entries halved."""
-    n = P.nvars
+    packing, terms, den = poly
+    units = packing.units
+    n = len(units)
     A = [[Fraction(0)] * n for _ in range(n)]
-    for exps, coeff in P.terms.items():
-        if sum(exps) != 2:
-            continue
-        support = [i for i, e in enumerate(exps) if e]
-        if len(support) == 1:
-            A[support[0]][support[0]] = coeff
-        else:
-            i, j = support
-            A[i][j] = A[j][i] = coeff / 2
+    for i in range(n):
+        for j in range(i, n):
+            c = terms.get(units[i] + units[j])
+            if c and i == j:
+                A[i][i] = Fraction(c, den)
+            elif c:
+                A[i][j] = A[j][i] = Fraction(c, 2 * den)
     return A
 
 
-def test_subpoly_n(P: MultiPoly) -> TestOutcome:
+def _subpoly_n(poly: PackedPoly) -> TestOutcome:
     # Every negative term must be a mixed quadratic x_i*x_j; the grlex-largest
     # one that is not is reported, as in PosCoeffs.
-    bad = [e for e, c in P.terms.items() if c < 0 and (sum(e) != 2 or 2 in e)]
+    packing, terms, _ = poly
+    top = packing.top
+    squares = {2 * u for u in packing.units}
+    bad = [k for k, c in terms.items() if c < 0 and (k >> top != 2 or k in squares)]
     if bad:
-        detail = {"reason": "not-applicable", "negative_term": list(max(bad, key=grlex_key))}
+        detail = {"reason": "not-applicable", "negative_term": packing.exponents(max(bad))}
         return TestOutcome("SubPolyN", "fail", detail)
-    A = quadratic_form_matrix(P)
+    A = _quadratic_form(poly)
     minors = _leading_principal_minors(A)
     detail: dict = {"minors": minors}
-    if P.nvars == 2:
+    if packing.nvars == 2:
         a, c = A[0][0], A[1][1]
         b = 2 * A[0][1]
         detail.update({"a": a, "b": b, "c": c, "d": 4 * a * c - b * b})
@@ -217,30 +258,65 @@ def test_subpoly_n(P: MultiPoly) -> TestOutcome:
     return TestOutcome("SubPolyN", "fail", detail)
 
 
-def test_lcoeff(P: MultiPoly) -> TestOutcome:
-    if P.is_zero():
+def _lcoeff(poly: PackedPoly) -> TestOutcome:
+    packing, terms, _ = poly
+    if not terms:
         return TestOutcome("LCoeff", "fail", {"reason": "zero-polynomial"})
-    top = P.total_degree()
+    top = max(terms) >> packing.top
     if top == 0:
         return TestOutcome("LCoeff", "fail", {"reason": "constant-polynomial"})
-    leaders = {e: c for e, c in P.terms.items() if sum(e) == top}
-    if all(c < 0 for c in leaders.values()):
+    leaders = [c for k, c in terms.items() if k >> packing.top == top]
+    if all(c < 0 for c in leaders):
         return TestOutcome(
             "LCoeff", "refute", {"total_degree": top, "leaders": len(leaders)}
         )
     return TestOutcome("LCoeff", "fail", {"reason": "mixed-sign-leaders"})
 
 
+def _const(poly: PackedPoly) -> TestOutcome:
+    const = Fraction(poly.terms.get(0, 0), poly.den)
+    return TestOutcome("Const", "refute" if const < 0 else "fail", {"constant": const})
+
+
+# The same tests on a MultiPoly.
+
+
+def test_poscoeffs(P: MultiPoly) -> TestOutcome:
+    return _poscoeffs(P.packed())
+
+
+def zero_only_at_origin(P: MultiPoly) -> TestOutcome:
+    return _zero_only_at_origin(P.packed())
+
+
+def test_subpoly_n(P: MultiPoly) -> TestOutcome:
+    return _subpoly_n(P.packed())
+
+
+def test_lcoeff(P: MultiPoly) -> TestOutcome:
+    return _lcoeff(P.packed())
+
+
 def test_const(P: MultiPoly) -> TestOutcome:
-    const = P.constant_term()
-    if const < 0:
-        return TestOutcome("Const", "refute", {"constant": const})
-    return TestOutcome("Const", "fail", {"constant": const})
+    return _const(P.packed())
 
 
 # ---------------------------------------------------------------------------
 # Finitization and subdivision
 # ---------------------------------------------------------------------------
+
+
+def _finitize(P: PackedPoly, region: RegionSpec) -> tuple[PackedPoly, BoxSpec]:
+    if region.xbar == 0:
+        raise ValueError("cannot finitize a region with zero split point")
+    bounds = []
+    for i, high in enumerate(region.highs):
+        if high:
+            P = invert_packed(P, i)
+            bounds.append((Fraction(0), 1 / region.xbar))
+        else:
+            bounds.append((Fraction(0), region.xbar))
+    return P, BoxSpec(tuple(bounds), region.highs)
 
 
 def finitize(P: MultiPoly, region: RegionSpec) -> tuple[MultiPoly, BoxSpec]:
@@ -249,20 +325,8 @@ def finitize(P: MultiPoly, region: RegionSpec) -> tuple[MultiPoly, BoxSpec]:
     The result is built from the original polynomial: high variables x become
     1/x on (0, 1/xbar], low variables keep [0, xbar].
     """
-    if region.xbar == 0:
-        raise ValueError("cannot finitize a region with zero split point")
-    result = P
-    bounds = []
-    open_low = []
-    for i, high in enumerate(region.highs):
-        if high:
-            result = result.invert_var(i)
-            bounds.append((Fraction(0), 1 / region.xbar))
-            open_low.append(True)
-        else:
-            bounds.append((Fraction(0), region.xbar))
-            open_low.append(False)
-    return result, BoxSpec(tuple(bounds), tuple(open_low))
+    fin, box = _finitize(P.packed(), region)
+    return MultiPoly.from_packed(fin), box
 
 
 def finitized_to_original(region: RegionSpec, point) -> list[Fraction]:
@@ -306,13 +370,18 @@ def boxed_to_box(box: BoxSpec, point) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _search_negative(P: MultiPoly) -> list[Fraction] | None:
-    """A point 2^m * (1, .., 1), m = 1..63, where P < 0, or None."""
-    n = P.nvars
+def _search_negative(P: PackedPoly) -> list[Fraction] | None:
+    """A point 2^m * (1, .., 1), m = 1..63, where P < 0, or None.
+
+    There P*den is the sum over degrees d of (its degree-d coefficients)*2^(m*d).
+    """
+    top = P.packing.top
+    by_degree: dict[int, int] = {}
+    for k, c in P.terms.items():
+        by_degree[k >> top] = by_degree.get(k >> top, 0) + c
     for m in range(1, 64):
-        point = [Fraction(2) ** m] * n
-        if P.evaluate(point) < 0:
-            return point
+        if sum(c << m * d for d, c in by_degree.items()) < 0:
+            return [Fraction(2) ** m] * P.nvars
     return None
 
 
@@ -333,7 +402,7 @@ def _grid_exponents(nvars: int) -> list[int]:
             for k in range(m)]
 
 
-def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
+def _grid_negative(P: PackedPoly) -> list[Fraction] | None:
     """The first point of the dyadic grid where P < 0, in itertools.product
     order over _grid_exponents, or None if P >= 0 on the whole grid.
 
@@ -342,31 +411,35 @@ def _grid_negative(P: MultiPoly) -> list[Fraction] | None:
     c*y^e at y_i = 2^k_i is c << (e.k). The axes are substituted one at a
     time, so each prefix of the point is paid for once, not once per point.
     """
-    _, scaled = P._integer_terms()
-    deg = P.total_degree()
+    packing, terms, _ = P
+    top = packing.top
+    deg = max(terms) >> top
     ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
     point = _grid_scan({
-        exps: c << _GRID_SCALE * (deg - sum(exps))
-        for exps, c in scaled
-    }, ks)
+        k: c << _GRID_SCALE * (deg - (k >> top)) for k, c in terms.items()
+    }, list(packing.shifts), packing.mask, ks)
     if point is None:
         return None
     return [Fraction(2) ** (k - _GRID_SCALE) for k in point]
 
 
-def _grid_scan(terms: dict, ks: list[int]) -> list[int] | None:
+def _grid_scan(terms: dict, shifts: list[int], mask: int, ks: list[int]) -> list[int] | None:
     """The first point [k_0, ..] in itertools.product order over ks where the
     integer polynomial `terms` is negative at y_i = 2^k_i, or None.
 
-    A module-level function, so that the recursion makes no reference cycle.
+    `shifts` are the key fields of the variables still to substitute; the
+    substituted field (and any above it) is cut off each key.  A module-level
+    function, so that the recursion makes no reference cycle.
     """
-    if () in terms:
-        return [] if terms[()] < 0 else None
+    if not shifts:
+        return [] if terms[0] < 0 else None
+    s, rest_shifts = shifts[0], shifts[1:]
+    low = (1 << s) - 1
     for k in ks:
         rest: dict = {}
-        for exps, c in terms.items():
-            rest[exps[1:]] = rest.get(exps[1:], 0) + (c << k * exps[0])
-        tail = _grid_scan(rest, ks)
+        for key, c in terms.items():
+            rest[key & low] = rest.get(key & low, 0) + (c << k * ((key >> s) & mask))
+        tail = _grid_scan(rest, rest_shifts, mask, ks)
         if tail is not None:
             return [k] + tail
     return None
@@ -377,23 +450,23 @@ def _grid_scan(terms: dict, ks: list[int]) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 
-def _run_tests(P: MultiPoly):
+def _run_tests(P: PackedPoly):
     """Returns (status, outcomes, witness_in_local_coords)."""
     outcomes = []
-    pc = test_poscoeffs(P)
+    pc = _poscoeffs(P)
     outcomes.append(pc)
     if pc.result == "pass":
         return "pass", outcomes, None
     if pc.detail.get("reason") == "constant-zero":
-        zo = zero_only_at_origin(P)
+        zo = _zero_only_at_origin(P)
         outcomes.append(zo)
         if zo.result == "pass":
             return "pass", outcomes, None
-    sp = test_subpoly_n(P)
+    sp = _subpoly_n(P)
     outcomes.append(sp)
     if sp.result == "pass":
         return "pass", outcomes, None
-    lc = test_lcoeff(P)
+    lc = _lcoeff(P)
     outcomes.append(lc)
     if lc.result == "refute":
         witness = _search_negative(P)
@@ -402,7 +475,7 @@ def _run_tests(P: MultiPoly):
         outcomes[-1] = TestOutcome(
             "LCoeff", "fail", {"reason": "no-witness-on-ray"}
         )
-    co = test_const(P)
+    co = _const(P)
     outcomes.append(co)
     if co.result == "refute":
         # P at the local origin is its negative constant
@@ -436,14 +509,19 @@ def prove_nonneg(
         verdict="Proven",
         nodes=[],
     )
+    packed = P.packed()
+    prefixes = [((), packed)]
     stack = [(region, None, None, (region.label,))
              for region in reversed(_region_specs(P.nvars, xbar))]
     grid_tried = False
     while stack:
         region, P_fin, box, path = stack.pop()
-        mapped = region_poly(P, region) if box is None else P_fin.box_map(box.bounds)
+        if box is None:
+            mapped = _region_node(prefixes, region.highs, xbar)
+        else:
+            mapped = box_map_packed(P_fin, box.bounds)
         status, outcomes, local = _run_tests(mapped)
-        node = CertNode(path, region, box, mapped.digest(), outcomes, status)
+        node = CertNode(path, region, box, digest_packed(mapped), outcomes, status)
         cert.nodes.append(node)
         point = None
         if status == "refute" and box is None:
@@ -456,9 +534,9 @@ def prove_nonneg(
                 continue
             if not grid_tried:
                 grid_tried = True
-                point = _grid_negative(P)
+                point = _grid_negative(packed)
             if point is None:
-                P_fin, box = finitize(P, region)
+                P_fin, box = _finitize(packed, region)
         if point is not None:
             value = P.evaluate(point)
             if value >= 0:

@@ -6,7 +6,8 @@ import pytest
 
 from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.packed import Packing, divide_packed
-from gasprover.polynomial import MultiPoly, RatFun, grlex_key
+from gasprover.polynomial import MultiPoly, RatFun, digest_packed, grlex_key
+from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
 
@@ -321,6 +322,15 @@ def _ref_pow(p, n):
     return result
 
 
+def _ref_evaluate(p, point):
+    total = F(0)
+    for exps, coeff in p.terms.items():
+        for x, e in zip(point, exps):
+            coeff *= F(x) ** e
+        total += coeff
+    return total
+
+
 def _ref_shift_one(p, var, mu):
     terms = {}
     for exps, coeff in p.terms.items():
@@ -441,6 +451,22 @@ class TestKernelsMatchFractionReference:
                 a = F(rng.randrange(0, 5), rng.randrange(1, 6))
                 bounds.append((a, a + F(rng.randrange(1, 9), rng.randrange(1, 6))))
             _assert_matches(p.box_map(bounds), _ref_box_map(p, bounds))
+
+    def test_evaluate_and_packed_digest(self):
+        rng, cases = _kernel_cases()
+        for p in cases:
+            for _ in range(3):
+                point = [rng.choice((0, 1, -2, F(rng.randrange(-9, 10), rng.randrange(1, 8))))
+                         for _ in range(p.nvars)]
+                got = p.evaluate(point)
+                assert type(got) is Fraction and got == _ref_evaluate(p, point)
+            assert digest_packed(p.packed()) == p.digest()
+            assert MultiPoly.from_packed(p.packed()) == p
+        # a witness of the third-order map's K = 3 polynomial (223 terms)
+        spec = parse_rde("(2+x0)/(1+x1+x2)")
+        big = build_contraction_poly(spec, find_equilibrium(spec), 3)
+        point = [F(1, 1024), F(3, 7), F(1000, 3)]
+        assert big.evaluate(point) == _ref_evaluate(big, point)
 
     def test_add_sub_neg_and_scalar_mul(self):
         rng, cases = _kernel_cases()

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 
 from gasprover import positivity
 from gasprover.parsing import parse_poly
-from gasprover.polynomial import MultiPoly
+from gasprover.polynomial import MultiPoly, digest_packed
 from gasprover.positivity import (
     BoxSpec,
     RegionSpec,
@@ -391,8 +392,8 @@ class TestGrid:
             # only at the last one (all x_i = 2^10)
             first = P("+".join(xs) + f"-{2 * n + 1}/2048")
             last = P(f"3/4*1024^{n}-" + "*".join(xs))
-            assert _grid_negative(first) == [F(1, 1024)] * n
-            assert _grid_negative(last) == [F(1024)] * n
+            assert _grid_negative(first.packed()) == [F(1, 1024)] * n
+            assert _grid_negative(last.packed()) == [F(1024)] * n
             polys += [first, last]
         for _ in range(300):
             p = _random_poly(rng, rng.randrange(1, 4))
@@ -401,7 +402,7 @@ class TestGrid:
         found = 0
         for p in polys:
             expected = _plain_grid_negative(p)
-            assert _grid_negative(p) == expected
+            assert _grid_negative(p.packed()) == expected
             found += expected is not None
         assert 0 < found < len(polys)
 
@@ -463,7 +464,7 @@ class TestProveNonneg:
     def test_grid_finds_negative_off_the_ray(self):
         # negative only where x0/x1 is near 1024; positive on the diagonal
         p = P("(x0-1024*x1)^2-1/1000*x0*x1")
-        assert _search_negative(p) is None
+        assert _search_negative(p.packed()) is None
         cert = prove_nonneg(p, F(1), 10)
         assert cert.verdict == "Disproven"
         assert all(n.box is None for n in cert.nodes)
@@ -694,6 +695,290 @@ class TestProveNonneg:
                     walk(v)
 
         walk(doc)
+
+
+# The Fraction engine that the packed one replaced, kept as a reference:
+# region maps composed as a shift of the high axes, then invert_var and a
+# shift of each low axis; box maps as shift, invert_var, shift per axis; the
+# node tests on Fraction terms; and the same depth-first node loop.
+
+
+def _ref_evaluate(p, point):
+    total = F(0)
+    for exps, coeff in p.terms.items():
+        for x, e in zip(point, exps):
+            coeff *= F(x) ** e
+        total += coeff
+    return total
+
+
+def _ref_shift_one(p, var, mu):
+    terms = {}
+    for exps, coeff in p.terms.items():
+        e = exps[var]
+        base = list(exps)
+        for j in range(e + 1):
+            base[var] = j
+            key = tuple(base)
+            terms[key] = terms.get(key, F(0)) + coeff * math.comb(e, j) * mu ** (e - j)
+    return MultiPoly(p.nvars, terms)
+
+
+def _ref_invert_var(p, var):
+    d = max((e[var] for e in p.terms), default=0)
+    terms = {}
+    for exps, coeff in p.terms.items():
+        new = list(exps)
+        new[var] = d - exps[var]
+        terms[tuple(new)] = coeff
+    return MultiPoly(p.nvars, terms)
+
+
+def _ref_region_poly(p, region):
+    xbar = region.xbar
+    for i, high in enumerate(region.highs):
+        if high and xbar:
+            p = _ref_shift_one(p, i, xbar)
+    for i, high in enumerate(region.highs):
+        if not high:
+            p = _ref_shift_one(_ref_invert_var(p, i), i, 1 / xbar)
+    return p
+
+
+def _ref_finitize(p, region):
+    for i, high in enumerate(region.highs):
+        if high:
+            p = _ref_invert_var(p, i)
+    return p
+
+
+def _ref_box_map(p, bounds):
+    for i, (a, b) in enumerate(bounds):
+        if a != 0:
+            p = _ref_shift_one(p, i, a)
+        p = _ref_shift_one(_ref_invert_var(p, i), i, 1 / (b - a))
+    return p
+
+
+def _ref_run_tests(p):
+    """(status, outcomes, local witness) by the Fraction tests."""
+    grlex = lambda e: (sum(e), e)  # noqa: E731
+    outcomes = []
+    neg = [e for e, c in p.terms.items() if c < 0]
+    const = p.constant_term()
+    if neg:
+        e = max(neg, key=grlex)
+        outcomes.append(positivity.TestOutcome(
+            "PosCoeffs", "fail", {"negative_term": list(e), "coeff": p.terms[e]}))
+    elif const > 0:
+        outcomes.append(positivity.TestOutcome("PosCoeffs", "pass", {"constant": const}))
+        return "pass", outcomes, None
+    else:
+        outcomes.append(positivity.TestOutcome(
+            "PosCoeffs", "fail", {"reason": "constant-zero"}))
+        supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in p.terms]
+        detail = {}
+        for mask in range(1, 2 ** p.nvars - 1):
+            subset = frozenset(i for i in range(p.nvars) if (mask >> i) & 1)
+            if not any(s.isdisjoint(subset) for s in supports):
+                detail = {"vanishing_subset": sorted(subset)}
+                break
+        outcomes.append(positivity.TestOutcome(
+            "ZeroOnlyAtOrigin", "fail" if detail else "pass", detail))
+        if not detail:
+            return "pass", outcomes, None
+    bad = [e for e, c in p.terms.items() if c < 0 and (sum(e) != 2 or 2 in e)]
+    if bad:
+        detail = {"reason": "not-applicable", "negative_term": list(max(bad, key=grlex))}
+        outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
+    else:
+        n = p.nvars
+        A = [[F(0)] * n for _ in range(n)]
+        for exps, coeff in p.terms.items():
+            support = [i for i, e in enumerate(exps) if e]
+            if sum(exps) == 2 and len(support) == 1:
+                A[support[0]][support[0]] = coeff
+            elif sum(exps) == 2:
+                i, j = support
+                A[i][j] = A[j][i] = coeff / 2
+        minors = positivity._leading_principal_minors(A)
+        detail = {"minors": minors}
+        if n == 2:
+            a, b, c = A[0][0], 2 * A[0][1], A[1][1]
+            detail.update({"a": a, "b": b, "c": c, "d": 4 * a * c - b * b})
+        if all(m > 0 for m in minors):
+            outcomes.append(positivity.TestOutcome("SubPolyN", "pass", detail))
+            return "pass", outcomes, None
+        detail["reason"] = "not-positive-definite"
+        outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
+    top = p.total_degree()
+    leaders = [c for e, c in p.terms.items() if sum(e) == top]
+    if top == 0:
+        outcomes.append(positivity.TestOutcome(
+            "LCoeff", "fail", {"reason": "constant-polynomial"}))
+    elif all(c < 0 for c in leaders):
+        point = next(([F(2) ** m] * p.nvars for m in range(1, 64)
+                      if _ref_evaluate(p, [F(2) ** m] * p.nvars) < 0), None)
+        if point is not None:
+            outcomes.append(positivity.TestOutcome(
+                "LCoeff", "refute", {"total_degree": top, "leaders": len(leaders)}))
+            return "refute", outcomes, point
+        outcomes.append(positivity.TestOutcome(
+            "LCoeff", "fail", {"reason": "no-witness-on-ray"}))
+    else:
+        outcomes.append(positivity.TestOutcome(
+            "LCoeff", "fail", {"reason": "mixed-sign-leaders"}))
+    outcomes.append(positivity.TestOutcome(
+        "Const", "refute" if const < 0 else "fail", {"constant": const}))
+    if const < 0:
+        return "refute", outcomes, [F(0)] * p.nvars
+    return "split", outcomes, None
+
+
+def _ref_grid_negative(p):
+    for js in itertools.product(_grid_exponents(p.nvars), repeat=p.nvars):
+        point = [F(2) ** j for j in js]
+        if _ref_evaluate(p, point) < 0:
+            return point
+    return None
+
+
+def _ref_prove_nonneg(p, xbar, depth_limit):
+    """The certificate of the Fraction engine, and the polynomial of each node."""
+    cert = positivity.ProofCertificate(p.digest(), p.nvars, xbar, depth_limit, "Proven", [])
+    polys = []
+    stack = [(r, None, None, (r.label,))
+             for r in reversed(positivity._region_specs(p.nvars, xbar))]
+    grid_tried = False
+    while stack:
+        region, fin, box, path = stack.pop()
+        mapped = _ref_region_poly(p, region) if box is None else _ref_box_map(fin, box.bounds)
+        polys.append(mapped)
+        status, outcomes, local = _ref_run_tests(mapped)
+        node = positivity.CertNode(path, region, box, mapped.digest(), outcomes, status)
+        cert.nodes.append(node)
+        point = None
+        if status == "refute" and box is None:
+            point = positivity.region_to_original(region, local)
+        elif status == "refute":
+            point = positivity.finitized_to_original(
+                region, positivity.boxed_to_box(box, local))
+        elif status == "split" and box is None:
+            if xbar == 0:
+                node.status = "cannot-finitize"
+                continue
+            if not grid_tried:
+                grid_tried = True
+                point = _ref_grid_negative(p)
+            if point is None:
+                fin, box = _ref_finitize(p, region), finitize(p, region)[1]
+        if point is not None:
+            cert.verdict, cert.witness = "Disproven", point
+            cert.witness_value = _ref_evaluate(p, point)
+            return cert, polys
+        if status == "split" and len(path) > depth_limit:
+            cert.nodes.append(positivity.CertNode(path, region, box, "", [], "depth-limit"))
+        elif status == "split":
+            stack.extend((region, fin, child, path + (bits,))
+                         for bits, child in reversed(subdivide(box)))
+    statuses = {node.status for node in cert.nodes}
+    if "depth-limit" in statuses:
+        cert.verdict, cert.fail_reason = "Fail", "depth-limit"
+    elif "cannot-finitize" in statuses:
+        cert.verdict, cert.fail_reason = "Fail", "cannot-finitize-zero-split"
+    return cert, polys
+
+
+def _reference_corpus():
+    """Seeded 1-3 variable inputs: sparse mixed signs, mostly positive ones,
+    shifted sums of squares, and each of those with a term of degree
+    sum_i deg_i added, which fills the total-degree field of the layout;
+    depth limits 0-5, and 0-1 for three variables, where a split has eight
+    children.  The golden inputs that subdivide come first."""
+    rng = random.Random(103)
+    inputs = [(P("6*x0^3+x0^2-4*x0+1"), F(1, 2), 5), (P(EX2), F(1), 5),
+              (P("(x0-1/3)^2+(x1-1/3)^2"), F(1), 2)]
+    while len(inputs) < 150:
+        nvars = rng.randrange(1, 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            p = _random_poly(rng, nvars)
+        elif kind == 1:
+            p = _random_posdominant_poly(rng, nvars)
+        else:
+            p = MultiPoly.constant(nvars, F(rng.randrange(0, 3), 4))
+            for i in range(nvars):
+                x = MultiPoly.variable(nvars, i)
+                p = p + (x - F(rng.randrange(0, 7), rng.randrange(1, 4))) ** 2
+        if rng.random() < 0.3 and not p.is_zero():
+            top = tuple(p.degree_in(i) for i in range(nvars))
+            p = p + MultiPoly(nvars, {top: F(rng.randrange(1, 4))})
+        if not p.is_zero():
+            xbar = rng.choice([F(0), F(1, 2), F(1), F(2), F(3)])
+            depth = rng.randrange(0, 6) if nvars < 3 else rng.randrange(0, 2)
+            inputs.append((p, xbar, depth))
+    return inputs
+
+
+class TestEngineMatchesFractionReference:
+    def test_regions_boxes_digests_outcomes_and_certificates(self):
+        endings = set()
+        full_degree = 0
+        for p, xbar, depth in _reference_corpus():
+            want, polys = _ref_prove_nonneg(p, xbar, depth)
+            got = prove_nonneg(p, xbar, depth)
+            assert certificate_to_json(got) == certificate_to_json(want), (str(p), xbar)
+            assert [n.outcomes for n in got.nodes] == [n.outcomes for n in want.nodes]
+            split = orthant_split(p, xbar)
+            for region, poly in split:
+                assert poly == _ref_region_poly(p, region)
+                assert positivity.region_poly(p, region) == poly
+            tested = [n for n in want.nodes if n.status != "depth-limit"]
+            for node, poly in zip(tested, polys):
+                assert node.digest == digest_packed(poly.packed())
+                if node.box is not None:
+                    fin, box = finitize(p, node.region)
+                    assert fin == _ref_finitize(p, node.region)
+                    assert fin.box_map(node.box.bounds) == poly
+            endings.add((got.verdict, any(n.box is not None for n in got.nodes)))
+            full_degree += p.total_degree() == sum(map(p.degree_in, range(p.nvars)))
+        assert endings >= {("Proven", False), ("Proven", True), ("Disproven", False),
+                           ("Disproven", True), ("Fail", False), ("Fail", True)}
+        assert full_degree >= 20
+
+
+def _count_shifts(monkeypatch):
+    calls = []
+    shift_packed = positivity.shift_packed
+
+    def counting(*args):
+        calls.append(args[1])
+        return shift_packed(*args)
+
+    monkeypatch.setattr(positivity, "shift_packed", counting)
+    return calls
+
+
+class TestRegionPrefixSharing:
+    def test_proven_without_boxes_shares_axis_prefixes(self, monkeypatch):
+        # all 2^n regions pass: one transform per axis prefix, 2 + 4 (+ 8)
+        calls = _count_shifts(monkeypatch)
+        for text, nvars, transforms in (("x0^2+x1^2+1", 2, 6),
+                                         ("x0^2+x1^2+x2^2+1", 3, 14)):
+            calls.clear()
+            cert = prove_nonneg(P(text), F(1))
+            assert cert.verdict == "Proven"
+            assert len(cert.nodes) == 2 ** nvars
+            assert all(n.box is None for n in cert.nodes)
+            assert len(calls) == transforms
+
+    def test_refuted_at_the_first_region_pays_for_one_path(self, monkeypatch):
+        calls = _count_shifts(monkeypatch)
+        for text, nvars in (("x0+x1-10", 2), ("x0+x1+x2-10", 3)):
+            calls.clear()
+            cert = prove_nonneg(P(text), F(1))
+            assert cert.verdict == "Disproven" and len(cert.nodes) == 1
+            assert len(calls) <= nvars
 
 
 def _random_poly(rng, nvars, max_terms=5, max_exp=3):
