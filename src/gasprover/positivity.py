@@ -23,73 +23,13 @@ and return `MultiPoly`s: they pack, run the same code and unpack.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+# the certificate types and JSON form are also importable from here
+from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
+                          certificate_document, certificate_from_json, certificate_to_json)
 from .packed import PackedPoly, box_map_packed, invert_packed, shift_packed
-from .parsing import parse_rational
 from .polynomial import MultiPoly, digest_packed
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """One of the 2^n orthant regions: per variable low [0,xbar] or high [xbar,inf)."""
-
-    highs: tuple[bool, ...]
-    xbar: Fraction
-
-    @property
-    def label(self) -> str:
-        if len(self.highs) == 2:
-            ew = "E" if self.highs[0] else "W"
-            ns = "N" if self.highs[1] else "S"
-            return ns + ew
-        return "".join("H" if h else "L" for h in self.highs)
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Axis-aligned rational box; open_low marks axes open on the low side."""
-
-    bounds: tuple[tuple[Fraction, Fraction], ...]
-    open_low: tuple[bool, ...]
-
-    def contains(self, point) -> bool:
-        for x, (a, b), op in zip(point, self.bounds, self.open_low):
-            if not ((a < x if op else a <= x) and x <= b):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    test: str  # PosCoeffs | SubPolyN | LCoeff | Const | ZeroOnlyAtOrigin
-    result: str  # pass | fail | refute
-    detail: dict = field(default_factory=dict)
-
-
-@dataclass
-class CertNode:
-    path: tuple[str, ...]
-    region: RegionSpec
-    box: BoxSpec | None  # None for region-level nodes
-    digest: str
-    outcomes: list[TestOutcome]
-    status: str  # pass | refute | split | depth-limit | cannot-finitize
-
-
-@dataclass
-class ProofCertificate:
-    input_digest: str
-    nvars: int
-    xbar: Fraction
-    depth_limit: int
-    verdict: str  # Proven | Disproven | Fail
-    nodes: list[CertNode]
-    witness: list[Fraction] | None = None
-    witness_value: Fraction | None = None
-    fail_reason: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -561,112 +501,8 @@ def prove_nonneg(
 
 
 # ---------------------------------------------------------------------------
-# Serialization and replay
+# Replay
 # ---------------------------------------------------------------------------
-
-
-def _detail_json(detail: dict):
-    out = {}
-    for k, v in detail.items():
-        if isinstance(v, Fraction):
-            out[k] = str(v)
-        elif isinstance(v, list) and v and isinstance(v[0], Fraction):
-            out[k] = [str(f) for f in v]
-        else:
-            out[k] = v
-    return out
-
-
-def _document(cert: ProofCertificate) -> dict:
-    """The certificate as plain JSON data; equal documents are equal proofs."""
-    return {
-        "input_digest": cert.input_digest,
-        "nvars": cert.nvars,
-        "xbar": str(cert.xbar),
-        "depth_limit": cert.depth_limit,
-        "verdict": cert.verdict,
-        "witness": [str(x) for x in cert.witness] if cert.witness else None,
-        "witness_value": (
-            str(cert.witness_value) if cert.witness_value is not None else None
-        ),
-        "fail_reason": cert.fail_reason,
-        "tree": [
-            {
-                "path": list(node.path),
-                "region": {
-                    "highs": ["H" if h else "L" for h in node.region.highs],
-                    "xbar": str(node.region.xbar),
-                },
-                "box": (
-                    {
-                        "bounds": [
-                            [str(a), str(b)] for a, b in node.box.bounds
-                        ],
-                        "open_low": list(node.box.open_low),
-                    }
-                    if node.box is not None
-                    else None
-                ),
-                "digest": node.digest,
-                "tests": [
-                    {
-                        "test": o.test,
-                        "result": o.result,
-                        "detail": _detail_json(o.detail),
-                    }
-                    for o in node.outcomes
-                ],
-                "status": node.status,
-            }
-            for node in cert.nodes
-        ],
-    }
-
-
-def certificate_to_json(cert: ProofCertificate) -> str:
-    return json.dumps(_document(cert), indent=2)
-
-
-def certificate_from_json(text: str) -> ProofCertificate:
-    doc = json.loads(text)
-    nodes = []
-    for raw in doc["tree"]:
-        region = RegionSpec(
-            tuple(h == "H" for h in raw["region"]["highs"]),
-            parse_rational(raw["region"]["xbar"]),
-        )
-        box = None
-        if raw["box"] is not None:
-            box = BoxSpec(
-                tuple(
-                    (parse_rational(a), parse_rational(b))
-                    for a, b in raw["box"]["bounds"]
-                ),
-                tuple(raw["box"]["open_low"]),
-            )
-        outcomes = [
-            TestOutcome(t["test"], t["result"], t["detail"]) for t in raw["tests"]
-        ]
-        nodes.append(
-            CertNode(tuple(raw["path"]), region, box, raw["digest"], outcomes, raw["status"])
-        )
-    return ProofCertificate(
-        input_digest=doc["input_digest"],
-        nvars=doc["nvars"],
-        xbar=parse_rational(doc["xbar"]),
-        depth_limit=doc["depth_limit"],
-        verdict=doc["verdict"],
-        nodes=nodes,
-        witness=(
-            [parse_rational(x) for x in doc["witness"]] if doc["witness"] else None
-        ),
-        witness_value=(
-            parse_rational(doc["witness_value"])
-            if doc["witness_value"] is not None
-            else None
-        ),
-        fail_reason=doc["fail_reason"],
-    )
 
 
 def replay_certificate(cert: ProofCertificate, P: MultiPoly) -> bool:
@@ -676,4 +512,5 @@ def replay_certificate(cert: ProofCertificate, P: MultiPoly) -> bool:
     """
     if P.digest() != cert.input_digest or P.is_zero() or cert.xbar < 0:
         return False
-    return _document(prove_nonneg(P, cert.xbar, cert.depth_limit)) == _document(cert)
+    new = prove_nonneg(P, cert.xbar, cert.depth_limit)
+    return certificate_document(new) == certificate_document(cert)
