@@ -307,7 +307,8 @@ class MultiPoly:
         poly = None
         for i, mu in enumerate(map(_as_fraction, offsets)):
             if mu:
-                poly = shift_packed(poly or self.packed(), i, mu.numerator, mu.denominator)
+                poly = self.packed() if poly is None else poly
+                poly = shift_packed(poly, i, mu.numerator, mu.denominator)
         return self if poly is None else MultiPoly.from_packed(poly)
 
     def _shift_one(self, var: int, mu: Fraction) -> "MultiPoly":

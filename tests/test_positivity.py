@@ -762,12 +762,11 @@ def _ref_box_map(p, bounds):
 
 def _ref_run_tests(p):
     """(status, outcomes, local witness) by the Fraction tests."""
-    grlex = lambda e: (sum(e), e)  # noqa: E731
     outcomes = []
     neg = [e for e, c in p.terms.items() if c < 0]
     const = p.constant_term()
     if neg:
-        e = max(neg, key=grlex)
+        e = max(neg, key=lambda e: (sum(e), e))
         outcomes.append(positivity.TestOutcome(
             "PosCoeffs", "fail", {"negative_term": list(e), "coeff": p.terms[e]}))
     elif const > 0:
@@ -789,7 +788,8 @@ def _ref_run_tests(p):
             return "pass", outcomes, None
     bad = [e for e, c in p.terms.items() if c < 0 and (sum(e) != 2 or 2 in e)]
     if bad:
-        detail = {"reason": "not-applicable", "negative_term": list(max(bad, key=grlex))}
+        worst = max(bad, key=lambda e: (sum(e), e))
+        detail = {"reason": "not-applicable", "negative_term": list(worst)}
         outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
     else:
         n = p.nvars
