@@ -311,13 +311,6 @@ class MultiPoly:
                 poly = shift_packed(poly, i, mu.numerator, mu.denominator)
         return self if poly is None else MultiPoly.from_packed(poly)
 
-    def _shift_one(self, var: int, mu: Fraction) -> "MultiPoly":
-        """Taylor shift x_var -> x_var + mu (`shift_packed`)."""
-        self._check_var(var)
-        mu = _as_fraction(mu)
-        return MultiPoly.from_packed(
-            shift_packed(self.packed(), var, mu.numerator, mu.denominator))
-
     def invert_var(self, var: int) -> "MultiPoly":
         """Substitute x_var -> 1/x_var and clear by x_var^degree_in(var).
 

@@ -5,7 +5,7 @@ mapped back onto the orthant by exact shift/inversion substitutions. Cheap
 coefficient tests certify or refute each region. Before the first
 inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
 grid, which refutes most false inputs at once; otherwise inconclusive regions
-are mapped onto a finite box. Regions and sub-boxes are visited depth first
+are mapped onto a finite box. Each region's sub-boxes are visited depth first
 from one stack: each node is mapped onto the orthant and tested, and an
 inconclusive one pushes its 2^n half-boxes. The whole run is recorded as a
 certificate, which is checked by proving again and comparing node for node,
@@ -13,10 +13,10 @@ and refutations carry an exact witness point in the original coordinates.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.  The
-region substitutions act on one axis at a time and commute, so each region
-extends the transformed polynomial of its longest axis prefix shared with
-the region before (2 + 4 + 8 one-axis transforms for three variables, not
-24); the prefixes are made as the regions are reached.  The tests read signs,
+region substitutions act on one axis at a time and commute, so one recursive
+generator makes the regions, mapping axis i once for all regions that share
+their first i axes (2 + 4 + 8 one-axis transforms for three variables, not
+24), and only as the regions are reached.  The tests read signs,
 degrees and supports from the integers and the keys, and make Fractions only
 for the values a certificate records.  The public transforms and tests take
 and return `MultiPoly`s: they pack, run the same code and unpack.
@@ -37,47 +37,29 @@ from .polynomial import MultiPoly, digest_packed
 # ---------------------------------------------------------------------------
 
 
-def _region_specs(nvars: int, xbar: Fraction) -> list[RegionSpec]:
-    if xbar == 0:
-        return [RegionSpec(tuple([True] * nvars), xbar)]
-    specs = []
-    for code in range(2 ** nvars - 1, -1, -1):
-        highs = tuple(bool((code >> (nvars - 1 - i)) & 1) for i in range(nvars))
-        specs.append(RegionSpec(highs, xbar))
-    return specs
+def _regions(poly: PackedPoly, xbar: Fraction, highs: tuple[bool, ...] = ()):
+    """Yield (highs, region polynomial) for every region that extends `highs`,
+    all-high first (HH, HL, LH, LL), given `poly` with axes < len(highs) mapped.
 
-
-def _axis_transform(poly: PackedPoly, var: int, high: bool, xbar: Fraction) -> PackedPoly:
-    """One axis of a region map: x -> x + xbar if high, else x -> 1/(x + 1/xbar)
-    cleared by (x + 1/xbar)^d; this is one `shift_packed` unless xbar = 0."""
-    if not high:
-        return shift_packed(invert_packed(poly, var), var, xbar.denominator, xbar.numerator)
-    return shift_packed(poly, var, xbar.numerator, xbar.denominator) if xbar else poly
-
-
-def _region_node(prefixes: list, highs: tuple[bool, ...], xbar: Fraction) -> PackedPoly:
-    """The region polynomial for `highs`, from the longest axis prefix it shares
-    with the entries of `prefixes`.
-
-    `prefixes[i]` is (highs[:i], P with axes < i transformed) for the previous
-    region, and `prefixes[0]` holds P itself; they are replaced by this
-    region's, up to highs[:-1], so consecutive regions share their work.
+    Axis i maps x -> x + xbar if high, else x -> 1/(x + 1/xbar) cleared by
+    (x + 1/xbar)^d, once for all regions sharing highs[:i].  When xbar = 0
+    the only region is P itself, all high.
     """
-    k = len(prefixes) - 1
-    while prefixes[k][0] != highs[:k]:
-        k -= 1
-    del prefixes[k + 1:]
-    poly = prefixes[k][1]
-    for i in range(k, len(highs)):
-        if i > k:
-            prefixes.append((highs[:i], poly))
-        poly = _axis_transform(poly, i, highs[i], xbar)
-    return poly
+    i = len(highs)
+    if i == poly.nvars or xbar == 0:
+        yield highs + (True,) * (poly.nvars - i), poly
+        return
+    p, q = xbar.numerator, xbar.denominator
+    yield from _regions(shift_packed(poly, i, p, q), xbar, highs + (True,))
+    yield from _regions(shift_packed(invert_packed(poly, i), i, q, p), xbar, highs + (False,))
 
 
 def region_poly(P: MultiPoly, region: RegionSpec) -> MultiPoly:
     """P transformed so the region corresponds to the whole positive orthant."""
-    return MultiPoly.from_packed(_region_node([((), P.packed())], region.highs, region.xbar))
+    for highs, poly in _regions(P.packed(), region.xbar):
+        if highs == region.highs:
+            return MultiPoly.from_packed(poly)
+    raise ValueError(f"no region {region.label} at split point {region.xbar}")
 
 
 def region_to_original(region: RegionSpec, point) -> list[Fraction]:
@@ -97,9 +79,8 @@ def orthant_split(P: MultiPoly, xbar: Fraction):
         raise ValueError("cannot split the zero polynomial")
     if xbar < 0:
         raise ValueError("split point must be non-negative")
-    prefixes = [((), P.packed())]
-    return [(r, MultiPoly.from_packed(_region_node(prefixes, r.highs, xbar)))
-            for r in _region_specs(P.nvars, xbar)]
+    return [(RegionSpec(highs, xbar), MultiPoly.from_packed(poly))
+            for highs, poly in _regions(P.packed(), xbar)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +411,9 @@ def prove_nonneg(
 
     Returns a certificate whose verdict is Proven, Disproven (with an exact
     negative witness in the original coordinates), or Fail at the depth limit
-    or when xbar = 0 leaves a region unfinitized. Regions and sub-boxes are
-    visited depth first from one stack; the dyadic grid is searched once,
-    just before the first region would be subdivided.
+    or when xbar = 0 leaves a region unfinitized. Regions are visited in
+    turn, each with its sub-boxes depth first; the dyadic grid is searched
+    once, just before the first region would be subdivided.
     """
     if not isinstance(xbar, (int, Fraction)):
         raise TypeError(f"xbar must be an int or Fraction, got {type(xbar).__name__}")
@@ -450,46 +431,43 @@ def prove_nonneg(
         nodes=[],
     )
     packed = P.packed()
-    prefixes = [((), packed)]
-    stack = [(region, None, None, (region.label,))
-             for region in reversed(_region_specs(P.nvars, xbar))]
     grid_tried = False
-    while stack:
-        region, P_fin, box, path = stack.pop()
-        if box is None:
-            mapped = _region_node(prefixes, region.highs, xbar)
-        else:
-            mapped = box_map_packed(P_fin, box.bounds)
-        status, outcomes, local = _run_tests(mapped)
-        node = CertNode(path, region, box, digest_packed(mapped), outcomes, status)
-        cert.nodes.append(node)
-        point = None
-        if status == "refute" and box is None:
-            point = region_to_original(region, local)
-        elif status == "refute":
-            point = finitized_to_original(region, boxed_to_box(box, local))
-        elif status == "split" and box is None:
-            if xbar == 0:
-                node.status = "cannot-finitize"
-                continue
-            if not grid_tried:
-                grid_tried = True
-                point = _grid_negative(packed)
-            if point is None:
-                P_fin, box = _finitize(packed, region)
-        if point is not None:
-            value = P.evaluate(point)
-            if value >= 0:
-                raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
-            cert.verdict = "Disproven"
-            cert.witness = point
-            cert.witness_value = value
-            return cert
-        if status == "split" and len(path) > depth_limit:
-            cert.nodes.append(CertNode(path, region, box, "", [], "depth-limit"))
-        elif status == "split":
-            stack.extend((region, P_fin, child, path + (bits,))
-                         for bits, child in reversed(subdivide(box)))
+    for highs, poly in _regions(packed, xbar):
+        region = RegionSpec(highs, xbar)
+        P_fin = None
+        stack = [(None, (region.label,))]
+        while stack:
+            box, path = stack.pop()
+            mapped = poly if box is None else box_map_packed(P_fin, box.bounds)
+            status, outcomes, local = _run_tests(mapped)
+            node = CertNode(path, region, box, digest_packed(mapped), outcomes, status)
+            cert.nodes.append(node)
+            point = None
+            if status == "refute" and box is None:
+                point = region_to_original(region, local)
+            elif status == "refute":
+                point = finitized_to_original(region, boxed_to_box(box, local))
+            elif status == "split" and box is None:
+                if xbar == 0:
+                    node.status = "cannot-finitize"
+                    continue
+                if not grid_tried:
+                    grid_tried = True
+                    point = _grid_negative(packed)
+                if point is None:
+                    P_fin, box = _finitize(packed, region)
+            if point is not None:
+                value = P.evaluate(point)
+                if value >= 0:
+                    raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
+                cert.verdict = "Disproven"
+                cert.witness = point
+                cert.witness_value = value
+                return cert
+            if status == "split" and len(path) > depth_limit:
+                cert.nodes.append(CertNode(path, region, box, "", [], "depth-limit"))
+            elif status == "split":
+                stack.extend((child, path + (bits,)) for bits, child in reversed(subdivide(box)))
 
     statuses = {node.status for node in cert.nodes}
     if "depth-limit" in statuses or "cannot-finitize" in statuses:

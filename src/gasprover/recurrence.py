@@ -59,6 +59,8 @@ class Equilibrium:
 
 def parse_rde(text: str, order: int | None = None) -> RecurrenceSpec:
     """Parse a recurrence right-hand side, rejecting negative coefficients."""
+    if order is not None and order < 1:
+        raise ValueError("order must be >= 1")
     rf = parse_ratfun(text, order)
     num, den = rf.num, rf.den
     if num.is_zero():

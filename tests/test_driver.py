@@ -308,6 +308,14 @@ class TestCliInputErrors:
         assert main(["positivity", "--poly", "x0/(x0-x0)", "--xbar", "1"]) == 3
         assert "division by zero" in capsys.readouterr().err
 
+    def test_order_below_one(self, capsys):
+        webbook = ["webbook", "--template", "b*x0", "--range", "b=1..2", "--count", "1",
+                   "--seed", "1", "--order", "0"]
+        for argv in (["prove", "--rde", "5", "--order", "0"],
+                     ["prove-k", "--rde", "5", "--k", "1", "--order", "0"], webbook):
+            assert main(argv) == 3
+            assert "order must be >= 1" in capsys.readouterr().err
+
     def test_deep_nesting(self, capsys):
         rde = "(" * 400 + "4+x0" + ")" * 400 + "/(1+x1)"
         assert main(["prove", "--rde", rde]) == 3

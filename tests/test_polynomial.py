@@ -35,6 +35,11 @@ def _packed(p, packing):
     return {packing.pack(e): int(c) for e, c in p.terms.items()}
 
 
+def _one_hot(nvars, var, mu):
+    """The offsets of `MultiPoly.shift` that move x_var alone, by mu."""
+    return [mu if i == var else F(0) for i in range(nvars)]
+
+
 class TestArith:
     def test_add_cancellation(self):
         assert P("x0+1") + P("x0-1") == P("2*x0")
@@ -188,7 +193,8 @@ class TestBoxMap:
             for i, (a, b) in enumerate(bounds):
                 d = q.degree_in(i)
                 multiplier *= (v[i] + 1 / (b - a)) ** d
-                q = q._shift_one(i, a).invert_var(i)._shift_one(i, 1 / (b - a))
+                q = q.shift(_one_hot(2, i, a)).invert_var(i)
+                q = q.shift(_one_hot(2, i, 1 / (b - a)))
             assert mapped.evaluate(v) == p.evaluate(back) * multiplier
             assert all(a < x <= b for x, (a, b) in zip(back, bounds))
 
@@ -443,7 +449,8 @@ class TestKernelsMatchFractionReference:
         for p in cases:
             for var in range(p.nvars):
                 mu = F(rng.randrange(-9, 10), rng.randrange(1, 8))
-                _assert_matches(p._shift_one(var, mu), _ref_shift_one(p, var, mu))
+                one_axis = _one_hot(p.nvars, var, mu)
+                _assert_matches(p.shift(one_axis), _ref_shift(p, one_axis))
             offsets = [F(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(p.nvars)]
             _assert_matches(p.shift(offsets), _ref_shift(p, offsets))
             bounds = []
@@ -534,7 +541,7 @@ class TestKernelsMatchFractionReference:
         assert got == _ref_mul(P("x0-x1"), P("x0+x1")) == P("x0^2-x1^2")
         assert set(got.terms) == {(2, 0), (0, 2)}
         _assert_clean(got)
-        shifted = P("x0^2-2*x0+1/2*x1+1", 2)._shift_one(0, F(1))
+        shifted = P("x0^2-2*x0+1/2*x1+1", 2).shift([F(1), F(0)])
         assert shifted == P("x0^2+1/2*x1")
         assert set(shifted.terms) == {(2, 0), (0, 1)}
         _assert_clean(shifted)

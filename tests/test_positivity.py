@@ -72,6 +72,8 @@ class TestOrthantSplit:
         region, q = split[0]
         assert region.highs == (True, True)
         assert q == p
+        with pytest.raises(ValueError):
+            positivity.region_poly(p, positivity.RegionSpec((True, False), F(0)))
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -847,8 +849,9 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
     """The certificate of the Fraction engine, and the polynomial of each node."""
     cert = positivity.ProofCertificate(p.digest(), p.nvars, xbar, depth_limit, "Proven", [])
     polys = []
-    stack = [(r, None, None, (r.label,))
-             for r in reversed(positivity._region_specs(p.nvars, xbar))]
+    regions = [positivity.RegionSpec(highs, xbar) for highs in itertools.product(
+        (True, False) if xbar else (True,), repeat=p.nvars)]
+    stack = [(r, None, None, (r.label,)) for r in reversed(regions)]
     grid_tried = False
     while stack:
         region, fin, box, path = stack.pop()

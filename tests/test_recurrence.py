@@ -72,6 +72,12 @@ class TestParseRde:
         spec = parse_rde("x0+1", 3)
         assert spec.order == 3
 
+    def test_order_below_one_rejected(self):
+        # order 0 parses a map in no variables, whose contraction polynomial is zero
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                parse_rde("5", order)
+
     def test_equal_specs_hash_alike(self):
         # the parser does not cancel (1+x0), so the two dens differ
         a, b = parse_rde("x0*(1+x0)/((1+x0)*(2+x0))"), parse_rde("x0/(2+x0)")
