@@ -104,6 +104,8 @@ def _prove_k(
     """prove_k's result and the contraction polynomial it decided."""
     if K < 1:
         raise ValueError("K must be >= 1")
+    if depth_limit < 0:
+        raise ValueError("depth_limit must be >= 0")
     t0 = time.perf_counter()
     eq = find_equilibrium(spec)
     timings = {"equilibrium": time.perf_counter() - t0}
@@ -123,6 +125,8 @@ def prove(
     """
     if maxK < 1:
         raise ValueError("maxK must be >= 1")
+    if depth_limit < 0:
+        raise ValueError("depth_limit must be >= 0")
     t0 = time.perf_counter()
     eq = find_equilibrium(spec)
     timings = {"equilibrium": time.perf_counter() - t0}
@@ -228,6 +232,8 @@ def webbook(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if depth_limit < 0:
+        raise ValueError("depth_limit must be >= 0")
     for name, (lo, hi) in ranges.items():
         if not re.fullmatch(r"[A-Za-z_]\w*", name) or re.fullmatch(r"x\d+", name):
             raise ValueError(f"invalid parameter name: {name}")

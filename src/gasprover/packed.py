@@ -14,17 +14,20 @@ positivity prover: `shift_packed`, the Taylor shift x_i -> x_i + p/q, which
 moves keys by multiples of `units[i]`; `invert_packed`, x_i -> 1/x_i cleared
 by x_i^deg; and `box_map_packed`, which composes the two.  None of them
 raises the degree in any one variable, so a layout sized for the sum of
-those degrees holds every polynomial they derive.
+those degrees holds every polynomial they derive.  The one digest and the one
+exact evaluation, of `MultiPoly`s too, are `digest_packed` and `evaluate_packed`.
 
 Each kernel fixes the order of the terms it returns, and none changes its
 operands.
 """
 from __future__ import annotations
 
+import hashlib
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb
+from math import comb, gcd
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -226,3 +229,40 @@ def box_map_packed(poly: PackedPoly, bounds) -> PackedPoly:
         width = b - a
         poly = shift_packed(invert_packed(poly, i), i, width.denominator, width.numerator)
     return poly
+
+
+def digest_packed(poly: PackedPoly) -> str:
+    """SHA-256 of "nvars=<n>;" and the terms' "exponents:coefficient" joined by ";", in
+    descending grlex order (that of the keys), each coefficient c/den reduced."""
+    packing, terms, den = poly
+    shifts, mask = packing.shifts, packing.mask
+    parts = []
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        g = gcd(c, den)
+        exps = ",".join([str((k >> s) & mask) for s in shifts])
+        parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
+    canon = f"nvars={poly.nvars};" + ";".join(parts)
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def evaluate_packed(poly: PackedPoly, point: Sequence[Fraction]) -> Fraction:
+    """The exact value at `point`, summed in integers.
+
+    With x_i = a_i/b_i and d_i the degree in x_i, den * prod b_i^d_i * poly
+    is an integer at the point; its term c*x^e is c times prod_i of
+    a_i^e_i * b_i^(d_i - e_i), read from one power table per variable.
+    """
+    packing, terms, den = poly
+    shifts, mask = packing.shifts, packing.mask
+    tables = []
+    for i, p in enumerate(point):
+        d = packing.degree_in(terms, i)
+        tables.append([p.numerator ** e * p.denominator ** (d - e) for e in range(d + 1)])
+        den *= p.denominator ** d
+    total = 0
+    for k, c in terms.items():
+        for table, s in zip(tables, shifts):
+            c *= table[(k >> s) & mask]
+        total += c
+    return Fraction(total, den)

@@ -10,9 +10,9 @@ so they can be shared freely.
 
 Products run the term-pair loop of `packed.mul_packed`, and shifts,
 inversions and box maps the kernels of `packed.PackedPoly`, on integer
-coefficients and packed exponents; each output term is unpacked once.
-`digest_packed` hashes a `PackedPoly` to the digest of the same polynomial
-as a `MultiPoly`.
+coefficients and packed exponents, and digests and evaluation are those of
+`packed()`, which is made once.  `from_packed` keeps its integers and makes
+the Fraction terms on first read.
 
 A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
 place that normalises a denominator, and the parser, which owns the
@@ -20,14 +20,14 @@ arithmetic on (num, den) pairs, calls it only to divide.
 """
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .packed import (Exponents, PackedPoly, Packing, box_map_packed, drop_zeros,
-                     invert_packed, mul_packed, power_by_squaring, shift_packed)
+from .packed import (Exponents, PackedPoly, Packing, box_map_packed, digest_packed, drop_zeros,
+                     evaluate_packed, invert_packed, mul_packed, power_by_squaring, shift_packed)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,7 +49,7 @@ def grlex_key(exps: Exponents):
 class MultiPoly:
     """Sparse multivariate polynomial: exponent vectors -> nonzero Fractions."""
 
-    __slots__ = ("nvars", "terms", "_hash", "_digest")
+    __slots__ = ("nvars", "terms", "_hash", "_digest", "_packed")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction]):
         if nvars < 0:
@@ -68,6 +68,7 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -101,6 +102,7 @@ class MultiPoly:
         object.__setattr__(poly, "terms", drop_zeros(terms))
         object.__setattr__(poly, "_hash", None)
         object.__setattr__(poly, "_digest", None)
+        object.__setattr__(poly, "_packed", None)
         return poly
 
     @classmethod
@@ -130,21 +132,38 @@ class MultiPoly:
         return den, ((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
 
     def packed(self) -> PackedPoly:
-        """self on packed keys, in the layout that its shifts, inversions and box
-        maps keep: fields for the sum over i of the degree in x_i."""
-        packing = Packing(self.nvars, sum(map(max, zip(*self.terms))))
-        units = packing.units
-        den, scaled = self._integer_terms()
-        return PackedPoly(packing, {sum(map(mul, e, units)): c for e, c in scaled}, den)
+        """self on packed keys over its least positive denominator, made once, in
+        the layout its transforms keep: fields for the sum of its degrees in each x_i."""
+        if self._packed is None:
+            packing = Packing(self.nvars, sum(map(max, zip(*self.terms))))
+            units = packing.units
+            den, scaled = self._integer_terms()
+            object.__setattr__(self, "_packed", PackedPoly(
+                packing, {sum(map(mul, e, units)): c for e, c in scaled}, den))
+        return self._packed
 
     @classmethod
     def from_packed(cls, poly: PackedPoly) -> "MultiPoly":
-        return cls._from_integers(poly.nvars, poly.packing.unpack_terms(poly.terms), poly.den)
+        """`poly` kept as `packed()` of its terms would make it: gcd divided out,
+        re-keyed in order to that layout.  Its terms are made on first read."""
+        packing, terms, den = poly
+        g = reduce(gcd, terms.values(), den)
+        layout = Packing(poly.nvars, sum(packing.degree_in(terms, i) for i in range(poly.nvars)))
+        if layout.mask != packing.mask:
+            terms = {layout.pack(packing.exponents(k)): c for k, c in terms.items()}
+        if g > 1:
+            terms = {k: c // g for k, c in terms.items()}
+        out = object.__new__(_Unfilled)
+        object.__setattr__(out, "nvars", poly.nvars)
+        object.__setattr__(out, "_hash", None)
+        object.__setattr__(out, "_digest", None)
+        object.__setattr__(out, "_packed", PackedPoly(layout, terms, den // g))
+        return out
 
     # -- predicates / accessors -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._packed or self).terms
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
@@ -263,27 +282,10 @@ class MultiPoly:
     # -- evaluation and calculus ------------------------------------------
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """The exact value at `point`, summed in integers.
-
-        With x_i = a_i/b_i and d_i the degree in x_i, D * prod b_i^d_i * self
-        is an integer at the point; its term c*x^e is c times prod_i of
-        a_i^e_i * b_i^(d_i - e_i), read from one power table per variable.
-        """
+        """The exact value at `point`, by `evaluate_packed`."""
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
-        point = [_as_fraction(p) for p in point]
-        den, scaled = self._integer_terms()
-        tables = []
-        for i, p in enumerate(point):
-            d = self.degree_in(i)
-            tables.append([p.numerator ** e * p.denominator ** (d - e) for e in range(d + 1)])
-            den *= p.denominator ** d
-        total = 0
-        for exps, c in scaled:
-            for table, e in zip(tables, exps):
-                c *= table[e]
-            total += c
-        return Fraction(total, den)
+        return evaluate_packed(self.packed(), [_as_fraction(p) for p in point])
 
     def diff(self, var: int) -> "MultiPoly":
         if not 0 <= var < self.nvars:
@@ -391,33 +393,26 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self!s})"
 
     def digest(self) -> str:
-        """Stable SHA-256 digest of the canonical term list, computed once."""
+        """`digest_packed` of self, computed once."""
         if self._digest is None:
-            digest = _digest(self.nvars, (
-                f"{','.join(map(str, e))}:{c}" for e, c in self.sorted_terms()))
-            object.__setattr__(self, "_digest", digest)
+            object.__setattr__(self, "_digest", digest_packed(self.packed()))
         return self._digest
 
 
-def _digest(nvars: int, terms: Iterable[str]) -> str:
-    """SHA-256 of the canonical text: nvars, then "exponents:coefficient" for
-    each term in descending grlex order, the coefficient as a reduced fraction."""
-    canon = f"nvars={nvars};" + ";".join(terms)
-    return hashlib.sha256(canon.encode()).hexdigest()
+class _Unfilled(MultiPoly):
+    """A `from_packed` polynomial until `terms` is read: only it has `__getattr__`,
+    Python's hook for an unset slot, since that slows every attribute read."""
 
+    __slots__ = ()
 
-def digest_packed(poly: PackedPoly) -> str:
-    """`MultiPoly.digest` of the same polynomial, from the integers: packed keys
-    sort in grlex order, and each c/den is reduced by gcd(c, den)."""
-    packing, terms, den = poly
-    shifts, mask = packing.shifts, packing.mask
-    parts = []
-    for k in sorted(terms, reverse=True):
-        c = terms[k]
-        g = gcd(c, den)
-        exps = ",".join([str((k >> s) & mask) for s in shifts])
-        parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
-    return _digest(poly.nvars, parts)
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(f"'MultiPoly' object has no attribute {name!r}")
+        packing, ints, den = self._packed
+        terms = MultiPoly._from_integers(self.nvars, packing.unpack_terms(ints), den).terms
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "__class__", MultiPoly)
+        return terms
 
 
 class RatFun:

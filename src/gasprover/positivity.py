@@ -12,14 +12,16 @@ certificate, which is checked by proving again and comparing node for node,
 and refutations carry an exact witness point in the original coordinates.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
-positive denominator, in the one layout of P that its transforms keep.  The
-region substitutions act on one axis at a time and commute, so one recursive
-generator makes the regions, mapping axis i once for all regions that share
-their first i axes (2 + 4 + 8 one-axis transforms for three variables, not
-24), and only as the regions are reached.  The tests read signs,
-degrees and supports from the integers and the keys, and make Fractions only
-for the values a certificate records.  The public transforms and tests take
-and return `MultiPoly`s: they pack, run the same code and unpack.
+positive denominator, in the one layout of P that its transforms keep.
+`prove_nonneg` reads P only packed; at xbar = 0 its one region is P, digested once.
+The region substitutions act on one axis at a time and commute, so one
+recursive generator makes the regions, mapping axis i once for all regions
+that share their first i axes (2 + 4 + 8 one-axis transforms for three
+variables, not 24), and only as the regions are reached.  The tests read
+signs, degrees and supports from the integers and the keys, and make
+Fractions only for the values a certificate records.  The public transforms
+and tests take `MultiPoly`s and run the same code on the packed form; the
+transforms return `MultiPoly.from_packed` results.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
                           certificate_document, certificate_from_json, certificate_to_json)
 from .packed import PackedPoly, box_map_packed, invert_packed, shift_packed
-from .polynomial import MultiPoly, digest_packed
+from .polynomial import MultiPoly, digest_packed, evaluate_packed
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +424,9 @@ def prove_nonneg(
         raise ValueError("cannot prove the zero polynomial non-negative")
     if xbar < 0:
         raise ValueError("split point must be non-negative")
+    if depth_limit < 0:
+        raise ValueError("depth_limit must be >= 0")
+    packed = P.packed()
     cert = ProofCertificate(
         input_digest=P.digest(),
         nvars=P.nvars,
@@ -430,7 +435,6 @@ def prove_nonneg(
         verdict="Proven",
         nodes=[],
     )
-    packed = P.packed()
     grid_tried = False
     for highs, poly in _regions(packed, xbar):
         region = RegionSpec(highs, xbar)
@@ -440,7 +444,9 @@ def prove_nonneg(
             box, path = stack.pop()
             mapped = poly if box is None else box_map_packed(P_fin, box.bounds)
             status, outcomes, local = _run_tests(mapped)
-            node = CertNode(path, region, box, digest_packed(mapped), outcomes, status)
+            # at xbar = 0 the one region is P itself, already digested
+            digest = cert.input_digest if mapped is packed else digest_packed(mapped)
+            node = CertNode(path, region, box, digest, outcomes, status)
             cert.nodes.append(node)
             point = None
             if status == "refute" and box is None:
@@ -457,7 +463,7 @@ def prove_nonneg(
                 if point is None:
                     P_fin, box = _finitize(packed, region)
             if point is not None:
-                value = P.evaluate(point)
+                value = evaluate_packed(packed, point)
                 if value >= 0:
                     raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
                 cert.verdict = "Disproven"
@@ -486,9 +492,9 @@ def prove_nonneg(
 def replay_certificate(cert: ProofCertificate, P: MultiPoly) -> bool:
     """Check cert by proving P again at its xbar and depth_limit: True iff the
     new certificate equals cert node for node, so a replay costs one prove.
-    False for another polynomial, a negative xbar or the zero polynomial.
+    False for another polynomial, a negative xbar or depth limit, or P = 0.
     """
-    if P.digest() != cert.input_digest or P.is_zero() or cert.xbar < 0:
+    if P.digest() != cert.input_digest or P.is_zero() or cert.xbar < 0 or cert.depth_limit < 0:
         return False
     new = prove_nonneg(P, cert.xbar, cert.depth_limit)
     return certificate_document(new) == certificate_document(cert)

@@ -9,8 +9,8 @@ Euclidean distance to the equilibrium.
 Q^K and P are built on the integer polynomials of `packed`, from the first
 composition to the finished P, all packed by one layout whose fields fit a
 degree bound computed before the build starts.  Denominators stay factored
-over a pool of primitive integer polynomials, and Fractions are made only for
-what `q_power` and `build_contraction_poly` return.
+over a pool of primitive integer polynomials.  `q_power` makes Fractions at
+once; P keeps the build's integers and makes its Fractions on first read.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import univariate as uni
-from .packed import Packing, add_packed, divide_packed, mul_packed, pow_packed
+from .packed import PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed
 from .parsing import ParseError, parse_ratfun
 from .polynomial import MultiPoly, RatFun
 
@@ -311,10 +311,17 @@ def _vanishes_on_diagonal(f: dict, x: Fraction, packing: Packing) -> bool:
     return not sum(c * p ** d * q ** (deg - d) for c, d in zip(f.values(), degrees))
 
 
-def _contraction_terms(
-    spec: RecurrenceSpec, xbar: Fraction, K: int
-) -> tuple[Packing, dict, int]:
-    """P as (layout, integer terms, positive denominator); see build_contraction_poly."""
+def build_contraction_poly(
+    spec: RecurrenceSpec, eq: Equilibrium, K: int
+) -> MultiPoly:
+    """Numerator of |X - Xbar|^2 - |Q^K(X) - Xbar|^2.
+
+    Denominators are cleared by the least common multiple of the squared
+    component denominators, which is positive on the domain, so the result has
+    the same sign as the norm difference at every domain point.  The build
+    runs in integers, and P keeps them (`MultiPoly.from_packed`) for the
+    positivity engine; its Fractions are made only if its terms are read.
+    """
     pool: list[dict] = []
     powers: dict = {}
     packing, components = _q_power_factored(spec, K, pool, powers)
@@ -325,12 +332,12 @@ def _contraction_terms(
             lcm_factors[f] = max(lcm_factors[f], 2 * mult)
 
     # Every exponent in lcm_factors is even, so lcm_poly(xbar) > 0 iff no factor vanishes.
-    assert not any(_vanishes_on_diagonal(pool[f], xbar, packing) for f in lcm_factors)
+    assert not any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in lcm_factors)
     lcm_poly = _expand_factors(lcm_factors, pool, powers)
 
     # Every summand is kept over the one denominator (s*q)^2, where xbar = p/q
     # and s is the lcm of the components' numerator denominators a.
-    p, q = xbar.numerator, xbar.denominator
+    p, q = eq.value.numerator, eq.value.denominator
     s = lcm(*(a for _, a, _ in components))
     dist: dict = {}
     for x_i in packing.units:
@@ -349,20 +356,4 @@ def _contraction_terms(
         result = add_packed(
             result, mul_packed(mul_packed(g, g), _expand_factors(cofactor, pool, powers)), -1
         )
-    return packing, result, (s * q) ** 2
-
-
-def build_contraction_poly(
-    spec: RecurrenceSpec, eq: Equilibrium, K: int
-) -> MultiPoly:
-    """Numerator of |X - Xbar|^2 - |Q^K(X) - Xbar|^2.
-
-    Denominators are cleared by the least common multiple of the squared
-    component denominators, which is positive on the domain, so the result has
-    the same sign as the norm difference at every domain point.  The build
-    runs in integers; the packed terms are freed before the Fractions of P
-    are made.
-    """
-    packing, terms, den = _contraction_terms(spec, eq.value, K)
-    terms = packing.unpack_terms(terms)
-    return MultiPoly._from_integers(spec.order, terms, den)
+    return MultiPoly.from_packed(PackedPoly(packing, result, (s * q) ** 2))

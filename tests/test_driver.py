@@ -45,6 +45,29 @@ class TestProveK:
         with pytest.raises(ValueError):
             prove_k(parse_rde("1/2*x0"), 0)
 
+    def test_negative_depth_limit_rejected(self):
+        # "2*x0" is unstable, so prove() would answer before any proof
+        spec = parse_rde("2*x0")
+        for call in (lambda: prove_k(spec, 1, -1), lambda: prove(spec, 4, -1),
+                     lambda: webbook("b*x0", {"b": (F(0), F(1))}, 1, 1, depth_limit=-1)):
+            with pytest.raises(ValueError, match="depth_limit must be >= 0"):
+                call()
+
+    def test_proof_path_makes_no_fractions_of_P(self, monkeypatch):
+        built = []
+
+        def keeping(spec, eq, K):
+            built.append(build_contraction_poly(spec, eq, K))
+            return built[-1]
+
+        monkeypatch.setattr(gasprover.driver, "build_contraction_poly", keeping)
+        assert prove_k(parse_rde("x2/(2+x0+x1+x2)"), 3).verdict == "true"
+        assert prove(parse_rde("(4+x0)/(1+x1)")).verdict == "true"
+        assert len(built) == 6
+        for P in built:
+            with pytest.raises(AttributeError):
+                object.__getattribute__(P, "terms")
+
 
 class TestProve:
     def test_benchmark(self):
@@ -315,6 +338,15 @@ class TestCliInputErrors:
                      ["prove-k", "--rde", "5", "--k", "1", "--order", "0"], webbook):
             assert main(argv) == 3
             assert "order must be >= 1" in capsys.readouterr().err
+
+    def test_negative_depth(self, capsys):
+        webbook = ["webbook", "--template", "b*x0", "--range", "b=1..2", "--count", "1",
+                   "--seed", "1"]
+        for argv in (["prove", "--rde", "(4+x0)/(1+x1)"],
+                     ["prove-k", "--rde", "(4+x0)/(1+x1)", "--k", "1"],
+                     ["positivity", "--poly", "x0+1", "--xbar", "1"], webbook):
+            assert main(argv + ["--depth", "-1"]) == 3
+            assert "depth_limit must be >= 0" in capsys.readouterr().err
 
     def test_deep_nesting(self, capsys):
         rde = "(" * 400 + "4+x0" + ")" * 400 + "/(1+x1)"

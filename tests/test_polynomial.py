@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from gasprover.parsing import parse_poly, parse_ratfun
-from gasprover.packed import Packing, divide_packed
+from gasprover.packed import PackedPoly, Packing, divide_packed
 from gasprover.polynomial import MultiPoly, RatFun, digest_packed, grlex_key
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
@@ -469,6 +469,14 @@ class TestKernelsMatchFractionReference:
                 assert type(got) is Fraction and got == _ref_evaluate(p, point)
             assert digest_packed(p.packed()) == p.digest()
             assert MultiPoly.from_packed(p.packed()) == p
+            # from_packed divides out a common factor and re-keys to p's layout
+            packed = p.packed()
+            wide = Packing(p.nvars, 2 * packed.packing.mask + 1)
+            exps = packed.packing.unpack_terms(packed.terms)
+            scaled = PackedPoly(wide, {wide.pack(e): 6 * c for e, c in exps.items()}, 6 * packed.den)
+            kept = MultiPoly.from_packed(scaled).packed()
+            assert kept.packing.mask == packed.packing.mask and kept.den == packed.den
+            assert list(kept.terms.items()) == list(packed.terms.items())
         # a witness of the third-order map's K = 3 polynomial (223 terms)
         spec = parse_rde("(2+x0)/(1+x1+x2)")
         big = build_contraction_poly(spec, find_equilibrium(spec), 3)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasprover import positivity
+from gasprover import polynomial, positivity
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly, digest_packed
 from gasprover.positivity import (
@@ -643,18 +643,36 @@ class TestProveNonneg:
         cert.xbar, cert.input_digest = F(1), zero.digest()
         assert not replay_certificate(cert, zero)
 
+    def test_negative_depth_limit_rejected(self):
+        p = P(EX2)
+        with pytest.raises(ValueError, match="depth_limit"):
+            prove_nonneg(p, F(1), -5)
+        cert = prove_nonneg(p, F(1), 10)
+        assert replay_certificate(cert, p)
+        cert.depth_limit = -1
+        assert not replay_certificate(cert, p)
+
+    def test_region_at_zero_split_point_reuses_the_input_digest(self, monkeypatch):
+        p = P("x0^2+x0*x1-x1+x1^2")
+        digested = []
+        monkeypatch.setattr(positivity, "digest_packed",
+                            lambda poly: digested.append(poly) or digest_packed(poly))
+        cert = prove_nonneg(p, 0, 3)
+        assert cert.nodes[0].path == ("NE",) and cert.nodes[0].box is None
+        assert cert.nodes[0].digest == cert.input_digest == digest_packed(p.packed())
+        assert len(cert.nodes) == 1 and not digested
+
     def test_replay_hashes_the_input_once(self, monkeypatch):
         p = P(EX2)
         cert = prove_nonneg(p, F(1), 10)
         fresh = P(EX2)
         built = []
-        sorted_terms = MultiPoly.sorted_terms
 
-        def counting(self):
-            built.append(self is fresh)
-            return sorted_terms(self)
+        def counting(poly):
+            built.append(poly is fresh.packed())
+            return digest_packed(poly)
 
-        monkeypatch.setattr(MultiPoly, "sorted_terms", counting)
+        monkeypatch.setattr(polynomial, "digest_packed", counting)
         assert replay_certificate(cert, fresh)
         assert built.count(True) == 1
         assert fresh.digest() == cert.input_digest

@@ -457,6 +457,63 @@ def _random_map(rng):
     return parse_rde(f"({part(True)})/({part(rng.random() < 0.8)})", order)
 
 
+class TestBuildKeepsPackedP:
+    """build_contraction_poly hands P over packed; its terms are made on first read."""
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        handed = []
+        from_packed = MultiPoly.from_packed
+
+        def keeping(poly):
+            handed.append(poly)
+            return from_packed(poly)
+
+        monkeypatch.setattr(MultiPoly, "from_packed", keeping)
+
+        def check(spec, xbar, K):
+            got = build_contraction_poly(spec, Equilibrium(xbar, spec.order), K)
+            packing, ints, den = handed[-1]
+            # the eager form: P's Fractions made from the build's integers at once
+            eager = MultiPoly._from_integers(spec.order, packing.unpack_terms(ints), den)
+            kept = got.packed()
+            with pytest.raises(AttributeError):
+                object.__getattribute__(got, "terms")
+            assert got.is_zero() == eager.is_zero()
+            want = MultiPoly(spec.order, eager.terms).packed()
+            assert kept.packing.mask == want.packing.mask
+            assert list(kept.terms.items()) == list(want.terms.items())
+            assert kept.den == want.den
+            assert got.digest() == eager.digest()
+            terms = got.terms
+            assert got.terms is terms and type(got) is MultiPoly
+            assert list(terms.items()) == list(eager.terms.items())
+            assert got == eager and hash(got) == hash(eager)
+            with pytest.raises(AttributeError):
+                got.terms = {}
+            with pytest.raises(AttributeError):
+                got.nvars = 0
+            return packing.mask, kept.packing.mask
+
+        return check
+
+    def test_random_maps(self, check):
+        # 40 maps cover every order with build layouts wider, equal and narrower
+        rng = random.Random(21)
+        for _ in range(40):
+            spec = _random_map(rng)
+            xbars = [rng.choice((F(1, 2), F(1), F(2), F(3, 2)))]
+            if spec.closed_domain:
+                xbars.append(F(0))
+            for xbar in xbars:
+                for K in (1, 2, 3, 4):
+                    check(spec, xbar, K)
+
+    def test_build_layout_narrower_than_the_engine_layout(self, check):
+        spec = parse_rde("x1/(2+x1)")
+        assert [check(spec, F(0), K) for K in (1, 2, 3)] == [(15, 15), (15, 31), (15, 31)]
+
+
 class TestBuildMatchesFractionReference:
     def test_random_maps(self):
         rng = random.Random(59)
