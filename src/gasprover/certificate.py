@@ -46,7 +46,7 @@ class BoxSpec:
 
 @dataclass(frozen=True)
 class TestOutcome:
-    test: str  # PosCoeffs | SubPolyN | LCoeff | Const | ZeroOnlyAtOrigin
+    test: str  # PosCoeffs | ZeroOnlyAtOrigin | SubPolyN | LCoeff | Const | Cones (regions only)
     result: str  # pass | fail | refute
     detail: dict = field(default_factory=dict)
 

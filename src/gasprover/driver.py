@@ -4,8 +4,9 @@ batch ("webbook") reporting.
 
 Verdicts follow a three-valued contract: "true" (global asymptotic stability
 proven, always with a Proven certificate attached), "false" (the equilibrium
-is not locally asymptotically stable, or an exact negative witness was found),
-and "FAIL" (the method was inconclusive within the given budgets).
+is not locally asymptotically stable, or an exact negative witness or an
+exact zero away from the equilibrium was found), and "FAIL" (the method was
+inconclusive within the given budgets).
 """
 from __future__ import annotations
 
@@ -51,11 +52,13 @@ class PipelineResult:
     timings: dict = field(default_factory=dict)
 
 
-# The pipeline verdict and reason for each positivity verdict.
+# The pipeline verdict and reason for each positivity verdict, and for the
+# one Fail reason that rules the K out: a zero of P away from x̄.
 _VERDICTS = {
     "Proven": ("true", "positivity-proven"),
     "Disproven": ("false", "negative-witness"),
     "Fail": ("FAIL", "positivity-undecided"),
+    "zero-off-xbar": ("false", "zero-off-xbar"),
 }
 
 
@@ -67,8 +70,9 @@ def _prove_step(
     adding the stage times to the running totals in `timings`; returns the
     result and the polynomial.
 
-    An identically-zero polynomial (periodic maps at even powers) is "false":
-    strict contraction demands strict positivity off the equilibrium.
+    An identically-zero polynomial (periodic maps at even powers) is "false",
+    and so is one with a zero away from x̄: strict contraction demands strict
+    positivity off the equilibrium.
     """
     t0 = time.perf_counter()
     P = build_contraction_poly(spec, eq, K)
@@ -81,7 +85,7 @@ def _prove_step(
     t0 = time.perf_counter()
     cert = prove_nonneg(P, eq.value, depth_limit)
     timings["positivity"] = timings.get("positivity", 0.0) + time.perf_counter() - t0
-    verdict, reason = _VERDICTS[cert.verdict]
+    verdict, reason = _VERDICTS.get(cert.fail_reason) or _VERDICTS[cert.verdict]
     return PipelineResult(
         verdict, reason, K=K, equilibrium=eq, certificate=cert, timings=timings,
     ), P
@@ -93,7 +97,8 @@ def prove_k(
     """Decide whether the given contraction exponent K works.
 
     "true" iff the contraction polynomial is proven non-negative on the
-    orthant; an identically-zero polynomial is "false".
+    orthant; an identically-zero polynomial, or one with a zero away from
+    x̄, is "false".
     """
     return _prove_k(spec, K, depth_limit)[0]
 

@@ -4,12 +4,17 @@ The orthant is split at the distinguished point xbar into 2^n regions, each
 mapped back onto the orthant by exact shift/inversion substitutions. Cheap
 coefficient tests certify or refute each region. Before the first
 inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
-grid, which refutes most false inputs at once; otherwise inconclusive regions
-are mapped onto a finite box. Each region's sub-boxes are visited depth first
-from one stack: each node is mapped onto the orthant and tested, and an
-inconclusive one pushes its 2^n half-boxes. The whole run is recorded as a
-certificate, which is checked by proving again and comparing node for node,
-and refutations carry an exact witness point in the original coordinates.
+grid, which refutes most false inputs at once. A region that vanishes to
+second order at its local origin, the xbar image, then gets the cone test: a
+blow-up of that point into n affine charts, each checked by signs. Otherwise
+inconclusive regions are mapped onto a finite box. Each region's sub-boxes
+are visited depth first from one stack: each node is mapped onto the orthant
+and tested, and an inconclusive one pushes its 2^n half-boxes. A box's local
+origin is its upper corner, the xbar image only on the all-1 chain of
+sub-boxes; a zero there anywhere else ends the run (`zero-off-xbar`). The
+whole run is recorded as a certificate, which is checked by proving again and
+comparing node for node, and refutations carry an exact witness point in the
+original coordinates.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.
@@ -30,7 +35,7 @@ from fractions import Fraction
 # the certificate types and JSON form are also importable from here
 from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
                           certificate_document, certificate_from_json, certificate_to_json)
-from .packed import PackedPoly, box_map_packed, invert_packed, shift_packed
+from .packed import PackedPoly, Packing, box_map_packed, invert_packed, shift_packed
 from .polynomial import MultiPoly, digest_packed, evaluate_packed
 
 
@@ -201,6 +206,42 @@ def _const(poly: PackedPoly) -> TestOutcome:
     return TestOutcome("Const", "refute" if const < 0 else "fail", {"constant": const})
 
 
+def _cones(poly: PackedPoly) -> TestOutcome:
+    """R > 0 on the orthant minus the origin, for R of order 2 at the origin,
+    by a blow-up of the origin into the n cones C_i = {y : y_i >= y_j}.
+
+    On C_i put y_i = t and y_j = t*v_j with v_j in [0, 1]: G_i(t, v) =
+    R(y)/t^2 has t-exponent |e| - 2 and v_j-exponent e_j, and G_i(0, v) is
+    the quadratic part q at a point whose i-th entry is 1.  With v_j =
+    1/(1 + w_j), every coefficient of positive t-degree being >= 0 gives
+    G_i(t, v) >= q(v) on the cone, and q(v) > 0 when q is positive definite.
+    """
+    packing, terms, den = poly
+    top = packing.top
+    if min(terms) >> top < 2:
+        raise ValueError("requires a zero constant and no linear terms")
+    minors = _leading_principal_minors(_quadratic_form(poly))
+    if not all(m > 0 for m in minors):
+        return TestOutcome("Cones", "fail", {"minors": minors, "reason": "not-positive-definite"})
+    n = packing.nvars
+    degrees = [packing.degree_in(terms, i) for i in range(n)]
+    # a chart term has t-degree <= deg R - 2 and v_j-degree <= deg_j R
+    chart = Packing(n, (max(terms) >> top) - 2 + sum(degrees))
+    rekeyed = [(chart.pack(packing.exponents(k)), k >> top, c) for k, c in terms.items()]
+    for i in range(n):
+        s, unit = chart.shifts[i], chart.units[i]
+        G = PackedPoly(chart, {k + (d - 2 - ((k >> s) & chart.mask)) * unit: c
+                               for k, d, c in rekeyed}, den)
+        for j in range(n):
+            if j != i:
+                G = shift_packed(invert_packed(G, j), j, 1, 1)
+        neg = [k for k, c in G.terms.items() if c < 0 and (k >> s) & chart.mask]
+        if neg:
+            detail = {"minors": minors, "cone": i, "negative_term": chart.exponents(max(neg))}
+            return TestOutcome("Cones", "fail", detail)
+    return TestOutcome("Cones", "pass", {"minors": minors})
+
+
 # The same tests on a MultiPoly.
 
 
@@ -222,6 +263,10 @@ def test_lcoeff(P: MultiPoly) -> TestOutcome:
 
 def test_const(P: MultiPoly) -> TestOutcome:
     return _const(P.packed())
+
+
+def test_cones(P: MultiPoly) -> TestOutcome:
+    return _cones(P.packed())
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +396,25 @@ def _grid_scan(terms: dict, shifts: list[int], mask: int, ks: list[int]) -> list
     integer polynomial `terms` is negative at y_i = 2^k_i, or None.
 
     `shifts` are the key fields of the variables still to substitute; the
-    substituted field (and any above it) is cut off each key.  A module-level
-    function, so that the recursion makes no reference cycle.
+    substituted field (and any above it) is cut off each key.  The last axis
+    is one integer polynomial, evaluated at each grid value by Horner's rule
+    in shifts.  A module-level function, so that the recursion makes no
+    reference cycle.
     """
-    if not shifts:
-        return [] if terms[0] < 0 else None
     s, rest_shifts = shifts[0], shifts[1:]
+    if not rest_shifts:
+        exps = [(key >> s) & mask for key in terms]
+        coeffs = [0] * (max(exps) + 1)
+        for e, c in zip(exps, terms.values()):
+            coeffs[e] += c
+        coeffs.reverse()
+        for k in ks:
+            value = 0
+            for c in coeffs:
+                value = (value << k) + c
+            if value < 0:
+                return [k]
+        return None
     low = (1 << s) - 1
     for k in ks:
         rest: dict = {}
@@ -412,10 +470,12 @@ def prove_nonneg(
     """Certify P >= 0 on the orthant (zero allowed only at the xbar corner image).
 
     Returns a certificate whose verdict is Proven, Disproven (with an exact
-    negative witness in the original coordinates), or Fail at the depth limit
-    or when xbar = 0 leaves a region unfinitized. Regions are visited in
-    turn, each with its sub-boxes depth first; the dyadic grid is searched
-    once, just before the first region would be subdivided.
+    negative witness in the original coordinates), or Fail at the depth limit,
+    when xbar = 0 leaves a region unfinitized, or at a box corner off the xbar
+    image where P = 0 (`zero-off-xbar`, with that corner as the witness).
+    Regions are visited in turn, each with its sub-boxes depth first; the
+    dyadic grid is searched once, just before the first region would be
+    subdivided, and the cone test runs on each region that would be.
     """
     if not isinstance(xbar, (int, Fraction)):
         raise TypeError(f"xbar must be an int or Fraction, got {type(xbar).__name__}")
@@ -453,14 +513,28 @@ def prove_nonneg(
                 point = region_to_original(region, local)
             elif status == "refute":
                 point = finitized_to_original(region, boxed_to_box(box, local))
+            elif box is not None and 0 not in mapped.terms and "0" in "".join(path[1:]):
+                # P = 0 at the box's upper corner, which is not the xbar image
+                point = finitized_to_original(region, [b for _, b in box.bounds])
+                if evaluate_packed(packed, point) != 0:
+                    raise RuntimeError(f"zero corner {point} is not a zero of P")
+                cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
+                cert.witness, cert.witness_value = point, Fraction(0)
+                return cert
             elif status == "split" and box is None:
-                if xbar == 0:
-                    node.status = "cannot-finitize"
-                    continue
-                if not grid_tried:
+                if xbar and not grid_tried:
                     grid_tried = True
                     point = _grid_negative(packed)
                 if point is None:
+                    # no constant and no linear terms: P vanishes to second order at xbar
+                    if min(mapped.terms) >> mapped.packing.top >= 2:
+                        outcomes.append(_cones(mapped))
+                        if outcomes[-1].result == "pass":
+                            node.status = "pass"
+                            continue
+                    if xbar == 0:
+                        node.status = "cannot-finitize"
+                        continue
                     P_fin, box = _finitize(packed, region)
             if point is not None:
                 value = evaluate_packed(packed, point)

@@ -19,6 +19,7 @@ from gasprover.positivity import (
     finitize,
     orthant_split,
     prove_nonneg,
+    replay_certificate,
     subdivide,
     test_subpoly_n as check_subpoly_n,
 )
@@ -355,3 +356,17 @@ def test_criterion_6_degenerate_paths(criterion):
         assert prove(spec, maxK=4).verdict == "FAIL"
 
         assert main(["prove", "--rde", "(1+x0)/(1+2*x0)", "--max-k", "4"]) == 3
+
+
+def test_criterion_7_third_order_maps_by_cones(criterion):
+    with criterion(7, "third-order maps proven at region level by cones"):
+        for rde, K in (("(2+x0)/(1+x1+x2)", 6), ("(1/2+x0)/(1+x1+x2)", 4)):
+            spec = parse_rde(rde)
+            result = prove(spec)
+            assert (result.verdict, result.K) == ("true", K)
+            cert = result.certificate
+            assert len(cert.nodes) == 8
+            assert all(n.box is None and n.status == "pass" for n in cert.nodes)
+            assert any(o.test == "Cones" for n in cert.nodes for o in n.outcomes)
+            P = build_contraction_poly(spec, result.equilibrium, K)
+            assert replay_certificate(cert, P)

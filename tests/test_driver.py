@@ -8,7 +8,7 @@ import gasprover.driver
 import gasprover.recurrence
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
-from gasprover.positivity import replay_certificate
+from gasprover.positivity import ProofCertificate, replay_certificate
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
@@ -40,6 +40,14 @@ class TestProveK:
         w = result.certificate.witness
         assert w is not None
         assert result.certificate.witness_value < 0
+
+    def test_zero_off_xbar_is_false_for_that_k(self, monkeypatch):
+        fail = ProofCertificate("", 2, F(2), 12, "Fail", [], [F(1), F(1)], F(0),
+                                "zero-off-xbar")
+        monkeypatch.setattr(gasprover.driver, "prove_nonneg", lambda *args: fail)
+        result = prove_k(parse_rde("(4+x0)/(1+x1)"), 1)
+        assert (result.verdict, result.reason) == ("false", "zero-off-xbar")
+        assert result.certificate is fail
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from gasprover.positivity import (
     subdivide,
     zero_only_at_origin,
 )
+from gasprover.positivity import test_cones as check_cones
 from gasprover.positivity import test_const as check_const
 from gasprover.positivity import test_lcoeff as check_lcoeff
 from gasprover.positivity import test_poscoeffs as check_poscoeffs
@@ -296,6 +297,90 @@ class TestLCoeffConst:
 
     def test_const_positive(self):
         assert check_const(P("x0+x1+8")).result == "fail"
+
+
+# x0^2 - x0*x1 + x1^2 plus terms of degree >= 3 that are not all >= 0
+CONE_PASS = "x0^2-x0*x1+x1^2+x0^3-x0^2*x1+x1^3"
+CONE_FAIL = "x0^2-x0*x1+x1^2-x0^2*x1+x0^4+x1^4"
+
+
+def _at_one(text):
+    """The polynomial with its origin moved to (1, 1)."""
+    return P(text.replace("x0", "(x0-1)").replace("x1", "(x1-1)"))
+
+
+class TestCones:
+    def test_pass(self):
+        out = check_cones(P(CONE_PASS))
+        assert out.result == "pass"
+        assert out.detail == {"minors": [1, F(3, 4)]}
+
+    def test_fail_on_a_negative_coefficient_of_positive_t_degree(self):
+        # chart 0 is 1 - v + v^2 - t*v + t^2*(1 + v^4), which is positive,
+        # but its t^1 coefficient is negative
+        out = check_cones(P(CONE_FAIL))
+        assert out.result == "fail"
+        assert out.detail["cone"] == 0 and out.detail["minors"] == [1, F(3, 4)]
+        assert out.detail["negative_term"][0] >= 1
+
+    def test_fail_when_not_positive_definite(self):
+        out = check_cones(P("x0^2-2*x0*x1+x1^2+x0^3"))
+        assert out.result == "fail"
+        assert out.detail == {"minors": [1, 0], "reason": "not-positive-definite"}
+
+    def test_precondition(self):
+        for text in ("x0^2+x1^2+1", "x0^2+x1^2+x0"):
+            with pytest.raises(ValueError, match="no linear terms"):
+                check_cones(P(text))
+
+    def test_region_passes_instead_of_splitting(self):
+        for p, xbar in ((P(CONE_PASS), F(0)), (_at_one(CONE_PASS + "+x0^4+x1^4"), F(1))):
+            cert = prove_nonneg(p, xbar, 2)
+            assert cert.verdict == "Proven"
+            assert all(n.box is None for n in cert.nodes)
+            ne = cert.nodes[0]
+            assert ne.status == "pass" and [o.test for o in ne.outcomes][-1] == "Cones"
+            assert replay_certificate(cert, p)
+
+    def test_failing_region_splits_as_before(self):
+        cert = prove_nonneg(_at_one(CONE_FAIL), F(1), 2)
+        ne = cert.nodes[0]
+        assert ne.path == ("NE",) and ne.status == "split"
+        assert (ne.outcomes[-1].test, ne.outcomes[-1].result) == ("Cones", "fail")
+        assert cert.nodes[1].path == ("NE", "00")
+
+    def test_never_runs_at_box_nodes(self, monkeypatch):
+        # q = (x0 - x1)^2 is only semi-definite, so regions NE and SW fail the
+        # test and split; their all-1 chains of boxes keep x̄ as the corner,
+        # with zero constant and no linear terms, and split too
+        tested = []
+        cones = positivity._cones
+        monkeypatch.setattr(positivity, "_cones",
+                            lambda poly: tested.append(digest_packed(poly)) or cones(poly))
+        p = P("(x0-x1)^2+(x1-1)^4")
+        cert = prove_nonneg(p, F(1), 2)
+        chain = [n for n in cert.nodes
+                 if n.path[1:] in {("11",), ("11", "11")} and n.status != "depth-limit"]
+        assert len(chain) == 4
+        for node in chain:
+            fin, _ = finitize(p, node.region)
+            assert min(map(sum, fin.box_map(node.box.bounds).terms)) == 2
+            assert node.status == "split"
+            assert "Cones" not in [o.test for o in node.outcomes]
+        assert tested == [n.digest for n in cert.nodes if n.path in {("NE",), ("SW",)}]
+
+    def test_claimed_pass_of_a_failing_region_is_rejected(self):
+        p = _at_one(CONE_FAIL)
+        cert = prove_nonneg(p, F(1), 2)
+        forged = certificate_from_json(certificate_to_json(cert))
+        forged.nodes = [n for n in forged.nodes if n.box is None]
+        forged.verdict, forged.fail_reason = "Proven", None
+        ne = forged.nodes[0]
+        ne.status = "pass"
+        ne.outcomes[-1] = positivity.TestOutcome(
+            "Cones", "pass", {"minors": ne.outcomes[-1].detail["minors"]})
+        assert replay_certificate(cert, p)
+        assert not replay_certificate(forged, p)
 
 
 class TestFinitize:
@@ -679,14 +764,33 @@ class TestProveNonneg:
         assert built.count(True) == 1
         assert not replay_certificate(cert, fresh + P("1", 2))
 
-    @pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: zero away from x̄ / on the boundary"
-    )
     @pytest.mark.parametrize(
-        "text, xbar", [("(x0-1)^2+(x1-1)^2", F(2)), ("x0^2+(x1-1)^2", F(1))]
+        "text, xbar",
+        [("(x0-1)^2+(x1-1)^2", F(2)),
+         pytest.param("x0^2+(x1-1)^2", F(1), marks=pytest.mark.xfail(
+             strict=True, reason="ROADMAP item 1: zero on the boundary"))],
     )
     def test_zero_off_the_split_point_is_not_proven(self, text, xbar):
         assert prove_nonneg(P(text), xbar, 10).verdict != "Proven"
+
+    def test_zero_off_xbar_ends_the_run_with_its_corner(self):
+        # (1, 1) is the upper corner of box SW/00, which is not the x̄ image
+        p = P("(x0-1)^2+(x1-1)^2")
+        cert = prove_nonneg(p, F(2), 10)
+        assert (cert.verdict, cert.fail_reason) == ("Fail", "zero-off-xbar")
+        assert cert.witness == [1, 1] and cert.witness_value == 0
+        assert cert.nodes[-1].path == ("SW", "00")
+        assert replay_certificate(cert, p)
+
+    def test_zero_at_the_xbar_image_of_a_box_passes(self):
+        # the all-1 chain of boxes keeps x̄ as its upper corner, where P = 0
+        p = P("3*(x0-1)^2-2*(x0-1)^2*(x1-1)+5*(x1-1)^2+(x0-1)^2*(x1-1)^3")
+        cert = prove_nonneg(p, F(1), 3)
+        assert cert.verdict == "Proven"
+        by_path = {n.path: n for n in cert.nodes}
+        for path in (("NE", "11"), ("NW", "11")):
+            assert by_path[path].status == "pass"
+            assert by_path[path].outcomes[0].detail == {"reason": "constant-zero"}
 
     def test_certificate_json_roundtrip(self):
         p = P(EX2)
@@ -813,14 +917,7 @@ def _ref_run_tests(p):
         outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
     else:
         n = p.nvars
-        A = [[F(0)] * n for _ in range(n)]
-        for exps, coeff in p.terms.items():
-            support = [i for i, e in enumerate(exps) if e]
-            if sum(exps) == 2 and len(support) == 1:
-                A[support[0]][support[0]] = coeff
-            elif sum(exps) == 2:
-                i, j = support
-                A[i][j] = A[j][i] = coeff / 2
+        A = _ref_quadratic_form(p)
         minors = positivity._leading_principal_minors(A)
         detail = {"minors": minors}
         if n == 2:
@@ -855,6 +952,40 @@ def _ref_run_tests(p):
     return "split", outcomes, None
 
 
+def _ref_quadratic_form(p):
+    n = p.nvars
+    A = [[F(0)] * n for _ in range(n)]
+    for exps, coeff in p.terms.items():
+        support = [i for i, e in enumerate(exps) if e]
+        if sum(exps) == 2 and len(support) == 1:
+            A[support[0]][support[0]] = coeff
+        elif sum(exps) == 2:
+            i, j = support
+            A[i][j] = A[j][i] = coeff / 2
+    return A
+
+
+def _ref_cones(p):
+    """The cone test by Fraction substitutions: on chart i the term c*y^e
+    becomes c*t^(|e|-2)*prod_j v_j^e_j, then each v_j -> 1/(1 + w_j)."""
+    minors = positivity._leading_principal_minors(_ref_quadratic_form(p))
+    if not all(m > 0 for m in minors):
+        return positivity.TestOutcome(
+            "Cones", "fail", {"minors": minors, "reason": "not-positive-definite"})
+    for i in range(p.nvars):
+        g = MultiPoly(p.nvars, {e[:i] + (sum(e) - 2,) + e[i + 1:]: c
+                                for e, c in p.terms.items()})
+        for j in range(p.nvars):
+            if j != i:
+                g = _ref_shift_one(_ref_invert_var(g, j), j, F(1))
+        neg = [e for e, c in g.terms.items() if c < 0 and e[i]]
+        if neg:
+            worst = max(neg, key=lambda e: (sum(e), e))
+            return positivity.TestOutcome(
+                "Cones", "fail", {"minors": minors, "cone": i, "negative_term": list(worst)})
+    return positivity.TestOutcome("Cones", "pass", {"minors": minors})
+
+
 def _ref_grid_negative(p):
     for js in itertools.product(_grid_exponents(p.nvars), repeat=p.nvars):
         point = [F(2) ** j for j in js]
@@ -884,13 +1015,25 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
         elif status == "refute":
             point = positivity.finitized_to_original(
                 region, positivity.boxed_to_box(box, local))
+        elif box is not None and mapped.constant_term() == 0 and any(
+                "0" in bits for bits in path[1:]):
+            corner = positivity.finitized_to_original(region, [b for _, b in box.bounds])
+            assert _ref_evaluate(p, corner) == 0
+            cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
+            cert.witness, cert.witness_value = corner, F(0)
+            return cert, polys
         elif status == "split" and box is None:
-            if xbar == 0:
-                node.status = "cannot-finitize"
-                continue
-            if not grid_tried:
+            if xbar and not grid_tried:
                 grid_tried = True
                 point = _ref_grid_negative(p)
+            if point is None and min(map(sum, mapped.terms)) >= 2:
+                outcomes.append(_ref_cones(mapped))
+                if outcomes[-1].result == "pass":
+                    node.status = "pass"
+                    continue
+            if point is None and xbar == 0:
+                node.status = "cannot-finitize"
+                continue
             if point is None:
                 fin, box = _ref_finitize(p, region), finitize(p, region)[1]
         if point is not None:
@@ -915,7 +1058,8 @@ def _reference_corpus():
     shifted sums of squares, and each of those with a term of degree
     sum_i deg_i added, which fills the total-degree field of the layout;
     depth limits 0-5, and 0-1 for three variables, where a split has eight
-    children.  The golden inputs that subdivide come first."""
+    children.  The golden inputs that subdivide come first; inputs whose
+    regions run the cone test, at x̄ > 0 and at x̄ = 0, come last."""
     rng = random.Random(103)
     inputs = [(P("6*x0^3+x0^2-4*x0+1"), F(1, 2), 5), (P(EX2), F(1), 5),
               (P("(x0-1/3)^2+(x1-1/3)^2"), F(1), 2)]
@@ -938,12 +1082,19 @@ def _reference_corpus():
             xbar = rng.choice([F(0), F(1, 2), F(1), F(2), F(3)])
             depth = rng.randrange(0, 6) if nvars < 3 else rng.randrange(0, 2)
             inputs.append((p, xbar, depth))
+    inputs += [
+        (_at_one(CONE_FAIL), F(1), 2),
+        (_at_one(CONE_PASS + "+x0^4+x1^4"), F(1), 2),
+        (P(CONE_PASS), F(0), 2),
+        (P("x0^2-2*x0*x1+x1^2+x0^3"), F(0), 2),
+        (P("x0^2+x1^2+x2^2-x0*x1+x0^3-x0*x1*x2+x2^3"), F(0), 1),
+    ]
     return inputs
 
 
 class TestEngineMatchesFractionReference:
     def test_regions_boxes_digests_outcomes_and_certificates(self):
-        endings = set()
+        endings, cones = set(), set()
         full_degree = 0
         for p, xbar, depth in _reference_corpus():
             want, polys = _ref_prove_nonneg(p, xbar, depth)
@@ -962,9 +1113,14 @@ class TestEngineMatchesFractionReference:
                     assert fin == _ref_finitize(p, node.region)
                     assert fin.box_map(node.box.bounds) == poly
             endings.add((got.verdict, any(n.box is not None for n in got.nodes)))
+            endings.add(got.fail_reason)
+            cones.update((o.result, o.detail.get("reason")) for n in got.nodes
+                         for o in n.outcomes if o.test == "Cones")
             full_degree += p.total_degree() == sum(map(p.degree_in, range(p.nvars)))
         assert endings >= {("Proven", False), ("Proven", True), ("Disproven", False),
-                           ("Disproven", True), ("Fail", False), ("Fail", True)}
+                           ("Disproven", True), ("Fail", False), ("Fail", True),
+                           "zero-off-xbar"}
+        assert cones == {("pass", None), ("fail", None), ("fail", "not-positive-definite")}
         assert full_degree >= 20
 
 

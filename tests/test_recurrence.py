@@ -11,6 +11,7 @@ import pytest
 from gasprover import recurrence
 from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.polynomial import MultiPoly, RatFun
+from gasprover.positivity import certificate_document, prove_nonneg
 from gasprover.recurrence import (
     Equilibrium,
     RecurrenceSpec,
@@ -243,8 +244,9 @@ class TestBuildContractionPoly:
 
 
 # SHA-256 of repr(list(P.terms.items())) for builds of the workload maps,
-# insertion order included: a faster kernel must give the same terms in the
-# same order, since certificate details depend on that order.
+# insertion order included, so a faster kernel must give the same terms in
+# the same order.  Certificates do not depend on that order: the tests read
+# max over keys and digests sort them, as the term-order test below checks.
 BUILD_PINS = [
     ("x2/(2+x0+x1+x2)", 3,
      "a38b80f0542fd0469855e1fadd4258b52f8e417efa563187c46b78e93014979d"),
@@ -269,6 +271,16 @@ class TestBuildPinned:
         spec = parse_rde(text)
         p = build_contraction_poly(spec, find_equilibrium(spec), K)
         assert hashlib.sha256(repr(list(p.terms.items())).encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("text,K,sha", BUILD_PINS)
+    def test_term_order_does_not_reach_the_certificate(self, text, K, sha):
+        spec = parse_rde(text)
+        eq = find_equilibrium(spec)
+        p = build_contraction_poly(spec, eq, K)
+        reversed_p = MultiPoly(p.nvars, dict(reversed(p.terms.items())))
+        assert list(reversed_p.terms) != list(p.terms)
+        assert certificate_document(prove_nonneg(reversed_p, eq.value)) == \
+            certificate_document(prove_nonneg(p, eq.value))
 
     def test_each_factor_power_raised_once(self, monkeypatch):
         pow_ = recurrence.pow_packed
