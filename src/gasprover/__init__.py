@@ -1,9 +1,10 @@
 """Exact prover for global asymptotic stability of rational difference
 equations, via polynomial positivity certificates on the positive orthant."""
 
-# positivity first: without a bytecode cache every import compiles the
+# polynomial first: without a bytecode cache every import compiles the
 # sources, and compiling the largest module while the fewest others are
 # loaded keeps the peak memory of the import down.
+from .polynomial import MultiPoly, RatFun
 from .positivity import (
     ProofCertificate,
     certificate_from_json,
@@ -13,7 +14,6 @@ from .positivity import (
 )
 from .driver import PipelineResult, prove, prove_k, webbook
 from .parsing import ParseError, parse_poly
-from .polynomial import MultiPoly, RatFun
 from .recurrence import (
     Equilibrium,
     RecurrenceSpec,

@@ -2,8 +2,10 @@
 
 A certificate records the region/box tree of one run: for each node its
 region or box, the digest of its polynomial, the test outcomes and its
-status, and the verdict with any witness.  Equal documents are equal
-proofs; `positivity.replay_certificate` checks one by proving again.
+status, and the verdict with any witness.  `checker.replay_certificate`
+checks one by its tree and witness, without proving again; it does not read
+the digests, the details or the failed outcomes, which record how the run
+went, not why the verdict holds.
 """
 from __future__ import annotations
 

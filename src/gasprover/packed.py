@@ -236,11 +236,15 @@ def digest_packed(poly: PackedPoly) -> str:
     descending grlex order (that of the keys), each coefficient c/den reduced."""
     packing, terms, den = poly
     shifts, mask = packing.shifts, packing.mask
+    field = [str(e) for e in range(mask + 1)]
     parts = []
     for k in sorted(terms, reverse=True):
         c = terms[k]
+        exps = ",".join([field[(k >> s) & mask] for s in shifts])
+        if den == 1:
+            parts.append(f"{exps}:{c}")
+            continue
         g = gcd(c, den)
-        exps = ",".join([str((k >> s) & mask) for s in shifts])
         parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
     canon = f"nvars={poly.nvars};" + ";".join(parts)
     return hashlib.sha256(canon.encode()).hexdigest()

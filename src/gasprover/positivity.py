@@ -12,9 +12,11 @@ are visited depth first from one stack: each node is mapped onto the orthant
 and tested, and an inconclusive one pushes its 2^n half-boxes. A box's local
 origin is its upper corner, the xbar image only on the all-1 chain of
 sub-boxes; a zero there anywhere else ends the run (`zero-off-xbar`). The
-whole run is recorded as a certificate, which is checked by proving again and
-comparing node for node, and refutations carry an exact witness point in the
-original coordinates.
+whole run is recorded as a certificate, and refutations carry an exact
+witness point in the original coordinates.  `checker.replay_certificate`
+checks a certificate by its tree and witness, without proving again; the
+region transforms, finitization, subdivision and the tests that can pass a
+node are the checker's, imported here, so that both run one definition.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.
@@ -32,33 +34,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# the certificate types and JSON form are also importable from here
+# the certificate types, JSON form and checker are also importable from here
 from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
                           certificate_document, certificate_from_json, certificate_to_json)
-from .packed import PackedPoly, Packing, box_map_packed, invert_packed, shift_packed
+from .checker import (_cones, _finitize, _poscoeffs, _regions, _subpoly_n, _zero_only_at_origin,
+                      replay_certificate, subdivide)
+from .packed import PackedPoly, box_map_packed
 from .polynomial import MultiPoly, digest_packed, evaluate_packed
 
 
 # ---------------------------------------------------------------------------
 # Region construction
 # ---------------------------------------------------------------------------
-
-
-def _regions(poly: PackedPoly, xbar: Fraction, highs: tuple[bool, ...] = ()):
-    """Yield (highs, region polynomial) for every region that extends `highs`,
-    all-high first (HH, HL, LH, LL), given `poly` with axes < len(highs) mapped.
-
-    Axis i maps x -> x + xbar if high, else x -> 1/(x + 1/xbar) cleared by
-    (x + 1/xbar)^d, once for all regions sharing highs[:i].  When xbar = 0
-    the only region is P itself, all high.
-    """
-    i = len(highs)
-    if i == poly.nvars or xbar == 0:
-        yield highs + (True,) * (poly.nvars - i), poly
-        return
-    p, q = xbar.numerator, xbar.denominator
-    yield from _regions(shift_packed(poly, i, p, q), xbar, highs + (True,))
-    yield from _regions(shift_packed(invert_packed(poly, i), i, q, p), xbar, highs + (False,))
 
 
 def region_poly(P: MultiPoly, region: RegionSpec) -> MultiPoly:
@@ -95,97 +82,6 @@ def orthant_split(P: MultiPoly, xbar: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def _poscoeffs(poly: PackedPoly) -> TestOutcome:
-    packing, terms, den = poly
-    neg = [k for k, c in terms.items() if c < 0]
-    if neg:  # report the grlex-largest negative term
-        k = max(neg)
-        detail = {"negative_term": packing.exponents(k), "coeff": Fraction(terms[k], den)}
-        return TestOutcome("PosCoeffs", "fail", detail)
-    const = terms.get(0, 0)
-    if const > 0:
-        return TestOutcome("PosCoeffs", "pass", {"constant": Fraction(const, den)})
-    return TestOutcome("PosCoeffs", "fail", {"reason": "constant-zero"})
-
-
-def _zero_only_at_origin(poly: PackedPoly) -> TestOutcome:
-    packing, terms, _ = poly
-    if any(c < 0 for c in terms.values()) or terms.get(0, 0) != 0:
-        raise ValueError("requires non-negative coefficients and zero constant")
-    n = packing.nvars
-    for subset in range(1, 2 ** n - 1):
-        # P vanishes where the subset's variables are zero and the others
-        # positive iff every term has a variable of the subset (a field set)
-        vanishing = [i for i in range(n) if (subset >> i) & 1]
-        fields = sum(packing.mask << packing.shifts[i] for i in vanishing)
-        if all(k & fields for k in terms):
-            return TestOutcome("ZeroOnlyAtOrigin", "fail", {"vanishing_subset": vanishing})
-    return TestOutcome("ZeroOnlyAtOrigin", "pass")
-
-
-def _leading_principal_minors(A: list[list[Fraction]]) -> list[Fraction]:
-    """Determinants of the leading k-by-k blocks, by exact Gaussian elimination."""
-    n = len(A)
-    minors = []
-    for k in range(1, n + 1):
-        m = [row[:k] for row in A[:k]]
-        det = Fraction(1)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if m[r][col] != 0), None)
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            for r in range(col + 1, k):
-                f = m[r][col] / m[col][col]
-                for c in range(col, k):
-                    m[r][c] -= f * m[col][c]
-        minors.append(det)
-    return minors
-
-
-def _quadratic_form(poly: PackedPoly) -> list[list[Fraction]]:
-    """Symmetric matrix of the degree-2 part, off-diagonal entries halved."""
-    packing, terms, den = poly
-    units = packing.units
-    n = len(units)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            c = terms.get(units[i] + units[j])
-            if c and i == j:
-                A[i][i] = Fraction(c, den)
-            elif c:
-                A[i][j] = A[j][i] = Fraction(c, 2 * den)
-    return A
-
-
-def _subpoly_n(poly: PackedPoly) -> TestOutcome:
-    # Every negative term must be a mixed quadratic x_i*x_j; the grlex-largest
-    # one that is not is reported, as in PosCoeffs.
-    packing, terms, _ = poly
-    top = packing.top
-    squares = {2 * u for u in packing.units}
-    bad = [k for k, c in terms.items() if c < 0 and (k >> top != 2 or k in squares)]
-    if bad:
-        detail = {"reason": "not-applicable", "negative_term": packing.exponents(max(bad))}
-        return TestOutcome("SubPolyN", "fail", detail)
-    A = _quadratic_form(poly)
-    minors = _leading_principal_minors(A)
-    detail: dict = {"minors": minors}
-    if packing.nvars == 2:
-        a, c = A[0][0], A[1][1]
-        b = 2 * A[0][1]
-        detail.update({"a": a, "b": b, "c": c, "d": 4 * a * c - b * b})
-    if all(m > 0 for m in minors):
-        return TestOutcome("SubPolyN", "pass", detail)
-    detail["reason"] = "not-positive-definite"
-    return TestOutcome("SubPolyN", "fail", detail)
-
-
 def _lcoeff(poly: PackedPoly) -> TestOutcome:
     packing, terms, _ = poly
     if not terms:
@@ -204,42 +100,6 @@ def _lcoeff(poly: PackedPoly) -> TestOutcome:
 def _const(poly: PackedPoly) -> TestOutcome:
     const = Fraction(poly.terms.get(0, 0), poly.den)
     return TestOutcome("Const", "refute" if const < 0 else "fail", {"constant": const})
-
-
-def _cones(poly: PackedPoly) -> TestOutcome:
-    """R > 0 on the orthant minus the origin, for R of order 2 at the origin,
-    by a blow-up of the origin into the n cones C_i = {y : y_i >= y_j}.
-
-    On C_i put y_i = t and y_j = t*v_j with v_j in [0, 1]: G_i(t, v) =
-    R(y)/t^2 has t-exponent |e| - 2 and v_j-exponent e_j, and G_i(0, v) is
-    the quadratic part q at a point whose i-th entry is 1.  With v_j =
-    1/(1 + w_j), every coefficient of positive t-degree being >= 0 gives
-    G_i(t, v) >= q(v) on the cone, and q(v) > 0 when q is positive definite.
-    """
-    packing, terms, den = poly
-    top = packing.top
-    if min(terms) >> top < 2:
-        raise ValueError("requires a zero constant and no linear terms")
-    minors = _leading_principal_minors(_quadratic_form(poly))
-    if not all(m > 0 for m in minors):
-        return TestOutcome("Cones", "fail", {"minors": minors, "reason": "not-positive-definite"})
-    n = packing.nvars
-    degrees = [packing.degree_in(terms, i) for i in range(n)]
-    # a chart term has t-degree <= deg R - 2 and v_j-degree <= deg_j R
-    chart = Packing(n, (max(terms) >> top) - 2 + sum(degrees))
-    rekeyed = [(chart.pack(packing.exponents(k)), k >> top, c) for k, c in terms.items()]
-    for i in range(n):
-        s, unit = chart.shifts[i], chart.units[i]
-        G = PackedPoly(chart, {k + (d - 2 - ((k >> s) & chart.mask)) * unit: c
-                               for k, d, c in rekeyed}, den)
-        for j in range(n):
-            if j != i:
-                G = shift_packed(invert_packed(G, j), j, 1, 1)
-        neg = [k for k, c in G.terms.items() if c < 0 and (k >> s) & chart.mask]
-        if neg:
-            detail = {"minors": minors, "cone": i, "negative_term": chart.exponents(max(neg))}
-            return TestOutcome("Cones", "fail", detail)
-    return TestOutcome("Cones", "pass", {"minors": minors})
 
 
 # The same tests on a MultiPoly.
@@ -274,19 +134,6 @@ def test_cones(P: MultiPoly) -> TestOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _finitize(P: PackedPoly, region: RegionSpec) -> tuple[PackedPoly, BoxSpec]:
-    if region.xbar == 0:
-        raise ValueError("cannot finitize a region with zero split point")
-    bounds = []
-    for i, high in enumerate(region.highs):
-        if high:
-            P = invert_packed(P, i)
-            bounds.append((Fraction(0), 1 / region.xbar))
-        else:
-            bounds.append((Fraction(0), region.xbar))
-    return P, BoxSpec(tuple(bounds), region.highs)
-
-
 def finitize(P: MultiPoly, region: RegionSpec) -> tuple[MultiPoly, BoxSpec]:
     """Map an unbounded region onto a finite box by inverting high variables.
 
@@ -301,28 +148,6 @@ def finitized_to_original(region: RegionSpec, point) -> list[Fraction]:
     return [
         1 / x if high else x for x, high in zip(point, region.highs)
     ]
-
-
-def subdivide(box: BoxSpec) -> list[tuple[str, BoxSpec]]:
-    """The 2^n half-boxes, labelled by a bit string (1 = upper half per axis)."""
-    n = len(box.bounds)
-    children = []
-    for code in range(2 ** n):
-        bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
-        bounds = []
-        open_low = []
-        for i, ((a, b), bit) in enumerate(zip(box.bounds, bits)):
-            mid = (a + b) / 2
-            if bit:
-                bounds.append((mid, b))
-                open_low.append(True)
-            else:
-                bounds.append((a, mid))
-                open_low.append(box.open_low[i])
-        children.append(
-            ("".join(map(str, bits)), BoxSpec(tuple(bounds), tuple(open_low)))
-        )
-    return children
 
 
 def boxed_to_box(box: BoxSpec, point) -> list[Fraction]:
@@ -556,19 +381,3 @@ def prove_nonneg(
             "depth-limit" if "depth-limit" in statuses else "cannot-finitize-zero-split"
         )
     return cert
-
-
-# ---------------------------------------------------------------------------
-# Replay
-# ---------------------------------------------------------------------------
-
-
-def replay_certificate(cert: ProofCertificate, P: MultiPoly) -> bool:
-    """Check cert by proving P again at its xbar and depth_limit: True iff the
-    new certificate equals cert node for node, so a replay costs one prove.
-    False for another polynomial, a negative xbar or depth limit, or P = 0.
-    """
-    if P.digest() != cert.input_digest or P.is_zero() or cert.xbar < 0 or cert.depth_limit < 0:
-        return False
-    new = prove_nonneg(P, cert.xbar, cert.depth_limit)
-    return certificate_document(new) == certificate_document(cert)

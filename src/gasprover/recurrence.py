@@ -153,16 +153,24 @@ Component = tuple[dict, int, Counter]
 def _expand_factors(factors: Counter, pool: list[dict], powers: dict) -> dict:
     """Product of pool[i]**mult over the factors.
 
-    `powers` maps (i, mult) to pool[i]**mult. The caller makes one such dict
-    per build, so each power is raised once and the dict goes with the build.
-    The result may be one of those powers, so it must not be changed.
+    `powers` maps (i, mult) to pool[i]**mult, and the tuple of the first
+    items of a factor Counter to their product, so that factor lists with a
+    common prefix (L and a cofactor, a denominator used at each composition)
+    share its product.  The caller makes one such dict per build, so each
+    power and each product is made once and the dict goes with the build.
+    The result may be held in that dict, so it must not be changed.
     """
     result = None
-    for i, mult in factors.items():
-        power = powers.get((i, mult))
-        if power is None:
-            power = powers[i, mult] = pow_packed(pool[i], mult)
-        result = power if result is None else mul_packed(result, power)
+    prefix = ()
+    for item in factors.items():
+        prefix += (item,)
+        product = powers.get(prefix)
+        if product is None:
+            power = powers.get(item)
+            if power is None:
+                power = powers[item] = pow_packed(pool[item[0]], item[1])
+            product = powers[prefix] = power if result is None else mul_packed(result, power)
+        result = product
     return {0: 1} if result is None else result
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -286,6 +287,29 @@ class TestCanonicalForm:
         q = P("x1^2+x0^2-x0*x1")
         assert p.digest() == q.digest()
         assert p.digest() != P("x0^2+x1^2").digest()
+
+    def test_packed_digest_matches_its_formula(self):
+        # "nvars=<n>;" then "e0,e1,..:c" per term in descending key order, c
+        # the reduced Fraction coefficient/den; over denominators 1 and > 1
+        # and coefficients of both signs, small and large
+        rng = random.Random(211)
+        for _ in range(300):
+            nvars = rng.randrange(1, 5)
+            packing = Packing(nvars, rng.randrange(1, 40))
+            terms = {}
+            for _ in range(rng.randrange(1, 30)):
+                budget, exps = packing.mask // 2, []
+                for _ in range(nvars):
+                    exps.append(rng.randrange(0, budget + 1))
+                    budget -= exps[-1]
+                c = rng.choice((1, -1)) * rng.choice((rng.randrange(1, 20), rng.randrange(1, 10 ** 40)))
+                terms[packing.pack(exps)] = c
+            den = rng.choice((1, rng.randrange(2, 50), 6 * rng.randrange(1, 10 ** 20)))
+            parts = [",".join(map(str, packing.exponents(k))) + f":{Fraction(terms[k], den)}"
+                     for k in sorted(terms, reverse=True)]
+            canon = f"nvars={nvars};" + ";".join(parts)
+            want = hashlib.sha256(canon.encode()).hexdigest()
+            assert digest_packed(PackedPoly(packing, terms, den)) == want
 
 
 class TestPow:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gasprover import polynomial, positivity
+from gasprover import checker, polynomial, positivity
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly, digest_packed
 from gasprover.positivity import (
@@ -199,7 +199,7 @@ class TestSylvesterOracle:
 
     @staticmethod
     def _sylvester(A):
-        from gasprover.positivity import _leading_principal_minors
+        from gasprover.checker import _leading_principal_minors
 
         return all(m > 0 for m in _leading_principal_minors(A))
 
@@ -918,7 +918,7 @@ def _ref_run_tests(p):
     else:
         n = p.nvars
         A = _ref_quadratic_form(p)
-        minors = positivity._leading_principal_minors(A)
+        minors = checker._leading_principal_minors(A)
         detail = {"minors": minors}
         if n == 2:
             a, b, c = A[0][0], 2 * A[0][1], A[1][1]
@@ -968,7 +968,7 @@ def _ref_quadratic_form(p):
 def _ref_cones(p):
     """The cone test by Fraction substitutions: on chart i the term c*y^e
     becomes c*t^(|e|-2)*prod_j v_j^e_j, then each v_j -> 1/(1 + w_j)."""
-    minors = positivity._leading_principal_minors(_ref_quadratic_form(p))
+    minors = checker._leading_principal_minors(_ref_quadratic_form(p))
     if not all(m > 0 for m in minors):
         return positivity.TestOutcome(
             "Cones", "fail", {"minors": minors, "reason": "not-positive-definite"})
@@ -1125,14 +1125,15 @@ class TestEngineMatchesFractionReference:
 
 
 def _count_shifts(monkeypatch):
+    # the region generator is the checker's, which the prover imports
     calls = []
-    shift_packed = positivity.shift_packed
+    shift_packed = checker.shift_packed
 
     def counting(*args):
         calls.append(args[1])
         return shift_packed(*args)
 
-    monkeypatch.setattr(positivity, "shift_packed", counting)
+    monkeypatch.setattr(checker, "shift_packed", counting)
     return calls
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import heapq
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -283,23 +284,36 @@ class TestBuildPinned:
             certificate_document(prove_nonneg(p, eq.value))
 
     def test_each_factor_power_raised_once(self, monkeypatch):
-        pow_ = recurrence.pow_packed
+        # and each product of a factor list's prefix multiplied once: L and
+        # a cofactor that is its prefix, or a denominator expanded at every
+        # composition, share one product
+        pow_, mul_ = recurrence.pow_packed, recurrence.mul_packed
+        expand = recurrence._expand_factors.__code__
         for text, K in (("x2/(2+x0+x1+x2)", 3), ("(2+x0)/(1+x1+x2)", 4), (BENCH, 5)):
             spec = parse_rde(text)
             eq = find_equilibrium(spec)
-            for build in (lambda: build_contraction_poly(spec, eq, K),
-                          lambda: q_power(spec, K)):
-                raised = Counter()
+            for name, build in (("P", lambda: build_contraction_poly(spec, eq, K)),
+                                ("Q^K", lambda: q_power(spec, K))):
+                raised, multiplied = Counter(), Counter()
 
                 def counting(f, n):
                     raised[tuple(f.items()), n] += 1
                     return pow_(f, n)
 
+                def counting_products(a, b):
+                    if sys._getframe(1).f_code is expand:
+                        multiplied[tuple(a.items()), tuple(b.items())] += 1
+                    return mul_(a, b)
+
                 monkeypatch.setattr(recurrence, "pow_packed", counting)
+                monkeypatch.setattr(recurrence, "mul_packed", counting_products)
                 build()
                 monkeypatch.undo()
                 assert raised
                 assert set(raised.values()) == {1}
+                assert set(multiplied.values()) <= {1}
+                # P's lcm of the squared denominators has more than one factor
+                assert multiplied or name == "Q^K"
 
     def test_leaves_no_cyclic_garbage(self):
         spec = parse_rde("x2/(2+x0+x1+x2)")
