@@ -1,11 +1,14 @@
 """Certificates of the positivity prover and their JSON form.
 
-A certificate records the region/box tree of one run: for each node its
-region or box, the digest of its polynomial, the test outcomes and its
-status, and the verdict with any witness.  `checker.replay_certificate`
-checks one by its tree and witness, without proving again; it does not read
-the digests, the details or the failed outcomes, which record how the run
-went, not why the verdict holds.
+A certificate records the region/box tree of one run, one node per place:
+for each node its path, region and box (none at a region), the test
+outcomes and its status, and the verdict with any witness.  A node is
+`split` when it was subdivided and `depth-limit` when it would have been
+but lay past the depth limit.  `checker.replay_certificate` checks one by
+its tree and witness, without proving again; it does not read the details
+or the failed outcomes, which record how the run went, not why the verdict
+holds.  The input's digest ties the certificate to P; nodes carry none, as
+the checker makes each node polynomial itself.
 """
 from __future__ import annotations
 
@@ -58,7 +61,6 @@ class CertNode:
     path: tuple[str, ...]
     region: RegionSpec
     box: BoxSpec | None  # None for region-level nodes
-    digest: str
     outcomes: list[TestOutcome]
     status: str  # pass | refute | split | depth-limit | cannot-finitize
 
@@ -97,40 +99,23 @@ def certificate_document(cert: ProofCertificate) -> dict:
         "depth_limit": cert.depth_limit,
         "verdict": cert.verdict,
         "witness": [str(x) for x in cert.witness] if cert.witness else None,
-        "witness_value": (
-            str(cert.witness_value) if cert.witness_value is not None else None
-        ),
+        "witness_value": None if cert.witness_value is None else str(cert.witness_value),
         "fail_reason": cert.fail_reason,
-        "tree": [
-            {
-                "path": list(node.path),
-                "region": {
-                    "highs": ["H" if h else "L" for h in node.region.highs],
-                    "xbar": str(node.region.xbar),
-                },
-                "box": (
-                    {
-                        "bounds": [
-                            [str(a), str(b)] for a, b in node.box.bounds
-                        ],
-                        "open_low": list(node.box.open_low),
-                    }
-                    if node.box is not None
-                    else None
-                ),
-                "digest": node.digest,
-                "tests": [
-                    {
-                        "test": o.test,
-                        "result": o.result,
-                        "detail": _detail_json(o.detail),
-                    }
-                    for o in node.outcomes
-                ],
-                "status": node.status,
-            }
-            for node in cert.nodes
-        ],
+        "tree": [_node_document(node) for node in cert.nodes],
+    }
+
+
+def _node_document(node: CertNode) -> dict:
+    box = node.box
+    return {
+        "path": list(node.path),
+        "region": {"highs": ["H" if h else "L" for h in node.region.highs],
+                   "xbar": str(node.region.xbar)},
+        "box": None if box is None else {"bounds": [[str(a), str(b)] for a, b in box.bounds],
+                                         "open_low": list(box.open_low)},
+        "tests": [{"test": o.test, "result": o.result, "detail": _detail_json(o.detail)}
+                  for o in node.outcomes],
+        "status": node.status,
     }
 
 
@@ -138,43 +123,62 @@ def certificate_to_json(cert: ProofCertificate) -> str:
     return json.dumps(certificate_document(cert), indent=2)
 
 
+def _get(obj, key: str, where: str, kind=object):
+    """obj[key], which must be there and of JSON type `kind`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where}: {key!r} has the wrong JSON type")
+    return obj[key]
+
+
+def _rational(text, where: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: {text!r} is not a rational string")
+    return parse_rational(text)
+
+
+def _box(raw, where: str) -> BoxSpec:
+    bounds = []
+    for pair in _get(raw, "bounds", where, list):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{where}: bound {pair!r} is not a pair")
+        bounds.append((_rational(pair[0], where), _rational(pair[1], where)))
+    return BoxSpec(tuple(bounds), tuple(_get(raw, "open_low", where, list)))
+
+
 def certificate_from_json(text: str) -> ProofCertificate:
+    """The certificate of a JSON document.  ValueError if a key is missing or
+    a value has the wrong JSON type; keys it does not know are ignored."""
     doc = json.loads(text)
     nodes = []
-    for raw in doc["tree"]:
-        region = RegionSpec(
-            tuple(h == "H" for h in raw["region"]["highs"]),
-            parse_rational(raw["region"]["xbar"]),
-        )
-        box = None
-        if raw["box"] is not None:
-            box = BoxSpec(
-                tuple(
-                    (parse_rational(a), parse_rational(b))
-                    for a, b in raw["box"]["bounds"]
-                ),
-                tuple(raw["box"]["open_low"]),
-            )
-        outcomes = [
-            TestOutcome(t["test"], t["result"], t["detail"]) for t in raw["tests"]
-        ]
-        nodes.append(
-            CertNode(tuple(raw["path"]), region, box, raw["digest"], outcomes, raw["status"])
-        )
+    for i, raw in enumerate(_get(doc, "tree", "certificate", list)):
+        where = f"tree node {i}"
+        region = _get(raw, "region", where, dict)
+        box = _get(raw, "box", where, (dict, type(None)))
+        outcomes = [TestOutcome(_get(t, "test", f"{where} test"), _get(t, "result", f"{where} test"),
+                                _get(t, "detail", f"{where} test", dict))
+                    for t in _get(raw, "tests", where, list)]
+        nodes.append(CertNode(
+            tuple(_get(raw, "path", where, list)),
+            RegionSpec(tuple(h == "H" for h in _get(region, "highs", where, list)),
+                       _rational(_get(region, "xbar", where), where)),
+            None if box is None else _box(box, where),
+            outcomes,
+            _get(raw, "status", where),
+        ))
+    witness = _get(doc, "witness", "certificate", (list, type(None)))
+    value = _get(doc, "witness_value", "certificate")
     return ProofCertificate(
-        input_digest=doc["input_digest"],
-        nvars=doc["nvars"],
-        xbar=parse_rational(doc["xbar"]),
-        depth_limit=doc["depth_limit"],
-        verdict=doc["verdict"],
+        input_digest=_get(doc, "input_digest", "certificate"),
+        nvars=_get(doc, "nvars", "certificate"),
+        xbar=_rational(_get(doc, "xbar", "certificate"), "certificate"),
+        depth_limit=_get(doc, "depth_limit", "certificate"),
+        verdict=_get(doc, "verdict", "certificate"),
         nodes=nodes,
-        witness=(
-            [parse_rational(x) for x in doc["witness"]] if doc["witness"] else None
-        ),
-        witness_value=(
-            parse_rational(doc["witness_value"])
-            if doc["witness_value"] is not None
-            else None
-        ),
-        fail_reason=doc["fail_reason"],
+        witness=[_rational(x, "witness") for x in witness] if witness else None,
+        witness_value=None if value is None else _rational(value, "witness_value"),
+        fail_reason=_get(doc, "fail_reason", "certificate"),
     )

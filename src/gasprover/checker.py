@@ -2,20 +2,23 @@
 
 `replay_certificate` checks a certificate of `positivity.prove_nonneg` by
 what it claims, without proving again.  A refutation is its witness: one
-exact evaluation of P.  A proof is its tree: the checker makes the regions
-and boxes in the prover's own depth-first order, requires each recorded node
-to be the one expected there, and re-runs only the test that decided each
-leaf.  It reads no failed outcome and no detail, not the outcomes of split
-nodes, no node digest, and no grid point; none of them is part of the proof.
+exact evaluation of P.  A proof is its tree: the checker iterates `walk`,
+the one traversal the prover iterates too, requires each recorded node to
+be the one the walk yields next, and re-runs only the test that decided
+each leaf.  It reads no failed outcome and no detail, not the outcomes of
+split nodes, and no grid point; none of them is part of the proof.
 
 The trusted base is this module, the certificate types and the packed kernels
 it calls: the region transforms, finitization, subdivision and the box map,
-the four tests that can pass a node, and the evaluation of a witness.  The
-prover imports these from here, so both run one definition of each.
+the walk over them, the zero-off-xbar rule, the four tests that can pass a
+node, and the evaluation of a witness.  The prover imports these from here,
+so both run one definition of each.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from .certificate import BoxSpec, ProofCertificate, RegionSpec, TestOutcome
 from .packed import PackedPoly, Packing, box_map_packed, evaluate_packed, invert_packed, shift_packed
@@ -23,7 +26,7 @@ from .polynomial import MultiPoly
 
 
 # ---------------------------------------------------------------------------
-# Regions, finitization and subdivision
+# The tree: regions, finitization, subdivision and the walk
 # ---------------------------------------------------------------------------
 
 
@@ -59,24 +62,44 @@ def _finitize(P: PackedPoly, region: RegionSpec) -> tuple[PackedPoly, BoxSpec]:
 
 def subdivide(box: BoxSpec) -> list[tuple[str, BoxSpec]]:
     """The 2^n half-boxes, labelled by a bit string (1 = upper half per axis)."""
-    n = len(box.bounds)
-    children = []
-    for code in range(2 ** n):
-        bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
-        bounds = []
-        open_low = []
-        for i, ((a, b), bit) in enumerate(zip(box.bounds, bits)):
-            mid = (a + b) / 2
-            if bit:
-                bounds.append((mid, b))
-                open_low.append(True)
+    halves = []  # per axis: (bit, bounds, open on the low side) of each half
+    for (a, b), open_low in zip(box.bounds, box.open_low):
+        mid = (a + b) / 2
+        halves.append((("0", (a, mid), open_low), ("1", (mid, b), True)))
+    return [("".join(bit for bit, _, _ in axes),
+             BoxSpec(tuple(bounds for _, bounds, _ in axes), tuple(op for _, _, op in axes)))
+            for axes in product(*halves)]
+
+
+def walk(P: PackedPoly, xbar: Fraction, seen: list):
+    """Yield (path, region, box, node polynomial) for each node of P's tree
+    at xbar: the regions all-high first, each region's sub-boxes depth first.
+
+    `seen` is the caller's list of recorded nodes, which it prunes in place
+    as os.walk's caller does: on resuming, the walk subdivides the node it
+    last yielded only if `seen[-1].status` is then `split`, a region after
+    mapping it onto a finite box (not possible at xbar = 0).  The node
+    polynomial is a callable, so that a caller maps only the nodes it reads.
+    """
+    for highs, poly in _regions(P, xbar):
+        region = RegionSpec(highs, xbar)
+        stack = [((region.label,), None)]
+        while stack:
+            path, box = stack.pop()
+            if box is None:
+                yield path, region, box, lambda poly=poly: poly
             else:
-                bounds.append((a, mid))
-                open_low.append(box.open_low[i])
-        children.append(
-            ("".join(map(str, bits)), BoxSpec(tuple(bounds), tuple(open_low)))
-        )
-    return children
+                yield path, region, box, partial(box_map_packed, P_fin, box.bounds)
+            if seen[-1].status == "split":
+                if box is None:
+                    P_fin, box = _finitize(P, region)
+                stack.extend((path + (bits,), child) for bits, child in reversed(subdivide(box)))
+
+
+def _zero_off_xbar(path: tuple[str, ...], box: BoxSpec | None, poly: PackedPoly) -> bool:
+    """Whether the node polynomial vanishes at the node's local origin where
+    that is not the xbar image: a box's upper corner, off the all-1 chain."""
+    return box is not None and 0 not in poly.terms and "0" in "".join(path[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -269,49 +292,32 @@ def _tree_leaves(cert: ProofCertificate, packed: PackedPoly, xbar: Fraction,
     """The fail reasons named by the tree's unproven leaves, or None if the
     tree is not one the prover makes or a leaf's pass does not hold.
 
-    Each node must sit at the path, region and box the prover's walk reaches
-    next, and every node must be read.  A `pass` leaf's last outcome must be
-    a pass that its test confirms on the node polynomial, and a box off the
-    all-1 chain must not vanish at its upper corner.  A `split` goes to the
-    children, or past the depth limit to one `depth-limit` node at the same
-    place; a region at xbar = 0 cannot split but may be `cannot-finitize`.
+    Each node must sit at the path, region and box the walk reaches next,
+    and every node must be read.  A `pass` leaf's last outcome must be a pass
+    that its test confirms on the node polynomial, which must not vanish off
+    xbar.  An undecided node is `split` within the depth limit and
+    `depth-limit` past it; a region at xbar = 0 is neither, but may be
+    `cannot-finitize`.
     """
     nodes = iter(cert.nodes)
-    leaves = set()
-    for highs, poly in _regions(packed, xbar):
-        region = RegionSpec(highs, xbar)
-        P_fin = None
-        stack = [(None, (region.label,))]
-        while stack:
-            box, path = stack.pop()
-            node = next(nodes, None)
-            if not _is_at(node, path, region, box):
+    seen, leaves = [], set()
+    for path, region, box, node_poly in walk(packed, xbar, seen):
+        node = next(nodes, None)
+        if node is None or node.path != path or node.box != box or node.region != region:
+            return None
+        if node.status == "pass":
+            poly = node_poly()
+            if not _pass_holds(node.outcomes, poly, box is None) or _zero_off_xbar(path, box, poly):
                 return None
-            if node.status == "pass":
-                mapped = poly if box is None else box_map_packed(P_fin, box.bounds)
-                if not _pass_holds(node.outcomes, mapped, box is None):
-                    return None
-                if box is not None and 0 not in mapped.terms and "0" in "".join(path[1:]):
-                    return None
-            elif node.status == "cannot-finitize" and box is None and xbar == 0:
-                leaves.add("cannot-finitize-zero-split")
-            elif node.status == "split" and (box is not None or xbar != 0):
-                if box is None:
-                    P_fin, box = _finitize(packed, region)
-                if len(path) > depth_limit:
-                    node = next(nodes, None)
-                    if not _is_at(node, path, region, box) or node.status != "depth-limit":
-                        return None
-                    leaves.add("depth-limit")
-                else:
-                    stack.extend((child, path + (bits,)) for bits, child in reversed(subdivide(box)))
-            else:
-                return None
+        elif node.status == "cannot-finitize" and box is None and xbar == 0:
+            leaves.add("cannot-finitize-zero-split")
+        elif (box is None and xbar == 0
+              or node.status != ("split" if len(path) <= depth_limit else "depth-limit")):
+            return None
+        elif node.status == "depth-limit":
+            leaves.add("depth-limit")
+        seen.append(node)
     return None if next(nodes, None) is not None else leaves
-
-
-def _is_at(node, path: tuple[str, ...], region: RegionSpec, box: BoxSpec | None) -> bool:
-    return node is not None and node.path == path and node.region == region and node.box == box
 
 
 def _pass_holds(outcomes: list[TestOutcome], poly: PackedPoly, at_region: bool) -> bool:

@@ -7,24 +7,23 @@ inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
 grid, which refutes most false inputs at once. A region that vanishes to
 second order at its local origin, the xbar image, then gets the cone test: a
 blow-up of that point into n affine charts, each checked by signs. Otherwise
-inconclusive regions are mapped onto a finite box. Each region's sub-boxes
-are visited depth first from one stack: each node is mapped onto the orthant
-and tested, and an inconclusive one pushes its 2^n half-boxes. A box's local
-origin is its upper corner, the xbar image only on the all-1 chain of
-sub-boxes; a zero there anywhere else ends the run (`zero-off-xbar`). The
-whole run is recorded as a certificate, and refutations carry an exact
-witness point in the original coordinates.  `checker.replay_certificate`
-checks a certificate by its tree and witness, without proving again; the
-region transforms, finitization, subdivision and the tests that can pass a
-node are the checker's, imported here, so that both run one definition.
+an inconclusive region is mapped onto a finite box and halved along every
+axis, depth first, until each piece is decided or the depth limit is
+reached. A box's local origin is its upper corner, the xbar image only on
+the all-1 chain of sub-boxes; a zero there anywhere else ends the run
+(`zero-off-xbar`). The whole run is recorded as a certificate, and
+refutations carry an exact witness point in the original coordinates.
+
+`prove_nonneg` holds no tree of its own: it iterates `checker.walk`, which
+makes the nodes in order and subdivides a node only if the status recorded
+for it is `split`, and tests each node the walk yields.
+`checker.replay_certificate` iterates the same walk, so prover and checker
+share the order, the region transforms, finitization, subdivision, the box
+map, the tests that can pass a node and the zero-off-xbar rule.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.
-`prove_nonneg` reads P only packed; at xbar = 0 its one region is P, digested once.
-The region substitutions act on one axis at a time and commute, so one
-recursive generator makes the regions, mapping axis i once for all regions
-that share their first i axes (2 + 4 + 8 one-axis transforms for three
-variables, not 24), and only as the regions are reached.  The tests read
+`prove_nonneg` reads P only packed and digests only P.  The tests read
 signs, degrees and supports from the integers and the keys, and make
 Fractions only for the values a certificate records.  The public transforms
 and tests take `MultiPoly`s and run the same code on the packed form; the
@@ -37,10 +36,10 @@ from fractions import Fraction
 # the certificate types, JSON form and checker are also importable from here
 from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
                           certificate_document, certificate_from_json, certificate_to_json)
-from .checker import (_cones, _finitize, _poscoeffs, _regions, _subpoly_n, _zero_only_at_origin,
-                      replay_certificate, subdivide)
-from .packed import PackedPoly, box_map_packed
-from .polynomial import MultiPoly, digest_packed, evaluate_packed
+from .checker import (_cones, _finitize, _poscoeffs, _regions, _subpoly_n, _zero_off_xbar,
+                      _zero_only_at_origin, replay_certificate, subdivide, walk)
+from .packed import PackedPoly
+from .polynomial import MultiPoly, evaluate_packed
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,10 @@ def prove_nonneg(
     negative witness in the original coordinates), or Fail at the depth limit,
     when xbar = 0 leaves a region unfinitized, or at a box corner off the xbar
     image where P = 0 (`zero-off-xbar`, with that corner as the witness).
-    Regions are visited in turn, each with its sub-boxes depth first; the
-    dyadic grid is searched once, just before the first region would be
-    subdivided, and the cone test runs on each region that would be.
+    The nodes come from `checker.walk`.  The dyadic grid is searched once,
+    just before the first region would be subdivided, and the cone test runs
+    on each region that would be; a node left `split` past the depth limit
+    becomes a `depth-limit` leaf.
     """
     if not isinstance(xbar, (int, Fraction)):
         raise TypeError(f"xbar must be an int or Fraction, got {type(xbar).__name__}")
@@ -321,58 +321,44 @@ def prove_nonneg(
         nodes=[],
     )
     grid_tried = False
-    for highs, poly in _regions(packed, xbar):
-        region = RegionSpec(highs, xbar)
-        P_fin = None
-        stack = [(None, (region.label,))]
-        while stack:
-            box, path = stack.pop()
-            mapped = poly if box is None else box_map_packed(P_fin, box.bounds)
-            status, outcomes, local = _run_tests(mapped)
-            # at xbar = 0 the one region is P itself, already digested
-            digest = cert.input_digest if mapped is packed else digest_packed(mapped)
-            node = CertNode(path, region, box, digest, outcomes, status)
-            cert.nodes.append(node)
-            point = None
-            if status == "refute" and box is None:
-                point = region_to_original(region, local)
-            elif status == "refute":
-                point = finitized_to_original(region, boxed_to_box(box, local))
-            elif box is not None and 0 not in mapped.terms and "0" in "".join(path[1:]):
-                # P = 0 at the box's upper corner, which is not the xbar image
-                point = finitized_to_original(region, [b for _, b in box.bounds])
-                if evaluate_packed(packed, point) != 0:
-                    raise RuntimeError(f"zero corner {point} is not a zero of P")
-                cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
-                cert.witness, cert.witness_value = point, Fraction(0)
-                return cert
-            elif status == "split" and box is None:
-                if xbar and not grid_tried:
-                    grid_tried = True
-                    point = _grid_negative(packed)
-                if point is None:
-                    # no constant and no linear terms: P vanishes to second order at xbar
-                    if min(mapped.terms) >> mapped.packing.top >= 2:
-                        outcomes.append(_cones(mapped))
-                        if outcomes[-1].result == "pass":
-                            node.status = "pass"
-                            continue
-                    if xbar == 0:
-                        node.status = "cannot-finitize"
-                        continue
-                    P_fin, box = _finitize(packed, region)
-            if point is not None:
-                value = evaluate_packed(packed, point)
-                if value >= 0:
-                    raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
-                cert.verdict = "Disproven"
-                cert.witness = point
-                cert.witness_value = value
-                return cert
-            if status == "split" and len(path) > depth_limit:
-                cert.nodes.append(CertNode(path, region, box, "", [], "depth-limit"))
-            elif status == "split":
-                stack.extend((child, path + (bits,)) for bits, child in reversed(subdivide(box)))
+    for path, region, box, node_poly in walk(packed, xbar, cert.nodes):
+        mapped = node_poly()
+        status, outcomes, local = _run_tests(mapped)
+        node = CertNode(path, region, box, outcomes, status)
+        cert.nodes.append(node)
+        point = None
+        if status == "refute" and box is None:
+            point = region_to_original(region, local)
+        elif status == "refute":
+            point = finitized_to_original(region, boxed_to_box(box, local))
+        elif _zero_off_xbar(path, box, mapped):
+            point = finitized_to_original(region, [b for _, b in box.bounds])
+            if evaluate_packed(packed, point) != 0:
+                raise RuntimeError(f"zero corner {point} is not a zero of P")
+            cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
+            cert.witness, cert.witness_value = point, Fraction(0)
+            return cert
+        elif status == "split" and box is None:
+            if xbar and not grid_tried:
+                grid_tried = True
+                point = _grid_negative(packed)
+            # no constant and no linear terms: P vanishes to second order at xbar
+            if point is None and min(mapped.terms) >> mapped.packing.top >= 2:
+                outcomes.append(_cones(mapped))
+                if outcomes[-1].result == "pass":
+                    node.status = "pass"
+            if xbar == 0 and node.status == "split":
+                node.status = "cannot-finitize"
+        if point is not None:
+            value = evaluate_packed(packed, point)
+            if value >= 0:
+                raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
+            cert.verdict = "Disproven"
+            cert.witness = point
+            cert.witness_value = value
+            return cert
+        if node.status == "split" and len(path) > depth_limit:
+            node.status = "depth-limit"
 
     statuses = {node.status for node in cert.nodes}
     if "depth-limit" in statuses or "cannot-finitize" in statuses:

@@ -137,17 +137,36 @@ class TestAccepts:
 
     def test_reads_no_detail_digest_failed_outcome_or_split_outcome(self):
         # none of them is part of the proof, so a certificate without them
-        # proves the same
+        # proves the same; a node digest of the older format is ignored
         for text, xbar, depth in GOLDEN:
             p = P(text)
-            cert = _roundtrip(prove_nonneg(p, xbar, depth))
+            doc = _doc(prove_nonneg(p, xbar, depth))
+            for node in doc["tree"]:
+                node["digest"] = ""
+            cert = certificate_from_json(json.dumps(doc))
             for node in cert.nodes:
-                node.digest = ""
                 if node.status == "pass":
                     node.outcomes = [Outcome(node.outcomes[-1].test, "pass")]
                 else:
                     node.outcomes = []
             assert replay_certificate(cert, p), text
+
+    def test_walk_fed_a_certificates_nodes_visits_exactly_them(self):
+        # the walk reads each node's status as the prover left it; a run that
+        # ends at a refutation or a zero stops before the walk does
+        for p, xbar, depth in _random_corpus():
+            cert = prove_nonneg(p, xbar, depth)
+            seen, visited = [], []
+            for path, region, box, _ in checker.walk(p.packed(), xbar, seen):
+                visited.append((path, region, box))
+                if len(seen) == len(cert.nodes):
+                    break
+                seen.append(cert.nodes[len(seen)])
+            want = [(n.path, n.region, n.box) for n in cert.nodes]
+            if cert.verdict == "Disproven" or cert.fail_reason == "zero-off-xbar":
+                assert visited[:len(want)] == want, (str(p), xbar, depth)
+            else:
+                assert visited == want, (str(p), xbar, depth)
 
     def test_does_not_prove_again(self, monkeypatch):
         certs = [(P(text), prove_nonneg(P(text), xbar, depth)) for text, xbar, depth in GOLDEN]
@@ -156,7 +175,7 @@ class TestAccepts:
             raise AssertionError("the checker ran the prover")
 
         for name in ("prove_nonneg", "_run_tests", "_grid_negative", "_search_negative",
-                     "_lcoeff", "_const", "digest_packed"):
+                     "_lcoeff", "_const"):
             monkeypatch.setattr(positivity, name, refuse)
         for p, cert in certs:
             assert replay_certificate(cert, p)
@@ -176,7 +195,7 @@ def _collapse(cert, node, outcome):
     keep = []
     for other in forged.nodes:
         inside = other.path[:len(node.path)] == node.path and other.region == node.region
-        if other.path == node.path and other.box == node.box and other.status != "depth-limit":
+        if other.path == node.path and other.region == node.region:
             other.status, other.outcomes = "pass", [outcome]
             keep.append(other)
         elif not inside:
@@ -288,7 +307,7 @@ class TestRejects:
         forged.verdict = "Proven"
         forged.fail_reason = forged.witness = forged.witness_value = None
         upper = subdivide(finitize(p, last.region)[1])[1][1]
-        forged.nodes.append(CertNode(("L", "1"), last.region, upper, "",
+        forged.nodes.append(CertNode(("L", "1"), last.region, upper,
                                      [Outcome("PosCoeffs", "pass")], "pass"))
         assert not replay_certificate(forged, p)
 
@@ -296,6 +315,55 @@ class TestRejects:
         p, cert = _proven("(x0-1/3)^2+(x1-1/3)^2", F(1), 2)
         assert cert.fail_reason == "depth-limit"
         cert.verdict, cert.fail_reason = "Proven", None
+        assert not replay_certificate(cert, p)
+
+    def test_depth_limit_within_the_limit(self):
+        # each split of EX2, within the limit of 12, claimed as a depth-limit leaf
+        p, cert = _proven(EX2, F(1), 12)
+        cert.verdict, cert.fail_reason = "Fail", "depth-limit"
+        for node in cert.nodes:
+            if node.status == "split":
+                forged = _collapse(cert, node, Outcome("Const", "fail"))
+                next(n for n in forged.nodes if n.path == node.path).status = "depth-limit"
+                assert not replay_certificate(forged, p), node.path
+
+    def test_split_past_the_limit(self):
+        for depth in (0, 2):
+            p, cert = _proven("(x0-1/3)^2+(x1-1/3)^2", F(1), depth)
+            limited = [i for i, n in enumerate(cert.nodes) if n.status == "depth-limit"]
+            assert limited and all(len(cert.nodes[i].path) == depth + 1 for i in limited)
+            for i in limited:
+                forged = copy.deepcopy(cert)
+                forged.nodes[i].status = "split"
+                assert not replay_certificate(forged, p), (depth, i)
+        # a whole proof, whose regions split, claimed under a limit of 0
+        p, cert = _proven(EX2, F(1), 12)
+        cert.depth_limit = 0
+        assert not replay_certificate(cert, p)
+
+    def test_split_then_a_depth_limit_node_at_the_same_place(self):
+        # the older form: a split past the limit, then a node with no outcomes
+        # that holds the box the split would subdivide
+        for depth in (0, 2):
+            p, cert = _proven("(x0-1/3)^2+(x1-1/3)^2", F(1), depth)
+            forged = copy.deepcopy(cert)
+            forged.nodes = []
+            for node in cert.nodes:
+                forged.nodes.append(node)
+                if node.status == "depth-limit":
+                    box = node.box or finitize(p, node.region)[1]
+                    forged.nodes.append(CertNode(node.path, node.region, box, [], "depth-limit"))
+                    node.status = "split"
+            assert len(forged.nodes) > len(cert.nodes)
+            assert not replay_certificate(forged, p), depth
+
+    def test_depth_limit_at_a_region_split_at_zero(self):
+        # a region at xbar = 0 cannot be mapped onto a finite box, so it is
+        # never subdivided, and no depth limit can stop it
+        p, cert = _proven("x0*x1-x0-x1+2", F(0), 0)
+        assert [n.status for n in cert.nodes] == ["cannot-finitize"]
+        cert.nodes[0].status = "depth-limit"
+        cert.fail_reason = "depth-limit"
         assert not replay_certificate(cert, p)
 
     def test_wrong_fail_reason(self):
@@ -403,3 +471,62 @@ class TestMalformed:
         if edit == "float-witness":
             cert.witness = [0.5, 1.0]
         assert replay_certificate(cert, p) is False
+
+
+class TestFromJson:
+    """A document that is not a certificate is a ValueError that names the
+    problem; keys the format does not know are ignored."""
+
+    @pytest.mark.parametrize("edit, message", [
+        ("empty-object", "has no 'tree'"),
+        ("array", "not a JSON object"),
+        ("tree-not-a-list", "'tree' has the wrong JSON type"),
+        ("node-not-an-object", "tree node 0 is not a JSON object"),
+        ("node-without-status", "has no 'status'"),
+        ("test-without-result", "has no 'result'"),
+        ("bound-not-a-pair", "is not a pair"),
+        ("bounds-not-a-list", "'bounds' has the wrong JSON type"),
+        ("bound-a-number", "is not a rational string"),
+        ("no-verdict", "has no 'verdict'"),
+        ("xbar-a-number", "is not a rational string"),
+        ("witness-a-string", "'witness' has the wrong JSON type"),
+    ])
+    def test_value_error(self, edit, message):
+        doc = _doc(prove_nonneg(P(EX2), F(1), 12))
+        node = next(n for n in doc["tree"] if n["box"] is not None)
+        if edit == "empty-object":
+            doc = {}
+        elif edit == "array":
+            doc = []
+        elif edit == "tree-not-a-list":
+            doc["tree"] = {"0": node}
+        elif edit == "node-not-an-object":
+            doc["tree"][0] = "NE"
+        elif edit == "node-without-status":
+            del node["status"]
+        elif edit == "test-without-result":
+            del node["tests"][0]["result"]
+        elif edit == "bound-not-a-pair":
+            node["box"]["bounds"][0] = ["0"]
+        elif edit == "bounds-not-a-list":
+            node["box"]["bounds"] = "0 1"
+        elif edit == "bound-a-number":
+            node["box"]["bounds"][0] = [0, 1]
+        elif edit == "no-verdict":
+            del doc["verdict"]
+        elif edit == "xbar-a-number":
+            doc["xbar"] = 1
+        elif edit == "witness-a-string":
+            doc["witness"] = "1"
+        with pytest.raises(ValueError, match=message):
+            certificate_from_json(json.dumps(doc))
+
+    def test_unknown_keys_are_ignored(self):
+        p = P(EX2)
+        doc = _doc(prove_nonneg(p, F(1), 12))
+        doc["comment"] = "made by hand"
+        for node in doc["tree"]:
+            node["digest"] = "0" * 64
+            for test in node["tests"]:
+                test["seconds"] = 0
+        assert replay_certificate(certificate_from_json(json.dumps(doc)), p)

@@ -356,18 +356,18 @@ class TestCones:
         tested = []
         cones = positivity._cones
         monkeypatch.setattr(positivity, "_cones",
-                            lambda poly: tested.append(digest_packed(poly)) or cones(poly))
+                            lambda poly: tested.append(MultiPoly.from_packed(poly)) or cones(poly))
         p = P("(x0-x1)^2+(x1-1)^4")
         cert = prove_nonneg(p, F(1), 2)
-        chain = [n for n in cert.nodes
-                 if n.path[1:] in {("11",), ("11", "11")} and n.status != "depth-limit"]
+        chain = [n for n in cert.nodes if n.path[1:] in {("11",), ("11", "11")}]
         assert len(chain) == 4
         for node in chain:
             fin, _ = finitize(p, node.region)
             assert min(map(sum, fin.box_map(node.box.bounds).terms)) == 2
-            assert node.status == "split"
+            assert node.status == ("split" if len(node.path) <= 2 else "depth-limit")
             assert "Cones" not in [o.test for o in node.outcomes]
-        assert tested == [n.digest for n in cert.nodes if n.path in {("NE",), ("SW",)}]
+        assert tested == [positivity.region_poly(p, n.region) for n in cert.nodes
+                          if n.path in {("NE",), ("SW",)}]
 
     def test_claimed_pass_of_a_failing_region_is_rejected(self):
         p = _at_one(CONE_FAIL)
@@ -511,6 +511,7 @@ class TestProveNonneg:
     def test_example2_se_boxes_match_printed(self):
         cert = prove_nonneg(P(EX2), F(1), 10)
         by_path = {n.path: n for n in cert.nodes}
+        polys = dict(zip(by_path, _node_polys(P(EX2), cert)))
         pse, _ = finitize(P(EX2), RegionSpec((True, False), F(1)))
         printed = {
             "00": "x0^4+3*x0^3+x0^2*x1+6*x0^2+4*x0*x1+20*x0+4*x1+25",
@@ -524,7 +525,7 @@ class TestProveNonneg:
         for bits, text in printed.items():
             node = by_path[("SE", bits)]
             assert pse.box_map(node.box.bounds) == P(text)
-            assert node.digest == P(text).digest()
+            assert polys[("SE", bits)] == P(text)
 
     def test_benchmark_proven_without_subdivision(self):
         big, xbar = _bench_poly()
@@ -591,25 +592,25 @@ class TestProveNonneg:
         "text,xbar,depth,ending,sha",
         [
             ("x0^2+x0*x1+x1^2+1", F(1), 12, ("Proven", ["pass"], False),
-             "1806194cd11c24a1a5ec1d110a47c0d3acf82564985025f5e11a9bdabbacc4f0"),
+             "f693cba69a6e7f96c1a70cb830fdb46e1849634608453b2f15bacbe5e5967e33"),
             ("x0^2-3*x0*x1+x1^2", F(1), 12, ("Disproven", ["refute"], False),
-             "6651786181878e24b72f1cf3751a050d4050a3c239b39b46b89135100d82e260"),
+             "cd87814d9f7277512561510e2f0273728ea3e2b37b078df62ed279dd82226354"),
             ("(x0-1024*x1)^2-x0*x1/1000", F(1), 12,
              ("Disproven", ["split"], False),
-             "f6397addcae1c305aeee96fcd8c0f5ea498ff2794e676d019bafbc77d3d377f4"),
+             "2d4ec54b0544067b67f305bac1a26c4e5dfdc9953fe01bcfa177c17ee64969e7"),
             ("6*x0^3+x0^2-4*x0+1", F(1, 2), 12,
              ("Disproven", ["pass", "refute", "split"], True),
-             "f2477b0832b80b2e1fbf139b38e5be054d98e341d6a3fd3db3f5ceb9cbe2d919"),
+             "332d501dc848b2f963b5ea42fb434486073f3b0b9e5cfb86f98c435c41049f5f"),
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 2,
              ("Fail", ["depth-limit", "pass", "split"], True),
-             "300b010635a0d3d26baf923e54f6d5fdd320249f1ff79e298f7e59ceefbd7299"),
+             "c144c1785b1ba5eacb8d3809d23583983097bffeb51ad6bad0d1e3cf555829da"),
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 0,
-             ("Fail", ["depth-limit", "pass", "split"], True),
-             "c31d392c470f6dc815226167afa8ab4a629dcb6455e0c7b58fe6ba173077078c"),
+             ("Fail", ["depth-limit", "pass"], False),
+             "03d3742c4b536dcf71ca140ab748c5742fbad35bb76cf5d6ef2d179cb6c5471a"),
             ("x0*x1-x0-x1+2", F(0), 10, ("Fail", ["cannot-finitize"], False),
-             "c0f5c740518ba3f31716ef15375a6de4ab7cbe148e38c5d4f50634f1415085be"),
+             "0679632e10317759db5b1475d2c4f644a25ee587a1cd8da8d19fde9f6c7abf46"),
             (EX2, F(1), 12, ("Proven", ["pass", "split"], True),
-             "a0381330d8e92c0847b6bce8220b22c256292311a60e69b807be7ef4040c938d"),
+             "80d40acb0016975bd66e669a588044dd33c1e5deb23d5fa8b4d1f7bc83ea6447"),
         ],
         ids=["region-pass", "region-refute", "grid-refute", "box-refute",
              "depth-limit", "depth-limit-at-region", "cannot-finitize",
@@ -736,16 +737,6 @@ class TestProveNonneg:
         assert replay_certificate(cert, p)
         cert.depth_limit = -1
         assert not replay_certificate(cert, p)
-
-    def test_region_at_zero_split_point_reuses_the_input_digest(self, monkeypatch):
-        p = P("x0^2+x0*x1-x1+x1^2")
-        digested = []
-        monkeypatch.setattr(positivity, "digest_packed",
-                            lambda poly: digested.append(poly) or digest_packed(poly))
-        cert = prove_nonneg(p, 0, 3)
-        assert cert.nodes[0].path == ("NE",) and cert.nodes[0].box is None
-        assert cert.nodes[0].digest == cert.input_digest == digest_packed(p.packed())
-        assert len(cert.nodes) == 1 and not digested
 
     def test_replay_hashes_the_input_once(self, monkeypatch):
         p = P(EX2)
@@ -1007,7 +998,7 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
         mapped = _ref_region_poly(p, region) if box is None else _ref_box_map(fin, box.bounds)
         polys.append(mapped)
         status, outcomes, local = _ref_run_tests(mapped)
-        node = positivity.CertNode(path, region, box, mapped.digest(), outcomes, status)
+        node = positivity.CertNode(path, region, box, outcomes, status)
         cert.nodes.append(node)
         point = None
         if status == "refute" and box is None:
@@ -1041,7 +1032,7 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
             cert.witness_value = _ref_evaluate(p, point)
             return cert, polys
         if status == "split" and len(path) > depth_limit:
-            cert.nodes.append(positivity.CertNode(path, region, box, "", [], "depth-limit"))
+            node.status = "depth-limit"
         elif status == "split":
             stack.extend((region, fin, child, path + (bits,))
                          for bits, child in reversed(subdivide(box)))
@@ -1105,9 +1096,8 @@ class TestEngineMatchesFractionReference:
             for region, poly in split:
                 assert poly == _ref_region_poly(p, region)
                 assert positivity.region_poly(p, region) == poly
-            tested = [n for n in want.nodes if n.status != "depth-limit"]
-            for node, poly in zip(tested, polys):
-                assert node.digest == digest_packed(poly.packed())
+            assert _node_polys(p, got) == polys
+            for node, poly in zip(want.nodes, polys):
                 if node.box is not None:
                     fin, box = finitize(p, node.region)
                     assert fin == _ref_finitize(p, node.region)
@@ -1157,6 +1147,16 @@ class TestRegionPrefixSharing:
             cert = prove_nonneg(P(text), F(1))
             assert cert.verdict == "Disproven" and len(cert.nodes) == 1
             assert len(calls) <= nvars
+
+
+def _node_polys(p, cert):
+    """The polynomial of each node of the certificate, as `checker.walk`
+    makes it when fed the certificate's own nodes."""
+    seen, polys = [], []
+    for (*_, node_poly), node in zip(checker.walk(p.packed(), cert.xbar, seen), cert.nodes):
+        polys.append(MultiPoly.from_packed(node_poly()))
+        seen.append(node)
+    return polys
 
 
 def _random_poly(rng, nvars, max_terms=5, max_exp=3):
