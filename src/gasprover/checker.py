@@ -10,9 +10,9 @@ split nodes, and no grid point; none of them is part of the proof.
 
 The trusted base is this module, the certificate types and the packed kernels
 it calls: the region transforms, finitization, subdivision and the box map,
-the walk over them, the zero-off-xbar rule, the four tests that can pass a
-node, and the evaluation of a witness.  The prover imports these from here,
-so both run one definition of each.
+the walk over them, the stop rule for undecided nodes, the zero-off-xbar
+rule, the four tests that can pass a node, and the evaluation of a witness.
+The prover imports these from here, so both run one definition of each.
 """
 from __future__ import annotations
 
@@ -94,6 +94,20 @@ def walk(P: PackedPoly, xbar: Fraction, seen: list):
                 if box is None:
                     P_fin, box = _finitize(P, region)
                 stack.extend((path + (bits,), child) for bits, child in reversed(subdivide(box)))
+
+
+def stop_status(path: tuple[str, ...], box: BoxSpec | None, xbar: Fraction,
+                depth_limit: int) -> str:
+    """The status of a node that no test decided: `cannot-finitize` for a
+    region at xbar = 0, which no box can hold, `depth-limit` past the depth
+    limit, and `split` (subdivide it) otherwise."""
+    if box is None and xbar == 0:
+        return "cannot-finitize"
+    return "depth-limit" if len(path) > depth_limit else "split"
+
+
+# The Fail reason that an unproven leaf of each stopped status gives a run.
+FAIL_REASONS = {"depth-limit": "depth-limit", "cannot-finitize": "cannot-finitize-zero-split"}
 
 
 def _zero_off_xbar(path: tuple[str, ...], box: BoxSpec | None, poly: PackedPoly) -> bool:
@@ -295,9 +309,7 @@ def _tree_leaves(cert: ProofCertificate, packed: PackedPoly, xbar: Fraction,
     Each node must sit at the path, region and box the walk reaches next,
     and every node must be read.  A `pass` leaf's last outcome must be a pass
     that its test confirms on the node polynomial, which must not vanish off
-    xbar.  An undecided node is `split` within the depth limit and
-    `depth-limit` past it; a region at xbar = 0 is neither, but may be
-    `cannot-finitize`.
+    xbar.  Any other node must have the status `stop_status` gives it.
     """
     nodes = iter(cert.nodes)
     seen, leaves = [], set()
@@ -309,13 +321,10 @@ def _tree_leaves(cert: ProofCertificate, packed: PackedPoly, xbar: Fraction,
             poly = node_poly()
             if not _pass_holds(node.outcomes, poly, box is None) or _zero_off_xbar(path, box, poly):
                 return None
-        elif node.status == "cannot-finitize" and box is None and xbar == 0:
-            leaves.add("cannot-finitize-zero-split")
-        elif (box is None and xbar == 0
-              or node.status != ("split" if len(path) <= depth_limit else "depth-limit")):
+        elif node.status != stop_status(path, box, xbar, depth_limit):
             return None
-        elif node.status == "depth-limit":
-            leaves.add("depth-limit")
+        elif node.status != "split":
+            leaves.add(FAIL_REASONS[node.status])
         seen.append(node)
     return None if next(nodes, None) is not None else leaves
 

@@ -49,7 +49,7 @@ def grlex_key(exps: Exponents):
 class MultiPoly:
     """Sparse multivariate polynomial: exponent vectors -> nonzero Fractions."""
 
-    __slots__ = ("nvars", "terms", "_hash", "_digest", "_packed")
+    __slots__ = ("nvars", "_terms", "_hash", "_digest", "_packed")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction]):
         if nvars < 0:
@@ -65,7 +65,7 @@ class MultiPoly:
             if coeff != 0:
                 clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_packed", None)
@@ -99,7 +99,7 @@ class MultiPoly:
         """
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", drop_zeros(terms))
+        object.__setattr__(poly, "_terms", drop_zeros(terms))
         object.__setattr__(poly, "_hash", None)
         object.__setattr__(poly, "_digest", None)
         object.__setattr__(poly, "_packed", None)
@@ -153,14 +153,25 @@ class MultiPoly:
             terms = {layout.pack(packing.exponents(k)): c for k, c in terms.items()}
         if g > 1:
             terms = {k: c // g for k, c in terms.items()}
-        out = object.__new__(_Unfilled)
+        out = object.__new__(cls)
         object.__setattr__(out, "nvars", poly.nvars)
+        object.__setattr__(out, "_terms", None)
         object.__setattr__(out, "_hash", None)
         object.__setattr__(out, "_digest", None)
         object.__setattr__(out, "_packed", PackedPoly(layout, terms, den // g))
         return out
 
     # -- predicates / accessors -------------------------------------------
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """Exponent vectors -> non-zero Fractions; made on first read from
+        the integers of a `from_packed` polynomial."""
+        if self._terms is None:
+            packing, ints, den = self._packed
+            terms = MultiPoly._from_integers(self.nvars, packing.unpack_terms(ints), den)._terms
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
 
     def is_zero(self) -> bool:
         return not (self._packed or self).terms
@@ -397,22 +408,6 @@ class MultiPoly:
         if self._digest is None:
             object.__setattr__(self, "_digest", digest_packed(self.packed()))
         return self._digest
-
-
-class _Unfilled(MultiPoly):
-    """A `from_packed` polynomial until `terms` is read: only it has `__getattr__`,
-    Python's hook for an unset slot, since that slows every attribute read."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name != "terms":
-            raise AttributeError(f"'MultiPoly' object has no attribute {name!r}")
-        packing, ints, den = self._packed
-        terms = MultiPoly._from_integers(self.nvars, packing.unpack_terms(ints), den).terms
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "__class__", MultiPoly)
-        return terms
 
 
 class RatFun:

@@ -2,24 +2,28 @@
 
 The orthant is split at the distinguished point xbar into 2^n regions, each
 mapped back onto the orthant by exact shift/inversion substitutions. Cheap
-coefficient tests certify or refute each region. Before the first
-inconclusive region is subdivided, P is evaluated exactly on a fixed dyadic
-grid, which refutes most false inputs at once. A region that vanishes to
-second order at its local origin, the xbar image, then gets the cone test: a
-blow-up of that point into n affine charts, each checked by signs. Otherwise
-an inconclusive region is mapped onto a finite box and halved along every
-axis, depth first, until each piece is decided or the depth limit is
-reached. A box's local origin is its upper corner, the xbar image only on
+coefficient tests certify or refute each region. At the first
+inconclusive region, at every xbar including 0, P is evaluated exactly on a
+fixed dyadic grid, which refutes most false inputs at once (a P with no
+negative coefficient is not scanned). A region that vanishes to second order
+at its local origin, the xbar image, then gets the cone test: a blow-up of
+that point into n affine charts, each checked by signs. Otherwise an
+inconclusive region is mapped onto a finite box and halved along every
+axis, depth first, until each piece is decided or `checker.stop_status`
+stops it: at the depth limit, or at once for a region at xbar = 0, which no
+box holds. A box's local origin is its upper corner, the xbar image only on
 the all-1 chain of sub-boxes; a zero there anywhere else ends the run
 (`zero-off-xbar`). The whole run is recorded as a certificate, and
-refutations carry an exact witness point in the original coordinates.
+refutations carry an exact witness point in the original coordinates, which
+`to_original` maps back from the node's local coordinates.
 
 `prove_nonneg` holds no tree of its own: it iterates `checker.walk`, which
 makes the nodes in order and subdivides a node only if the status recorded
 for it is `split`, and tests each node the walk yields.
 `checker.replay_certificate` iterates the same walk, so prover and checker
 share the order, the region transforms, finitization, subdivision, the box
-map, the tests that can pass a node and the zero-off-xbar rule.
+map, the tests that can pass a node, the zero-off-xbar rule and the stop
+rule.
 
 Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.
@@ -36,8 +40,9 @@ from fractions import Fraction
 # the certificate types, JSON form and checker are also importable from here
 from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
                           certificate_document, certificate_from_json, certificate_to_json)
-from .checker import (_cones, _finitize, _poscoeffs, _regions, _subpoly_n, _zero_off_xbar,
-                      _zero_only_at_origin, replay_certificate, subdivide, walk)
+from .checker import (FAIL_REASONS, _cones, _finitize, _poscoeffs, _regions, _subpoly_n,
+                      _zero_off_xbar, _zero_only_at_origin, replay_certificate, stop_status,
+                      subdivide, walk)
 from .packed import PackedPoly
 from .polynomial import MultiPoly, evaluate_packed
 
@@ -55,14 +60,21 @@ def region_poly(P: MultiPoly, region: RegionSpec) -> MultiPoly:
     raise ValueError(f"no region {region.label} at split point {region.xbar}")
 
 
-def region_to_original(region: RegionSpec, point) -> list[Fraction]:
-    """Map a point in region coordinates back to the original orthant."""
+def to_original(region: RegionSpec, box: BoxSpec | None, point) -> list[Fraction]:
+    """Map a point w >= 0 of a node's local coordinates to the original orthant.
+
+    A region's axis takes w to w + xbar if high, else to 1/(w + 1/xbar).  A
+    box's axis takes w to y = a + 1/(w + 1/(b - a)) in the box [a, b], and y
+    to 1/y on a high axis of its region.  The local origin goes to xbar for
+    a region and to the box's upper corner for a box.
+    """
+    if box is None:
+        return [w + region.xbar if high else 1 / (w + 1 / region.xbar)
+                for w, high in zip(point, region.highs)]
     out = []
-    for w, high in zip(point, region.highs):
-        if high:
-            out.append(w + region.xbar)
-        else:
-            out.append(1 / (w + 1 / region.xbar))
+    for w, (a, b), high in zip(point, box.bounds, region.highs):
+        y = 1 / (w + 1 / (b - a)) + a
+        out.append(1 / y if high else y)
     return out
 
 
@@ -143,20 +155,6 @@ def finitize(P: MultiPoly, region: RegionSpec) -> tuple[MultiPoly, BoxSpec]:
     return MultiPoly.from_packed(fin), box
 
 
-def finitized_to_original(region: RegionSpec, point) -> list[Fraction]:
-    return [
-        1 / x if high else x for x, high in zip(point, region.highs)
-    ]
-
-
-def boxed_to_box(box: BoxSpec, point) -> list[Fraction]:
-    """Map a point in box-mapped orthant coordinates into the box itself."""
-    out = []
-    for w, (a, b) in zip(point, box.bounds):
-        out.append(1 / (w + 1 / (b - a)) + a)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Witness search
 # ---------------------------------------------------------------------------
@@ -196,7 +194,8 @@ def _grid_exponents(nvars: int) -> list[int]:
 
 def _grid_negative(P: PackedPoly) -> list[Fraction] | None:
     """The first point of the dyadic grid where P < 0, in itertools.product
-    order over _grid_exponents, or None if P >= 0 on the whole grid.
+    order over _grid_exponents, or None if P >= 0 on the whole grid; at once
+    if P has no negative coefficient, as then P >= 0 on the whole orthant.
 
     Integer arithmetic only. With d = deg(P) and y_i = 2^(j_i + _GRID_SCALE),
     den * 2^(_GRID_SCALE * d) * P is an integer polynomial in y, whose term
@@ -204,6 +203,8 @@ def _grid_negative(P: PackedPoly) -> list[Fraction] | None:
     time, so each prefix of the point is paid for once, not once per point.
     """
     packing, terms, _ = P
+    if min(terms.values()) >= 0:
+        return None
     top = packing.top
     deg = max(terms) >> top
     ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
@@ -298,9 +299,9 @@ def prove_nonneg(
     when xbar = 0 leaves a region unfinitized, or at a box corner off the xbar
     image where P = 0 (`zero-off-xbar`, with that corner as the witness).
     The nodes come from `checker.walk`.  The dyadic grid is searched once,
-    just before the first region would be subdivided, and the cone test runs
-    on each region that would be; a node left `split` past the depth limit
-    becomes a `depth-limit` leaf.
+    at the first undecided region, and the cone test runs on each undecided
+    region; a node still undecided then gets the status of
+    `checker.stop_status`, the rule the checker holds it to.
     """
     if not isinstance(xbar, (int, Fraction)):
         raise TypeError(f"xbar must be an int or Fraction, got {type(xbar).__name__}")
@@ -327,19 +328,17 @@ def prove_nonneg(
         node = CertNode(path, region, box, outcomes, status)
         cert.nodes.append(node)
         point = None
-        if status == "refute" and box is None:
-            point = region_to_original(region, local)
-        elif status == "refute":
-            point = finitized_to_original(region, boxed_to_box(box, local))
+        if status == "refute":
+            point = to_original(region, box, local)
         elif _zero_off_xbar(path, box, mapped):
-            point = finitized_to_original(region, [b for _, b in box.bounds])
+            point = to_original(region, box, [0] * P.nvars)
             if evaluate_packed(packed, point) != 0:
                 raise RuntimeError(f"zero corner {point} is not a zero of P")
             cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
             cert.witness, cert.witness_value = point, Fraction(0)
             return cert
         elif status == "split" and box is None:
-            if xbar and not grid_tried:
+            if not grid_tried:
                 grid_tried = True
                 point = _grid_negative(packed)
             # no constant and no linear terms: P vanishes to second order at xbar
@@ -347,8 +346,6 @@ def prove_nonneg(
                 outcomes.append(_cones(mapped))
                 if outcomes[-1].result == "pass":
                     node.status = "pass"
-            if xbar == 0 and node.status == "split":
-                node.status = "cannot-finitize"
         if point is not None:
             value = evaluate_packed(packed, point)
             if value >= 0:
@@ -357,13 +354,8 @@ def prove_nonneg(
             cert.witness = point
             cert.witness_value = value
             return cert
-        if node.status == "split" and len(path) > depth_limit:
-            node.status = "depth-limit"
-
-    statuses = {node.status for node in cert.nodes}
-    if "depth-limit" in statuses or "cannot-finitize" in statuses:
-        cert.verdict = "Fail"
-        cert.fail_reason = (
-            "depth-limit" if "depth-limit" in statuses else "cannot-finitize-zero-split"
-        )
+        if node.status == "split":
+            node.status = stop_status(path, box, xbar, depth_limit)
+            if node.status != "split":
+                cert.verdict, cert.fail_reason = "Fail", FAIL_REASONS[node.status]
     return cert

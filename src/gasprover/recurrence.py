@@ -340,7 +340,8 @@ def build_contraction_poly(
             lcm_factors[f] = max(lcm_factors[f], 2 * mult)
 
     # Every exponent in lcm_factors is even, so lcm_poly(xbar) > 0 iff no factor vanishes.
-    assert not any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in lcm_factors)
+    if any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in lcm_factors):
+        raise RuntimeError(f"a denominator factor of Q^{K} vanishes at xbar = {eq.value}")
     lcm_poly = _expand_factors(lcm_factors, pool, powers)
 
     # Every summand is kept over the one denominator (s*q)^2, where xbar = p/q

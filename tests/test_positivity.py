@@ -93,9 +93,7 @@ class TestOrthantSplit:
             xbar = F(rng.randrange(1, 5), rng.randrange(1, 3))
             for region, q in orthant_split(p, xbar):
                 w = [F(rng.randrange(1, 20), rng.randrange(1, 10)) for _ in range(2)]
-                from gasprover.positivity import region_to_original
-
-                original = region_to_original(region, w)
+                original = positivity.to_original(region, None, w)
                 lhs = q.evaluate(w)
                 rhs = p.evaluate(original)
                 assert (lhs > 0) == (rhs > 0) and (lhs == 0) == (rhs == 0)
@@ -579,14 +577,20 @@ class TestProveNonneg:
 
     def test_fail_when_unfinitizable(self):
         # With a zero split point the one all-high region cannot be mapped
-        # onto a finite box, so an undecided region gives Fail, whether P
-        # is negative somewhere (the first input is -2 at (0, 4)) or >= 1
-        # everywhere (the second).
-        for text in ("x0*x1-x0-x1+2", "(x0-x1)^2+x0+1"):
-            cert = prove_nonneg(P(text), F(0), 10)
-            assert cert.verdict == "Fail"
-            assert cert.fail_reason == "cannot-finitize-zero-split"
-            assert [n.status for n in cert.nodes] == ["cannot-finitize"]
+        # onto a finite box, so an undecided region that the grid does not
+        # refute gives Fail: (x0-x1)^2+x0+1 is >= 1 everywhere.
+        cert = prove_nonneg(P("(x0-x1)^2+x0+1"), F(0), 10)
+        assert cert.verdict == "Fail"
+        assert cert.fail_reason == "cannot-finitize-zero-split"
+        assert [n.status for n in cert.nodes] == ["cannot-finitize"]
+        # x0*x1-x0-x1+2 is -2 at (0, 4): the grid runs at xbar = 0 too
+        p = P("x0*x1-x0-x1+2")
+        cert = prove_nonneg(p, F(0), 10)
+        assert cert.verdict == "Disproven"
+        a, b = cert.witness
+        assert a * b - a - b + 2 == cert.witness_value < 0
+        assert [n.status for n in cert.nodes] == ["split"]
+        assert replay_certificate(cert, p)
 
     @pytest.mark.parametrize(
         "text,xbar,depth,ending,sha",
@@ -607,14 +611,16 @@ class TestProveNonneg:
             ("(x0-1/3)^2+(x1-1/3)^2", F(1), 0,
              ("Fail", ["depth-limit", "pass"], False),
              "03d3742c4b536dcf71ca140ab748c5742fbad35bb76cf5d6ef2d179cb6c5471a"),
-            ("x0*x1-x0-x1+2", F(0), 10, ("Fail", ["cannot-finitize"], False),
-             "0679632e10317759db5b1475d2c4f644a25ee587a1cd8da8d19fde9f6c7abf46"),
+            ("(x0-x1)^2+x0+1", F(0), 10, ("Fail", ["cannot-finitize"], False),
+             "d339a5539dbba74a476a2674d33c0590f39859cf2748f728692b6c3e9a2e5cd1"),
             (EX2, F(1), 12, ("Proven", ["pass", "split"], True),
              "80d40acb0016975bd66e669a588044dd33c1e5deb23d5fa8b4d1f7bc83ea6447"),
+            ("x0*x1-x0-x1+2", F(0), 10, ("Disproven", ["split"], False),
+             "3ed86b14f794bfde2fdcb5f36f74d9b86174aa5b4bae9a671e4ba6b7c37754ee"),
         ],
         ids=["region-pass", "region-refute", "grid-refute", "box-refute",
              "depth-limit", "depth-limit-at-region", "cannot-finitize",
-             "proven-subdivided"],
+             "proven-subdivided", "grid-refute-at-zero"],
     )
     def test_golden_certificate(self, text, xbar, depth, ending, sha):
         # One input per way a run can end, with the SHA-256 of its
@@ -985,6 +991,19 @@ def _ref_grid_negative(p):
     return None
 
 
+def _ref_to_original(region, box, w):
+    """A local point in the original orthant, by undoing the reference maps:
+    a high region axis was shifted by xbar, a low one inverted and shifted
+    by 1/xbar; a box axis of the finitized region (high axes inverted) was
+    shifted by a, inverted and shifted by 1/(b - a)."""
+    xbar = region.xbar
+    if box is None:
+        return [xbar + x if high else xbar / (1 + xbar * x)
+                for x, high in zip(w, region.highs)]
+    finite = [a + (b - a) / (1 + (b - a) * x) for x, (a, b) in zip(w, box.bounds)]
+    return [1 / y if high else y for y, high in zip(finite, region.highs)]
+
+
 def _ref_prove_nonneg(p, xbar, depth_limit):
     """The certificate of the Fraction engine, and the polynomial of each node."""
     cert = positivity.ProofCertificate(p.digest(), p.nvars, xbar, depth_limit, "Proven", [])
@@ -1001,20 +1020,17 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
         node = positivity.CertNode(path, region, box, outcomes, status)
         cert.nodes.append(node)
         point = None
-        if status == "refute" and box is None:
-            point = positivity.region_to_original(region, local)
-        elif status == "refute":
-            point = positivity.finitized_to_original(
-                region, positivity.boxed_to_box(box, local))
+        if status == "refute":
+            point = _ref_to_original(region, box, local)
         elif box is not None and mapped.constant_term() == 0 and any(
                 "0" in bits for bits in path[1:]):
-            corner = positivity.finitized_to_original(region, [b for _, b in box.bounds])
+            corner = [1 / b if high else b for (_, b), high in zip(box.bounds, region.highs)]
             assert _ref_evaluate(p, corner) == 0
             cert.verdict, cert.fail_reason = "Fail", "zero-off-xbar"
             cert.witness, cert.witness_value = corner, F(0)
             return cert, polys
         elif status == "split" and box is None:
-            if xbar and not grid_tried:
+            if not grid_tried:
                 grid_tried = True
                 point = _ref_grid_negative(p)
             if point is None and min(map(sum, mapped.terms)) >= 2:
@@ -1114,6 +1130,39 @@ class TestEngineMatchesFractionReference:
         assert full_degree >= 20
 
 
+class TestToOriginal:
+    def test_node_sign_is_the_sign_of_P_at_the_mapped_point(self):
+        # every node of the in-repo corpora, at its local origin and at
+        # random local points w >= 0; the origin maps to xbar for a region
+        # and to the box's upper corner (in original coordinates) for a box
+        from test_checker import _random_corpus
+
+        rng = random.Random(113)
+        nodes = boxes = 0
+        for p, xbar, depth in _reference_corpus() + _random_corpus():
+            cert = prove_nonneg(p, xbar, depth)
+            for node, poly in zip(cert.nodes, _node_polys(p, cert), strict=True):
+                region, box, n = node.region, node.box, p.nvars
+                origin = positivity.to_original(region, box, [0] * n)
+                if box is None:
+                    assert origin == [xbar] * n
+                else:
+                    assert origin == [1 / b if high else b
+                                      for (_, b), high in zip(box.bounds, region.highs)]
+                points = [[0] * n] + [
+                    [rng.choice((F(0), F(rng.randrange(1, 60), rng.randrange(1, 9))))
+                     for _ in range(n)] for _ in range(3)]
+                for w in points:
+                    x = positivity.to_original(region, box, w)
+                    assert all(v >= 0 for v in x)
+                    local, original = poly.evaluate(w), p.evaluate(x)
+                    assert (local > 0, local == 0) == (original > 0, original == 0), (
+                        str(p), xbar, node.path, w)
+                nodes += 1
+                boxes += box is not None
+        assert nodes > 1000 and boxes > 500
+
+
 def _count_shifts(monkeypatch):
     # the region generator is the checker's, which the prover imports
     calls = []
@@ -1153,7 +1202,8 @@ def _node_polys(p, cert):
     """The polynomial of each node of the certificate, as `checker.walk`
     makes it when fed the certificate's own nodes."""
     seen, polys = [], []
-    for (*_, node_poly), node in zip(checker.walk(p.packed(), cert.xbar, seen), cert.nodes):
+    # the nodes first: a walk is not resumed past the last node of a run
+    for node, (*_, node_poly) in zip(cert.nodes, checker.walk(p.packed(), cert.xbar, seen)):
         polys.append(MultiPoly.from_packed(node_poly()))
         seen.append(node)
     return polys

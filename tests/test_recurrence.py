@@ -220,6 +220,13 @@ class TestBuildContractionPoly:
                 p = build_contraction_poly(spec, eq, k)
                 assert p.evaluate(eq.vector) == 0
 
+    def test_denominator_vanishing_at_xbar_raises(self, monkeypatch):
+        # a soundness guard, not an assert, so that it holds under python -O
+        monkeypatch.setattr(recurrence, "_vanishes_on_diagonal", lambda f, x, packing: True)
+        spec = parse_rde(BENCH)
+        with pytest.raises(RuntimeError, match="vanishes at xbar"):
+            build_contraction_poly(spec, find_equilibrium(spec), 2)
+
     def test_sign_equivalence_random(self):
         rng = random.Random(41)
 
@@ -503,8 +510,7 @@ class TestBuildKeepsPackedP:
             # the eager form: P's Fractions made from the build's integers at once
             eager = MultiPoly._from_integers(spec.order, packing.unpack_terms(ints), den)
             kept = got.packed()
-            with pytest.raises(AttributeError):
-                object.__getattribute__(got, "terms")
+            assert got._terms is None
             assert got.is_zero() == eager.is_zero()
             want = MultiPoly(spec.order, eager.terms).packed()
             assert kept.packing.mask == want.packing.mask
