@@ -78,8 +78,9 @@ def walk(P: PackedPoly, xbar: Fraction, seen: list):
     `seen` is the caller's list of recorded nodes, which it prunes in place
     as os.walk's caller does: on resuming, the walk subdivides the node it
     last yielded only if `seen[-1].status` is then `split`, a region after
-    mapping it onto a finite box (not possible at xbar = 0).  The node
-    polynomial is a callable, so that a caller maps only the nodes it reads.
+    mapping it onto a finite box; no box holds a region at xbar = 0, so the
+    walk never subdivides one.  The node polynomial is a callable, so that a
+    caller maps only the nodes it reads.
     """
     for highs, poly in _regions(P, xbar):
         region = RegionSpec(highs, xbar)
@@ -90,7 +91,7 @@ def walk(P: PackedPoly, xbar: Fraction, seen: list):
                 yield path, region, box, lambda poly=poly: poly
             else:
                 yield path, region, box, partial(box_map_packed, P_fin, box.bounds)
-            if seen[-1].status == "split":
+            if seen[-1].status == "split" and (box is not None or xbar):
                 if box is None:
                     P_fin, box = _finitize(P, region)
                 stack.extend((path + (bits,), child) for bits, child in reversed(subdivide(box)))

@@ -350,7 +350,7 @@ def prove_nonneg(
             value = evaluate_packed(packed, point)
             if value >= 0:
                 raise RuntimeError(f"refuting point {point} gives P = {value}, not < 0")
-            cert.verdict = "Disproven"
+            cert.verdict, cert.fail_reason = "Disproven", None
             cert.witness = point
             cert.witness_value = value
             return cert

@@ -43,6 +43,7 @@ GOLDEN = [
     ("(x0-x1)^2+x0+1", F(0), 10),
     (EX2, F(1), 12),
     ("x0*x1-x0-x1+2", F(0), 10),
+    ("((x0-1/3)^2+1/10^6)*((x0-4/5)^2-1/1000)", F(1), 4),
 ]
 
 
@@ -88,7 +89,7 @@ def _random_corpus():
     children)."""
     rng = random.Random(307)
     inputs = [(P(text), xbar, depth) for text, xbar, depth in GOLDEN]
-    while len(inputs) < 208:
+    while len(inputs) < 209:
         nvars = rng.randrange(1, 4)
         p = _random_poly(rng, nvars)
         if not p.is_zero():
@@ -155,8 +156,8 @@ class TestAccepts:
     def test_walk_fed_a_certificates_nodes_visits_exactly_them(self):
         # the walk reads each node's status as the prover left it; a run that
         # ends at a refutation or a zero stops before the walk does, so the
-        # walk is not resumed after its last node (at xbar = 0 a refuted
-        # region is left `split`, which no box can hold)
+        # walk is not resumed after its last node, which would yield nodes
+        # the prover never reached
         for p, xbar, depth in _random_corpus():
             cert = prove_nonneg(p, xbar, depth)
             stopped = cert.verdict == "Disproven" or cert.fail_reason == "zero-off-xbar"
@@ -170,6 +171,17 @@ class TestAccepts:
                     break
             want = [(n.path, n.region, n.box) for n in cert.nodes]
             assert visited == want, (str(p), xbar, depth)
+
+    def test_walk_ends_after_a_split_region_at_zero(self):
+        # a grid-refuted region at xbar = 0 is left `split`, and no finite
+        # box holds it, so a walk resumed after it ends there
+        p = P("x0*x1-x0-x1+2")
+        cert = prove_nonneg(p, F(0), 10)
+        assert [n.status for n in cert.nodes] == ["split"]
+        seen = []
+        for _ in checker.walk(p.packed(), F(0), seen):
+            seen.append(cert.nodes[len(seen)])
+        assert seen == cert.nodes
 
     def test_does_not_prove_again(self, monkeypatch):
         certs = [(P(text), prove_nonneg(P(text), xbar, depth)) for text, xbar, depth in GOLDEN]

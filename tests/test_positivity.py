@@ -43,6 +43,9 @@ EX1 = "x0^2-x0*x1+x1^2"
 EX2 = "x0^4*x1-5*x0^3*x1+10*x0^2*x1+x0^2+x1"
 EX2_NE = "x0^4*x1+x0^4-x0^3*x1-x0^3+x0^2*x1+2*x0^2+9*x0*x1+11*x0+7*x1+8"
 EX2_SW = "x0^4+4*x0^3+x0^2*x1+17*x0^2+2*x0*x1+21*x0+x1+8"
+# < 0 near x0 = 4/5, at a box that the depth-first walk reaches after one
+# stopped at a depth limit of 4 near the double root 1/3
+REFUTE_AFTER_LIMIT = "((x0-1/3)^2+1/10^6)*((x0-4/5)^2-1/1000)"
 
 
 def _bench_poly():
@@ -592,6 +595,17 @@ class TestProveNonneg:
         assert [n.status for n in cert.nodes] == ["split"]
         assert replay_certificate(cert, p)
 
+    def test_refutation_after_a_depth_limit_leaf(self):
+        # the walk is depth first, so a leaf stopped at the depth limit can
+        # come before the node that a test refutes; the run is then
+        # Disproven, with no Fail reason left over from that leaf
+        p = P(REFUTE_AFTER_LIMIT)
+        cert = prove_nonneg(p, F(1), 4)
+        statuses = [n.status for n in cert.nodes]
+        assert statuses.index("depth-limit") < statuses.index("refute")
+        assert (cert.verdict, cert.fail_reason) == ("Disproven", None)
+        assert replay_certificate(cert, p)
+
     @pytest.mark.parametrize(
         "text,xbar,depth,ending,sha",
         [
@@ -617,10 +631,13 @@ class TestProveNonneg:
              "80d40acb0016975bd66e669a588044dd33c1e5deb23d5fa8b4d1f7bc83ea6447"),
             ("x0*x1-x0-x1+2", F(0), 10, ("Disproven", ["split"], False),
              "3ed86b14f794bfde2fdcb5f36f74d9b86174aa5b4bae9a671e4ba6b7c37754ee"),
+            (REFUTE_AFTER_LIMIT, F(1), 4,
+             ("Disproven", ["depth-limit", "pass", "refute", "split"], True),
+             "866550e3e70faeed527057cb6afaa720a71ac2fac03a49478ba984a0a4b3b0c6"),
         ],
         ids=["region-pass", "region-refute", "grid-refute", "box-refute",
              "depth-limit", "depth-limit-at-region", "cannot-finitize",
-             "proven-subdivided", "grid-refute-at-zero"],
+             "proven-subdivided", "grid-refute-at-zero", "refute-after-depth-limit"],
     )
     def test_golden_certificate(self, text, xbar, depth, ending, sha):
         # One input per way a run can end, with the SHA-256 of its
@@ -1069,8 +1086,8 @@ def _reference_corpus():
     regions run the cone test, at x̄ > 0 and at x̄ = 0, come last."""
     rng = random.Random(103)
     inputs = [(P("6*x0^3+x0^2-4*x0+1"), F(1, 2), 5), (P(EX2), F(1), 5),
-              (P("(x0-1/3)^2+(x1-1/3)^2"), F(1), 2)]
-    while len(inputs) < 150:
+              (P("(x0-1/3)^2+(x1-1/3)^2"), F(1), 2), (P(REFUTE_AFTER_LIMIT), F(1), 4)]
+    while len(inputs) < 151:
         nvars = rng.randrange(1, 4)
         kind = rng.randrange(3)
         if kind == 0:
