@@ -7,7 +7,8 @@ Run with: python3 demos/positivity_walkthrough.py
 from fractions import Fraction
 
 from gasprover import parse_poly, prove_nonneg
-from gasprover.positivity import finitize, orthant_split, subdivide
+from gasprover.checker import subdivide
+from gasprover.positivity import finitize, orthant_split
 
 F = Fraction
 

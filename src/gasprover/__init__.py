@@ -5,13 +5,9 @@ equations, via polynomial positivity certificates on the positive orthant."""
 # sources, and compiling the largest module while the fewest others are
 # loaded keeps the peak memory of the import down.
 from .polynomial import MultiPoly, RatFun
-from .positivity import (
-    ProofCertificate,
-    certificate_from_json,
-    certificate_to_json,
-    prove_nonneg,
-    replay_certificate,
-)
+from .positivity import prove_nonneg
+from .certificate import ProofCertificate, certificate_from_json, certificate_to_json
+from .checker import replay_certificate
 from .driver import PipelineResult, prove, prove_k, webbook
 from .parsing import ParseError, parse_poly
 from .recurrence import (

@@ -42,12 +42,6 @@ class BoxSpec:
     bounds: tuple[tuple[Fraction, Fraction], ...]
     open_low: tuple[bool, ...]
 
-    def contains(self, point) -> bool:
-        for x, (a, b), op in zip(point, self.bounds, self.open_low):
-            if not ((a < x if op else a <= x) and x <= b):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class TestOutcome:

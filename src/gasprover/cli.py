@@ -13,9 +13,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .certificate import certificate_to_json
 from .driver import _prove_k, prove, webbook
 from .parsing import ParseError, parse_poly, parse_rational
-from .positivity import certificate_to_json, orthant_split, prove_nonneg
+from .positivity import orthant_split, prove_nonneg
 from .recurrence import UnsupportedInputError, parse_rde
 
 EXIT_TRUE = 0
@@ -178,7 +179,12 @@ def main(argv: list[str] | None = None) -> int:
             return _VERDICT_EXIT[cert.verdict]
 
         if args.verb == "webbook":
-            ranges = {name: (lo, hi) for name, lo, hi in args.ranges}
+            ranges = {}
+            for name, lo, hi in args.ranges:
+                if name in ranges:
+                    print(f"error: --range {name} is given more than once", file=sys.stderr)
+                    return EXIT_UNSUPPORTED
+                ranges[name] = (lo, hi)
             if not ranges:
                 print("error: at least one --range is required", file=sys.stderr)
                 return EXIT_UNSUPPORTED

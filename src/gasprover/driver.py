@@ -17,11 +17,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .certificate import ProofCertificate
 # Not called by the pipeline; imported so that driver.conjecture_k stays a
 # hook target of bench/layers.py until the mesh module is retired.
 from .conjecture import conjecture_k
 from .polynomial import MultiPoly
-from .positivity import ProofCertificate, prove_nonneg
+from .positivity import prove_nonneg
 from .recurrence import (
     Equilibrium,
     RecurrenceSpec,
@@ -233,15 +234,19 @@ def webbook(
     collect a deterministic tabular report.
 
     Instances whose coefficients come out non-positive are skipped and
-    recorded as such rather than aborting the batch.
+    recorded as such rather than aborting the batch.  Every parameter must
+    occur in the template as a whole word, the match it is substituted by.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if depth_limit < 0:
         raise ValueError("depth_limit must be >= 0")
+    words = {name: rf"\b{re.escape(name)}\b" for name in ranges}
     for name, (lo, hi) in ranges.items():
         if not re.fullmatch(r"[A-Za-z_]\w*", name) or re.fullmatch(r"x\d+", name):
             raise ValueError(f"invalid parameter name: {name}")
+        if not re.search(words[name], template):
+            raise ValueError(f"parameter {name} does not occur in the template")
         if lo >= hi:
             raise ValueError(f"empty range for {name}: ({lo}, {hi}]")
     rng = random.Random(seed)
@@ -253,11 +258,7 @@ def webbook(
         )
         rde = template
         for name, v in values:
-            rde = re.sub(
-                rf"\b{re.escape(name)}\b",
-                f"({v.numerator}/{v.denominator})",
-                rde,
-            )
+            rde = re.sub(words[name], f"({v.numerator}/{v.denominator})", rde)
         try:
             spec = parse_rde(rde, order)
             result = prove(spec, maxK, depth_limit)

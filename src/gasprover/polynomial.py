@@ -1,18 +1,19 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
 A `MultiPoly`'s coefficients are non-zero `fractions.Fraction`s.  Its hot
-kernels, products, evaluation and the variable substitutions, scale their
-operands to exact integers over a positive common denominator, run their term
-loops on those integers and divide once per output term; nothing in this
-module uses floating point.  Sums, negation and scaling build their result
+kernels, products, evaluation and the box map, scale their operands to
+exact integers over a positive common denominator, run their term loops on
+those integers and divide once per output term; nothing in this module
+uses floating point.  Sums, negation and scaling build their result
 through one unchecked constructor.  Polynomials are immutable and hashable,
 so they can be shared freely.
 
-Products run the term-pair loop of `packed.mul_packed`, and shifts,
-inversions and box maps the kernels of `packed.PackedPoly`, on integer
-coefficients and packed exponents, and digests and evaluation are those of
-`packed()`, which is made once.  `from_packed` keeps its integers and makes
-the Fraction terms on first read.
+Products run the term-pair loop of `packed.mul_packed`, and the box map
+the kernel of `packed.PackedPoly`, on integer coefficients and packed
+exponents, and digests and evaluation are those of `packed()`, which is
+made once; the positivity prover runs its shifts and inversions on that
+form.  `from_packed` keeps its integers and makes the Fraction terms on
+first read.
 
 A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
 place that normalises a denominator, and the parser, which owns the
@@ -27,7 +28,7 @@ from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
 from .packed import (Exponents, PackedPoly, Packing, box_map_packed, digest_packed, drop_zeros,
-                     evaluate_packed, invert_packed, mul_packed, power_by_squaring, shift_packed)
+                     evaluate_packed, mul_packed, power_by_squaring)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -182,20 +183,14 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, _ZERO)
 
-    def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
-
     def total_degree(self) -> int:
         """Max total degree over terms; 0 for the zero polynomial."""
         return max(map(sum, self.terms), default=0)
 
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < self.nvars:
-            raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
-
     def degree_in(self, var: int) -> int:
         """Max exponent of `var`; 0 for the zero polynomial."""
-        self._check_var(var)
+        if not 0 <= var < self.nvars:
+            raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
         return max((e[var] for e in self.terms), default=0)
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
@@ -290,47 +285,13 @@ class MultiPoly:
             object.__setattr__(self, "_hash", hash((self.nvars, frozenset(self.terms.items()))))
         return self._hash
 
-    # -- evaluation and calculus ------------------------------------------
+    # -- evaluation and the box map ----------------------------------------
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         """The exact value at `point`, by `evaluate_packed`."""
         if len(point) != self.nvars:
             raise ValueError(f"point length {len(point)} != nvars {self.nvars}")
         return evaluate_packed(self.packed(), [_as_fraction(p) for p in point])
-
-    def diff(self, var: int) -> "MultiPoly":
-        if not 0 <= var < self.nvars:
-            raise IndexError(f"variable index {var} out of range")
-        terms: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[var]
-            if e:
-                new = list(exps)
-                new[var] = e - 1
-                key = tuple(new)
-                terms[key] = terms.get(key, _ZERO) + coeff * e
-        return MultiPoly(self.nvars, terms)
-
-    # -- the three variable transforms ------------------------------------
-
-    def shift(self, offsets: Sequence[Fraction]) -> "MultiPoly":
-        """Substitute x_i -> x_i + offsets[i], expanded exactly."""
-        if len(offsets) != self.nvars:
-            raise ValueError(f"offsets length {len(offsets)} != nvars {self.nvars}")
-        poly = None
-        for i, mu in enumerate(map(_as_fraction, offsets)):
-            if mu:
-                poly = self.packed() if poly is None else poly
-                poly = shift_packed(poly, i, mu.numerator, mu.denominator)
-        return self if poly is None else MultiPoly.from_packed(poly)
-
-    def invert_var(self, var: int) -> "MultiPoly":
-        """Substitute x_var -> 1/x_var and clear by x_var^degree_in(var).
-
-        The zero polynomial maps to itself.
-        """
-        self._check_var(var)
-        return MultiPoly.from_packed(invert_packed(self.packed(), var))
 
     def box_map(self, bounds: Sequence[tuple[Fraction, Fraction]]) -> "MultiPoly":
         """Map a box prod [a_i, b_i] onto the positive orthant.
@@ -445,9 +406,6 @@ class RatFun:
         if not self.is_poly():
             raise ValueError("rational function has a non-constant denominator")
         return self.num * (1 / self.den.constant_term())
-
-    def has_positive_den(self) -> bool:
-        return all(c > 0 for c in self.den.terms.values())
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         d = self.den.evaluate(point)

@@ -29,20 +29,18 @@ Every node is a `PackedPoly`: integers on packed exponent keys over one
 positive denominator, in the one layout of P that its transforms keep.
 `prove_nonneg` reads P only packed and digests only P.  The tests read
 signs, degrees and supports from the integers and the keys, and make
-Fractions only for the values a certificate records.  The public transforms
-and tests take `MultiPoly`s and run the same code on the packed form; the
-transforms return `MultiPoly.from_packed` results.
+Fractions only for the values a certificate records.  `region_poly`,
+`orthant_split` and `finitize` give the packed transforms' results as
+`MultiPoly`s, for the CLI's region printout and the benchmark's hooks; the
+node tests take `PackedPoly`s only.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-# the certificate types, JSON form and checker are also importable from here
-from .certificate import (BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome,
-                          certificate_document, certificate_from_json, certificate_to_json)
+from .certificate import BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome
 from .checker import (FAIL_REASONS, _cones, _finitize, _poscoeffs, _regions, _subpoly_n,
-                      _zero_off_xbar, _zero_only_at_origin, replay_certificate, stop_status,
-                      subdivide, walk)
+                      _zero_off_xbar, _zero_only_at_origin, stop_status, walk)
 from .packed import PackedPoly
 from .polynomial import MultiPoly, evaluate_packed
 
@@ -113,35 +111,8 @@ def _const(poly: PackedPoly) -> TestOutcome:
     return TestOutcome("Const", "refute" if const < 0 else "fail", {"constant": const})
 
 
-# The same tests on a MultiPoly.
-
-
-def test_poscoeffs(P: MultiPoly) -> TestOutcome:
-    return _poscoeffs(P.packed())
-
-
-def zero_only_at_origin(P: MultiPoly) -> TestOutcome:
-    return _zero_only_at_origin(P.packed())
-
-
-def test_subpoly_n(P: MultiPoly) -> TestOutcome:
-    return _subpoly_n(P.packed())
-
-
-def test_lcoeff(P: MultiPoly) -> TestOutcome:
-    return _lcoeff(P.packed())
-
-
-def test_const(P: MultiPoly) -> TestOutcome:
-    return _const(P.packed())
-
-
-def test_cones(P: MultiPoly) -> TestOutcome:
-    return _cones(P.packed())
-
-
 # ---------------------------------------------------------------------------
-# Finitization and subdivision
+# Finitization
 # ---------------------------------------------------------------------------
 
 

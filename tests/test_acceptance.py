@@ -10,19 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+from gasprover.checker import _subpoly_n, replay_certificate, subdivide
 from gasprover.cli import main
 from gasprover.conjecture import MeshParams, mesh_minimize
 from gasprover.driver import prove, prove_k
+from gasprover.packed import evaluate_packed, invert_packed, shift_packed
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly
-from gasprover.positivity import (
-    finitize,
-    orthant_split,
-    prove_nonneg,
-    replay_certificate,
-    subdivide,
-    test_subpoly_n as check_subpoly_n,
-)
+from gasprover.positivity import finitize, orthant_split, prove_nonneg
 from gasprover.recurrence import (
     build_contraction_poly,
     find_equilibrium,
@@ -62,9 +57,10 @@ def test_criterion_1_benchmark_golden(criterion):
         P = build_contraction_poly(spec, eq, 5)
         # x0 is the most recent iterate; the transcription swaps the roles
         # of the two variables relative to (x_{n-1}, x_n) displays.
-        assert P.coeff((4, 8)) == 25
-        assert P.coeff((1, 8)) == 3060
-        assert P.coeff((0, 4)) == -148969
+        packing, terms, den = P.packed()
+        assert F(terms[packing.pack((4, 8))], den) == 25
+        assert F(terms[packing.pack((1, 8))], den) == 3060
+        assert F(terms[packing.pack((0, 4))], den) == -148969
         assert P.constant_term() == 3488704
 
         cert = prove_nonneg(P, eq.value)
@@ -94,7 +90,7 @@ def test_criterion_2_first_worked_split(criterion):
         assert split["NW"] == off
         assert split["SE"] == off
 
-        outcome = check_subpoly_n(split["NE"])
+        outcome = _subpoly_n(split["NE"].packed())
         assert outcome.result == "pass"
         assert outcome.detail["d"] == 3
 
@@ -127,7 +123,9 @@ def test_criterion_3_subdivision_split(criterion):
         assert se_poly == parse_poly("x0^4*x1+10*x0^2*x1+x0^2-5*x0*x1+x1")
         # the NE box polynomial is the double reciprocal of the NE region
         # polynomial, cleared by the leading monomial
-        ne_poly = split["NE"].invert_var(0).invert_var(1)
+        ne_poly = MultiPoly.from_packed(
+            invert_packed(invert_packed(split["NE"].packed(), 0), 1)
+        )
         assert ne_poly == parse_poly(
             "8*x0^4*x1+7*x0^4+11*x0^3*x1+9*x0^3+2*x0^2*x1+x0^2-x0*x1-x0+x1+1"
         )
@@ -235,20 +233,23 @@ def test_criterion_5_property_suites(criterion):
     with criterion(5, "randomized property suites"):
         rng = random.Random(20240817)
 
-        # shift / invert_var evaluation identities
+        # shift / invert evaluation identities
         for _ in range(100):
             nvars = rng.choice((1, 2, 3))
             P = _random_poly(rng, nvars)
             x = _random_point(rng, nvars)
             mu = [F(rng.randrange(0, 5), rng.randrange(1, 4)) for _ in range(nvars)]
-            assert P.shift(mu).evaluate(x) == P.evaluate(
+            shifted = P.packed()
+            for j, m in enumerate(mu):
+                shifted = shift_packed(shifted, j, m.numerator, m.denominator)
+            assert evaluate_packed(shifted, x) == P.evaluate(
                 [a + m for a, m in zip(x, mu)]
             )
             i = rng.randrange(nvars)
             inv = [1 / v if j == i else v for j, v in enumerate(x)]
-            assert P.invert_var(i).evaluate(x) == P.evaluate(inv) * x[i] ** (
-                P.degree_in(i)
-            )
+            assert evaluate_packed(invert_packed(P.packed(), i), x) == P.evaluate(
+                inv
+            ) * x[i] ** P.degree_in(i)
 
         # box_map equals the shift/invert/shift composition, and preserves sign
         for _ in range(100):
@@ -259,14 +260,13 @@ def test_criterion_5_property_suites(criterion):
                 a = F(rng.randrange(0, 3))
                 bounds.append((a, a + F(rng.randrange(1, 4), rng.randrange(1, 3))))
             boxed = P.box_map(bounds)
-            composed = P
+            composed = P.packed()
             for i, (a, b) in enumerate(bounds):
-                composed = composed.shift(
-                    [a if j == i else F(0) for j in range(nvars)]
-                ).invert_var(i).shift(
-                    [1 / (b - a) if j == i else F(0) for j in range(nvars)]
-                )
-            assert boxed == composed
+                composed = shift_packed(composed, i, a.numerator, a.denominator)
+                width = 1 / (b - a)
+                composed = shift_packed(invert_packed(composed, i), i,
+                                        width.numerator, width.denominator)
+            assert boxed == MultiPoly.from_packed(composed)
             w = _random_point(rng, nvars)
             mapped = [
                 1 / (wi + 1 / (b - a)) + a for wi, (a, b) in zip(w, bounds)
@@ -311,7 +311,7 @@ def test_criterion_5_property_suites(criterion):
             )
             if quad.is_zero():
                 continue
-            sylvester = check_subpoly_n(quad).result == "pass"
+            sylvester = _subpoly_n(quad.packed()).result == "pass"
             # symmetric => real spectrum; positive definite iff the
             # characteristic polynomial's coefficients strictly alternate
             coeffs = _charpoly(A)

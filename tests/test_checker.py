@@ -14,18 +14,12 @@ import pytest
 from gasprover import checker, positivity
 from gasprover.certificate import CertNode
 from gasprover.certificate import TestOutcome as Outcome
+from gasprover.certificate import certificate_from_json, certificate_to_json
+from gasprover.checker import _cones, replay_certificate, subdivide
 from gasprover.driver import prove, prove_k
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly
-from gasprover.positivity import (
-    certificate_from_json,
-    certificate_to_json,
-    finitize,
-    prove_nonneg,
-    replay_certificate,
-    subdivide,
-)
-from gasprover.positivity import test_cones as check_cones
+from gasprover.positivity import finitize, prove_nonneg
 from gasprover.recurrence import UnsupportedInputError, build_contraction_poly, parse_rde
 
 F = Fraction
@@ -301,7 +295,7 @@ class TestRejects:
         i = next(i for i, n in enumerate(cert.nodes) if n.path == ("NE", "11"))
         node = cert.nodes[i]
         fin, _ = finitize(p, node.region)
-        assert check_cones(fin.box_map(node.box.bounds)).result == "pass"
+        assert _cones(fin.box_map(node.box.bounds).packed()).result == "pass"
         forged = copy.deepcopy(cert)
         forged.nodes[i].outcomes = [Outcome("Cones", "pass")]
         assert not replay_certificate(forged, p)

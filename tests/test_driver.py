@@ -6,9 +6,10 @@ import pytest
 
 import gasprover.driver
 import gasprover.recurrence
+from gasprover.certificate import ProofCertificate
+from gasprover.checker import replay_certificate
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
-from gasprover.positivity import ProofCertificate, replay_certificate
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
@@ -190,6 +191,15 @@ class TestWebbook:
         with pytest.raises(ValueError):
             webbook("x0*x1", {"x1": (F(0), F(1))}, 1, 1)
 
+    def test_parameter_missing_from_template_rejected(self, capsys):
+        # x occurs only inside the word x0, which the substitution never matches
+        for extra in ("c", "x"):
+            with pytest.raises(ValueError, match=f"parameter {extra} does not occur"):
+                webbook("b*x0/(1+x0)", {"b": (F(1), F(2)), extra: (F(5), F(6))}, 2, 1)
+        assert main(["webbook", "--template", "b*x0/(1+x0)", "--range", "b=1..2",
+                     "--range", "c=5..6", "--count", "2", "--seed", "1"]) == 3
+        assert "parameter c does not occur" in capsys.readouterr().err
+
     def test_deterministic(self):
         args = ("b*x0/(1+x0)", {"b": (F(1), F(3))}, 4, 99)
         a = webbook(*args, maxK=6)
@@ -329,6 +339,12 @@ class TestCliInputErrors:
         ])
         assert code == 3
         assert "floating-point" in capsys.readouterr().err
+
+    def test_repeated_range_rejected(self, capsys):
+        assert main(["webbook", "--template", "b*x0/(1+x0)", "--range", "b=1..2",
+                     "--range", "b=5..6", "--count", "2", "--seed", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "--range b is given more than once" in err
 
     def test_division_by_zero_rde(self, capsys):
         assert main(["prove", "--rde", "1/0"]) == 3

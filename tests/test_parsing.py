@@ -91,7 +91,7 @@ class TestParseRatFun:
 
     def test_positive_denominator(self):
         rf = parse_ratfun("x0/(-2-x1)", 2)
-        assert rf.has_positive_den()
+        assert all(c > 0 for c in rf.den.terms.values())
         assert rf.evaluate([2, 0]) == -1
 
 

@@ -1,35 +1,34 @@
 import gc
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from test_polynomial import _ref_evaluate, _ref_invert_var, _ref_shift_one
 
-from gasprover import checker, polynomial, positivity
+from gasprover import certificate, checker, polynomial, positivity
+from gasprover.certificate import BoxSpec, RegionSpec, certificate_from_json, certificate_to_json
+from gasprover.checker import (
+    _cones,
+    _poscoeffs,
+    _subpoly_n,
+    _zero_only_at_origin,
+    replay_certificate,
+    subdivide,
+)
 from gasprover.parsing import parse_poly
 from gasprover.polynomial import MultiPoly, digest_packed
 from gasprover.positivity import (
-    BoxSpec,
-    RegionSpec,
+    _const,
     _grid_exponents,
     _grid_negative,
+    _lcoeff,
     _search_negative,
-    certificate_from_json,
-    certificate_to_json,
     finitize,
     orthant_split,
     prove_nonneg,
-    replay_certificate,
-    subdivide,
-    zero_only_at_origin,
 )
-from gasprover.positivity import test_cones as check_cones
-from gasprover.positivity import test_const as check_const
-from gasprover.positivity import test_lcoeff as check_lcoeff
-from gasprover.positivity import test_poscoeffs as check_poscoeffs
-from gasprover.positivity import test_subpoly_n as check_subpoly_n
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
@@ -77,7 +76,7 @@ class TestOrthantSplit:
         assert region.highs == (True, True)
         assert q == p
         with pytest.raises(ValueError):
-            positivity.region_poly(p, positivity.RegionSpec((True, False), F(0)))
+            positivity.region_poly(p, RegionSpec((True, False), F(0)))
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -121,26 +120,26 @@ class TestOrthantSplit:
 class TestPosCoeffs:
     def test_mixed_region_passes(self):
         p = P("x0^2*x1^2+2*x0^2*x1+2*x0*x1^2+x0^2+3*x0*x1+x1^2+x0+x1+1")
-        assert check_poscoeffs(p).result == "pass"
+        assert _poscoeffs(p.packed()).result == "pass"
 
     def test_negative_term_fails(self):
-        assert check_poscoeffs(P(EX2_NE)).result == "fail"
+        assert _poscoeffs(P(EX2_NE).packed()).result == "fail"
 
     def test_trivial(self):
-        assert check_poscoeffs(P("x0+1")).result == "pass"
+        assert _poscoeffs(P("x0+1").packed()).result == "pass"
 
     def test_zero_constant_defers(self):
-        out = check_poscoeffs(P("x0+x1"))
+        out = _poscoeffs(P("x0+x1").packed())
         assert out.result == "fail"
         assert out.detail["reason"] == "constant-zero"
 
 
 class TestZeroOnlyAtOrigin:
     def test_axis_zero_fails(self):
-        assert zero_only_at_origin(P("x0*x1")).result == "fail"
+        assert _zero_only_at_origin(P("x0*x1").packed()).result == "fail"
 
     def test_sum_passes(self):
-        assert zero_only_at_origin(P("x0+x1")).result == "pass"
+        assert _zero_only_at_origin(P("x0+x1").packed()).result == "pass"
 
     def test_region_poly_from_benchmark(self):
         big, xbar = _bench_poly()
@@ -149,23 +148,23 @@ class TestZeroOnlyAtOrigin:
             q = split[label]
             assert q.constant_term() == 0
             assert all(c >= 0 for c in q.terms.values())
-            assert zero_only_at_origin(q).result == "pass"
+            assert _zero_only_at_origin(q.packed()).result == "pass"
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            zero_only_at_origin(P("x0-1"))
+            _zero_only_at_origin(P("x0-1").packed())
 
 
 class TestSubPolyN:
     def test_example1_discriminant(self):
-        out = check_subpoly_n(P("x0^2-x0*x1+x1^2+x0+x1+1"))
+        out = _subpoly_n(P("x0^2-x0*x1+x1^2+x0+x1+1").packed())
         assert out.result == "pass"
         assert out.detail["d"] == 3
 
     def test_benchmark_ne_quadratic_form(self):
         big, xbar = _bench_poly()
         split = {r.label: q for r, q in orthant_split(big, xbar)}
-        out = check_subpoly_n(split["NE"])
+        out = _subpoly_n(split["NE"].packed())
         assert out.result == "pass"
         assert out.detail["a"] == 318700575
         assert out.detail["b"] == -6980904
@@ -175,22 +174,22 @@ class TestSubPolyN:
     def test_benchmark_sw_discriminant(self):
         big, xbar = _bench_poly()
         split = {r.label: q for r, q in orthant_split(big, xbar)}
-        out = check_subpoly_n(split["SW"])
+        out = _subpoly_n(split["SW"].packed())
         assert out.result == "pass"
         assert out.detail["d"] == F(111331181414981871, 67108864)
 
     def test_not_applicable_high_degree_negative(self):
-        out = check_subpoly_n(P("x0^2-x0^3*x1+x1^2"))
+        out = _subpoly_n(P("x0^2-x0^3*x1+x1^2").packed())
         assert out.result == "fail"
         assert out.detail["reason"] == "not-applicable"
 
     def test_not_applicable_negative_square(self):
-        out = check_subpoly_n(P("-x0^2+x0*x1+x1^2"))
+        out = _subpoly_n(P("-x0^2+x0*x1+x1^2").packed())
         assert out.result == "fail"
         assert out.detail["reason"] == "not-applicable"
 
     def test_indefinite_fails(self):
-        out = check_subpoly_n(P("x0^2-3*x0*x1+x1^2"))
+        out = _subpoly_n(P("x0^2-3*x0*x1+x1^2").packed())
         assert out.result == "fail"
         assert out.detail["d"] == -5
 
@@ -280,24 +279,24 @@ class TestSylvesterOracle:
 
 class TestLCoeffConst:
     def test_lcoeff_refutes_all_negative_leaders(self):
-        assert check_lcoeff(P("-x0^2*x1^2+x0+x1+1")).result == "refute"
+        assert _lcoeff(P("-x0^2*x1^2+x0+x1+1").packed()).result == "refute"
 
     def test_lcoeff_abstains_mixed(self):
-        assert check_lcoeff(P("x0^2-x0*x1+x1^2+1")).result == "fail"
+        assert _lcoeff(P("x0^2-x0*x1+x1^2+1").packed()).result == "fail"
 
     def test_lcoeff_abstains_positive(self):
-        assert check_lcoeff(P("3*x0^4+1")).result == "fail"
+        assert _lcoeff(P("3*x0^4+1").packed()).result == "fail"
 
     def test_const_refutes(self):
-        out = check_const(P("x0+x1-1"))
+        out = _const(P("x0+x1-1").packed())
         assert out.result == "refute"
         assert out.detail["constant"] == -1
 
     def test_const_zero_not_refuted(self):
-        assert check_const(P("x0+x1")).result == "fail"
+        assert _const(P("x0+x1").packed()).result == "fail"
 
     def test_const_positive(self):
-        assert check_const(P("x0+x1+8")).result == "fail"
+        assert _const(P("x0+x1+8").packed()).result == "fail"
 
 
 # x0^2 - x0*x1 + x1^2 plus terms of degree >= 3 that are not all >= 0
@@ -312,27 +311,27 @@ def _at_one(text):
 
 class TestCones:
     def test_pass(self):
-        out = check_cones(P(CONE_PASS))
+        out = _cones(P(CONE_PASS).packed())
         assert out.result == "pass"
         assert out.detail == {"minors": [1, F(3, 4)]}
 
     def test_fail_on_a_negative_coefficient_of_positive_t_degree(self):
         # chart 0 is 1 - v + v^2 - t*v + t^2*(1 + v^4), which is positive,
         # but its t^1 coefficient is negative
-        out = check_cones(P(CONE_FAIL))
+        out = _cones(P(CONE_FAIL).packed())
         assert out.result == "fail"
         assert out.detail["cone"] == 0 and out.detail["minors"] == [1, F(3, 4)]
         assert out.detail["negative_term"][0] >= 1
 
     def test_fail_when_not_positive_definite(self):
-        out = check_cones(P("x0^2-2*x0*x1+x1^2+x0^3"))
+        out = _cones(P("x0^2-2*x0*x1+x1^2+x0^3").packed())
         assert out.result == "fail"
         assert out.detail == {"minors": [1, 0], "reason": "not-positive-definite"}
 
     def test_precondition(self):
         for text in ("x0^2+x1^2+1", "x0^2+x1^2+x0"):
             with pytest.raises(ValueError, match="no linear terms"):
-                check_cones(P(text))
+                _cones(P(text).packed())
 
     def test_region_passes_instead_of_splitting(self):
         for p, xbar in ((P(CONE_PASS), F(0)), (_at_one(CONE_PASS + "+x0^4+x1^4"), F(1))):
@@ -378,7 +377,7 @@ class TestCones:
         forged.verdict, forged.fail_reason = "Proven", None
         ne = forged.nodes[0]
         ne.status = "pass"
-        ne.outcomes[-1] = positivity.TestOutcome(
+        ne.outcomes[-1] = certificate.TestOutcome(
             "Cones", "pass", {"minors": ne.outcomes[-1].detail["minors"]})
         assert replay_certificate(cert, p)
         assert not replay_certificate(forged, p)
@@ -425,6 +424,12 @@ class TestFinitize:
             assert q.evaluate(w) == p.evaluate(orig) * mult
 
 
+def _contains(box, point):
+    """Whether the box holds the point, open on the low side where open_low says."""
+    return all((a < x if op else a <= x) and x <= b
+               for x, (a, b), op in zip(point, box.bounds, box.open_low))
+
+
 class TestSubdivide:
     def test_tiles_parent_grid(self):
         parent = BoxSpec(((F(0), F(1)), (F(0), F(1))), (True, False))
@@ -432,8 +437,8 @@ class TestSubdivide:
         rng = random.Random(59)
         for _ in range(200):
             pt = [F(rng.randrange(1, 64), 64), F(rng.randrange(0, 65), 64)]
-            assert parent.contains(pt)
-            assert sum(1 for b in children if b.contains(pt)) == 1
+            assert _contains(parent, pt)
+            assert sum(1 for b in children if _contains(b, pt)) == 1
 
     def test_child_labels(self):
         parent = BoxSpec(((F(0), F(1)), (F(0), F(1))), (True, True))
@@ -836,40 +841,10 @@ class TestProveNonneg:
 
 
 # The Fraction engine that the packed one replaced, kept as a reference:
-# region maps composed as a shift of the high axes, then invert_var and a
-# shift of each low axis; box maps as shift, invert_var, shift per axis; the
-# node tests on Fraction terms; and the same depth-first node loop.
-
-
-def _ref_evaluate(p, point):
-    total = F(0)
-    for exps, coeff in p.terms.items():
-        for x, e in zip(point, exps):
-            coeff *= F(x) ** e
-        total += coeff
-    return total
-
-
-def _ref_shift_one(p, var, mu):
-    terms = {}
-    for exps, coeff in p.terms.items():
-        e = exps[var]
-        base = list(exps)
-        for j in range(e + 1):
-            base[var] = j
-            key = tuple(base)
-            terms[key] = terms.get(key, F(0)) + coeff * math.comb(e, j) * mu ** (e - j)
-    return MultiPoly(p.nvars, terms)
-
-
-def _ref_invert_var(p, var):
-    d = max((e[var] for e in p.terms), default=0)
-    terms = {}
-    for exps, coeff in p.terms.items():
-        new = list(exps)
-        new[var] = d - exps[var]
-        terms[tuple(new)] = coeff
-    return MultiPoly(p.nvars, terms)
+# region maps composed as a shift of the high axes, then an inversion and a
+# shift of each low axis; box maps as shift, inversion, shift per axis; the
+# node tests on Fraction terms; and the same depth-first node loop.  The
+# one-axis shift and inversion are those of test_polynomial.
 
 
 def _ref_region_poly(p, region):
@@ -905,13 +880,13 @@ def _ref_run_tests(p):
     const = p.constant_term()
     if neg:
         e = max(neg, key=lambda e: (sum(e), e))
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "PosCoeffs", "fail", {"negative_term": list(e), "coeff": p.terms[e]}))
     elif const > 0:
-        outcomes.append(positivity.TestOutcome("PosCoeffs", "pass", {"constant": const}))
+        outcomes.append(certificate.TestOutcome("PosCoeffs", "pass", {"constant": const}))
         return "pass", outcomes, None
     else:
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "PosCoeffs", "fail", {"reason": "constant-zero"}))
         supports = [frozenset(i for i, e in enumerate(exps) if e) for exps in p.terms]
         detail = {}
@@ -920,7 +895,7 @@ def _ref_run_tests(p):
             if not any(s.isdisjoint(subset) for s in supports):
                 detail = {"vanishing_subset": sorted(subset)}
                 break
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "ZeroOnlyAtOrigin", "fail" if detail else "pass", detail))
         if not detail:
             return "pass", outcomes, None
@@ -928,7 +903,7 @@ def _ref_run_tests(p):
     if bad:
         worst = max(bad, key=lambda e: (sum(e), e))
         detail = {"reason": "not-applicable", "negative_term": list(worst)}
-        outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
+        outcomes.append(certificate.TestOutcome("SubPolyN", "fail", detail))
     else:
         n = p.nvars
         A = _ref_quadratic_form(p)
@@ -938,28 +913,28 @@ def _ref_run_tests(p):
             a, b, c = A[0][0], 2 * A[0][1], A[1][1]
             detail.update({"a": a, "b": b, "c": c, "d": 4 * a * c - b * b})
         if all(m > 0 for m in minors):
-            outcomes.append(positivity.TestOutcome("SubPolyN", "pass", detail))
+            outcomes.append(certificate.TestOutcome("SubPolyN", "pass", detail))
             return "pass", outcomes, None
         detail["reason"] = "not-positive-definite"
-        outcomes.append(positivity.TestOutcome("SubPolyN", "fail", detail))
+        outcomes.append(certificate.TestOutcome("SubPolyN", "fail", detail))
     top = p.total_degree()
     leaders = [c for e, c in p.terms.items() if sum(e) == top]
     if top == 0:
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "LCoeff", "fail", {"reason": "constant-polynomial"}))
     elif all(c < 0 for c in leaders):
         point = next(([F(2) ** m] * p.nvars for m in range(1, 64)
                       if _ref_evaluate(p, [F(2) ** m] * p.nvars) < 0), None)
         if point is not None:
-            outcomes.append(positivity.TestOutcome(
+            outcomes.append(certificate.TestOutcome(
                 "LCoeff", "refute", {"total_degree": top, "leaders": len(leaders)}))
             return "refute", outcomes, point
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "LCoeff", "fail", {"reason": "no-witness-on-ray"}))
     else:
-        outcomes.append(positivity.TestOutcome(
+        outcomes.append(certificate.TestOutcome(
             "LCoeff", "fail", {"reason": "mixed-sign-leaders"}))
-    outcomes.append(positivity.TestOutcome(
+    outcomes.append(certificate.TestOutcome(
         "Const", "refute" if const < 0 else "fail", {"constant": const}))
     if const < 0:
         return "refute", outcomes, [F(0)] * p.nvars
@@ -984,7 +959,7 @@ def _ref_cones(p):
     becomes c*t^(|e|-2)*prod_j v_j^e_j, then each v_j -> 1/(1 + w_j)."""
     minors = checker._leading_principal_minors(_ref_quadratic_form(p))
     if not all(m > 0 for m in minors):
-        return positivity.TestOutcome(
+        return certificate.TestOutcome(
             "Cones", "fail", {"minors": minors, "reason": "not-positive-definite"})
     for i in range(p.nvars):
         g = MultiPoly(p.nvars, {e[:i] + (sum(e) - 2,) + e[i + 1:]: c
@@ -995,9 +970,9 @@ def _ref_cones(p):
         neg = [e for e, c in g.terms.items() if c < 0 and e[i]]
         if neg:
             worst = max(neg, key=lambda e: (sum(e), e))
-            return positivity.TestOutcome(
+            return certificate.TestOutcome(
                 "Cones", "fail", {"minors": minors, "cone": i, "negative_term": list(worst)})
-    return positivity.TestOutcome("Cones", "pass", {"minors": minors})
+    return certificate.TestOutcome("Cones", "pass", {"minors": minors})
 
 
 def _ref_grid_negative(p):
@@ -1023,9 +998,9 @@ def _ref_to_original(region, box, w):
 
 def _ref_prove_nonneg(p, xbar, depth_limit):
     """The certificate of the Fraction engine, and the polynomial of each node."""
-    cert = positivity.ProofCertificate(p.digest(), p.nvars, xbar, depth_limit, "Proven", [])
+    cert = certificate.ProofCertificate(p.digest(), p.nvars, xbar, depth_limit, "Proven", [])
     polys = []
-    regions = [positivity.RegionSpec(highs, xbar) for highs in itertools.product(
+    regions = [RegionSpec(highs, xbar) for highs in itertools.product(
         (True, False) if xbar else (True,), repeat=p.nvars)]
     stack = [(r, None, None, (r.label,)) for r in reversed(regions)]
     grid_tried = False
@@ -1034,7 +1009,7 @@ def _ref_prove_nonneg(p, xbar, depth_limit):
         mapped = _ref_region_poly(p, region) if box is None else _ref_box_map(fin, box.bounds)
         polys.append(mapped)
         status, outcomes, local = _ref_run_tests(mapped)
-        node = positivity.CertNode(path, region, box, outcomes, status)
+        node = certificate.CertNode(path, region, box, outcomes, status)
         cert.nodes.append(node)
         point = None
         if status == "refute":

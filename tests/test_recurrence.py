@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 
 from gasprover import recurrence
+from gasprover.certificate import certificate_document
 from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.polynomial import MultiPoly, RatFun
-from gasprover.positivity import certificate_document, prove_nonneg
+from gasprover.positivity import prove_nonneg
 from gasprover.recurrence import (
     Equilibrium,
     RecurrenceSpec,
