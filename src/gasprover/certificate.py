@@ -140,7 +140,10 @@ def _box(raw, where: str) -> BoxSpec:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{where}: bound {pair!r} is not a pair")
         bounds.append((_rational(pair[0], where), _rational(pair[1], where)))
-    return BoxSpec(tuple(bounds), tuple(_get(raw, "open_low", where, list)))
+    open_low = _get(raw, "open_low", where, list)
+    if not all(type(b) is bool for b in open_low):
+        raise ValueError(f"{where}: 'open_low' holds {open_low!r}, not only JSON booleans")
+    return BoxSpec(tuple(bounds), tuple(open_low))
 
 
 def certificate_from_json(text: str) -> ProofCertificate:
@@ -152,12 +155,15 @@ def certificate_from_json(text: str) -> ProofCertificate:
         where = f"tree node {i}"
         region = _get(raw, "region", where, dict)
         box = _get(raw, "box", where, (dict, type(None)))
+        highs = _get(region, "highs", where, list)
+        if not all(h in ("H", "L") for h in highs):
+            raise ValueError(f"{where}: 'highs' holds {highs!r}, not only 'H' and 'L'")
         outcomes = [TestOutcome(_get(t, "test", f"{where} test"), _get(t, "result", f"{where} test"),
                                 _get(t, "detail", f"{where} test", dict))
                     for t in _get(raw, "tests", where, list)]
         nodes.append(CertNode(
             tuple(_get(raw, "path", where, list)),
-            RegionSpec(tuple(h == "H" for h in _get(region, "highs", where, list)),
+            RegionSpec(tuple(h == "H" for h in highs),
                        _rational(_get(region, "xbar", where), where)),
             None if box is None else _box(box, where),
             outcomes,

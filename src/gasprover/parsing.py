@@ -28,7 +28,8 @@ def tokenize(text: str) -> list[tuple[str, str]]:
     while pos < end:
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[:1]!r} at position {pos}")
+            pos = len(text) - len(text[pos:].lstrip())
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         if m.group("int") is not None:
             lit = m.group("int")
             if "." in lit:
@@ -67,9 +68,8 @@ Pair = tuple[MultiPoly, MultiPoly]
 class _Parser:
     """Recursive descent over + - * / ^ with unary minus, into (num, den) pairs.
 
-    Every den is primitive with a positive grlex lead, as in RatFun.  Atoms
-    have den 1; products, powers, sums and negation keep the property, so only
-    division normalises, through the RatFun constructor.
+    Atoms have den 1, and no operator normalises a pair: `parse_ratfun`'s
+    RatFun constructor does that once, for the whole expression.
     """
 
     def __init__(self, tokens, nvars: int):
@@ -99,7 +99,8 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value = self.take()
         if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, got {value!r}")
+            got = "end of input" if value is None else repr(value)
+            raise ParseError(f"expected {op!r}, got {got}")
 
     def parse(self) -> Pair:
         result = self.expr()
@@ -108,7 +109,8 @@ class _Parser:
         return result
 
     def expr(self) -> Pair:
-        """A sum; a run of summands over den 1 accumulates in one dict, in place.
+        """A sum: num/den ± n/d is (num*d ± n*den, den*d), accumulated in one
+        dict of num's terms, in place; a d other than 1 first multiplies it.
 
         The dict gets the terms, in the order, that adding the summands one
         by one would give: a key that cancels is deleted, so it comes back last.
@@ -123,19 +125,18 @@ class _Parser:
             n, d = self.term()
             if value == "-":
                 n = -n
-            if den == self.one and d == self.one:
-                if terms is None:
-                    terms = dict(num.terms)
-                for e, c in n.terms.items():
-                    c += terms.get(e, 0)
-                    if c:
-                        terms[e] = c
-                    else:
-                        del terms[e]
-                continue
-            if terms is not None:
-                num, terms = MultiPoly._trusted(self.nvars, terms), None
-            num, den = num * d + n * den, den * d
+            if terms is None:
+                terms = dict(num.terms)
+            if d != self.one:
+                # a copy: a product by a constant 1 is its other operand
+                terms = dict((MultiPoly._trusted(self.nvars, terms) * d).terms)
+            for e, c in (n * den).terms.items():
+                c += terms.get(e, 0)
+                if c:
+                    terms[e] = c
+                else:
+                    del terms[e]
+            den = den * d
         if terms is not None:
             num = MultiPoly._trusted(self.nvars, terms)
         return num, den
@@ -147,13 +148,11 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.take()
                 n, d = self.factor()
-                if value == "*":
-                    num, den = num * n, den * d
-                elif n.is_zero():
-                    raise ParseError("division by zero")
-                else:
-                    q = RatFun(num * d, den * n)
-                    num, den = q.num, q.den
+                if value == "/":
+                    if n.is_zero():
+                        raise ParseError("division by zero")
+                    n, d = d, n
+                num, den = num * n, den * d
             else:
                 return num, den
 
@@ -214,7 +213,7 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     rf = parse_ratfun(text, nvars)
     if not rf.is_poly():
         raise ParseError("expression is not a polynomial (non-constant denominator)")
-    return rf.as_poly()
+    return rf.num  # a normalised constant den is 1
 
 
 def parse_rational(text: str) -> Fraction:

@@ -374,12 +374,9 @@ class MultiPoly:
 class RatFun:
     """A parsed map num/den with den primitive and of positive grlex lead.
 
-    The constructor establishes that invariant by scaling both parts by the
-    signed content of den; the parser reuses it for every division.  Products,
-    powers, sums (den = d1*d2) and negation of such pairs keep the invariant
-    by Gauss's lemma and because grlex leads multiply, so the parser builds
-    those without normalising.  The proof pipeline additionally needs no
-    negative coefficient in num or den; `parse_rde` rejects such maps itself.
+    The constructor normalises by scaling both parts by the signed content of
+    den; the parser calls it once per expression.  The proof pipeline also
+    needs no negative coefficient in num or den; `parse_rde` rejects such maps.
     """
 
     __slots__ = ("num", "den")
@@ -402,11 +399,6 @@ class RatFun:
     def is_poly(self) -> bool:
         return self.den.is_constant()
 
-    def as_poly(self) -> MultiPoly:
-        if not self.is_poly():
-            raise ValueError("rational function has a non-constant denominator")
-        return self.num * (1 / self.den.constant_term())
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         d = self.den.evaluate(point)
         if d == 0:
@@ -425,7 +417,7 @@ class RatFun:
 
     def __str__(self):
         if self.is_poly():
-            return str(self.as_poly())
+            return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self):

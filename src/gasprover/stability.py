@@ -3,7 +3,7 @@
 The recurrence is linearized at the equilibrium; its characteristic
 polynomial's root moduli are compared against 1 exactly: its squarefree and
 reciprocal factors are found in Z[x], a Schur-Cohn (Jury) recursion on the
-monic rational cofactor tests for roots strictly inside, and a palindromic
+integer cofactor tests for roots strictly inside, and a palindromic
 reduction of the reciprocal factor locates roots exactly on the unit circle.
 Outcomes are LAS, unstable, or inconclusive (some root of modulus exactly 1,
 where linearization proves nothing).
@@ -64,23 +64,24 @@ def _reverse(p: Poly) -> Poly:
     return uni.trim(list(reversed(p)))
 
 
-def _jury_all_inside(p: list[Fraction]) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
+def _jury_all_inside(u: Poly) -> tuple[bool, list[tuple[Fraction, Fraction]]]:
     """Strict Schur-Cohn recursion; False whenever a stage is not decisive.
 
+    It runs on u's integers: stage k is the monic stage times lead(u)^(2^k),
+    so each recorded (a0, an) is divided by that scale.
     Sound for the caller's use on polynomials without unit-circle roots:
     a non-strict stage there implies some root lies strictly outside.
     """
     table = []
-    f = uni.trim(list(p))
+    f, scale = u, u[-1]
     while uni.degree(f) > 0:
         a0, an = f[0], f[-1]
-        table.append((a0, an))
+        table.append((Fraction(a0, scale), Fraction(an, scale)))
         if abs(a0) >= abs(an):
             return False, table
-        rev = list(reversed(f))
-        g = [an * a - a0 * b for a, b in zip(f, rev)]
+        g = [an * a - a0 * b for a, b in zip(f, reversed(f))]
         assert g[0] == 0
-        f = uni.trim(g[1:])
+        f, scale = uni.trim(g[1:]), scale * scale
     return True, table
 
 
@@ -124,14 +125,14 @@ def _circle_factor_all_on_circle(g: Poly) -> bool:
 def classify_roots(p: list[Fraction]) -> tuple[str, list[tuple[Fraction, Fraction]]]:
     """Classify max root modulus vs 1: 'inside', 'outside', or 'on-circle'.
 
-    The factors are found in Z[x]; Jury's recursion runs on the monic u.
+    The factors are found in Z[x], and Jury's recursion runs on u's integers.
     """
     p_sf = uni.squarefree(uni.to_integer_poly(p))
     if uni.degree(p_sf) == 0:
         return "inside", []
     g = uni.gcd_poly(p_sf, _reverse(p_sf))
     u = uni.div_exact(p_sf, g) if uni.degree(g) > 0 else p_sf
-    inside, table = _jury_all_inside([Fraction(c, u[-1]) for c in u])
+    inside, table = _jury_all_inside(u)
     if not inside:
         return "outside", table
     if uni.degree(g) == 0:

@@ -499,6 +499,8 @@ class TestFromJson:
         ("no-verdict", "has no 'verdict'"),
         ("xbar-a-number", "is not a rational string"),
         ("witness-a-string", "'witness' has the wrong JSON type"),
+        ("highs-not-H-or-L", r"tree node \d+: 'highs' holds \['X'"),
+        ("open_low-a-number", r"tree node \d+: 'open_low' holds \[1"),
     ])
     def test_value_error(self, edit, message):
         doc = _doc(prove_nonneg(P(EX2), F(1), 12))
@@ -527,6 +529,10 @@ class TestFromJson:
             doc["xbar"] = 1
         elif edit == "witness-a-string":
             doc["witness"] = "1"
+        elif edit == "highs-not-H-or-L":
+            node["region"]["highs"][0] = "X"
+        elif edit == "open_low-a-number":
+            node["box"]["open_low"] = [int(b) for b in node["box"]["open_low"]]
         with pytest.raises(ValueError, match=message):
             certificate_from_json(json.dumps(doc))
 

@@ -1,17 +1,12 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from gasprover.parsing import (
-    ParseError,
-    _Parser,
-    parse_poly,
-    parse_ratfun,
-    parse_rational,
-    tokenize,
-)
-from gasprover.polynomial import MultiPoly
+from gasprover import parsing
+from gasprover.parsing import ParseError, parse_poly, parse_ratfun, parse_rational
+from gasprover.polynomial import MultiPoly, RatFun
 
 
 class TestParsePoly:
@@ -48,6 +43,14 @@ class TestParsePoly:
     def test_rejects_nonconstant_denominator(self):
         with pytest.raises(ParseError):
             parse_poly("1/(x0+1)")
+
+    def test_unexpected_character_at_its_own_position(self):
+        with pytest.raises(ParseError, match="'#' at position 7"):
+            parse_poly("x0 +   #")
+
+    def test_missing_parenthesis_at_end_of_input(self):
+        with pytest.raises(ParseError, match=r"expected '\)', got end of input"):
+            parse_poly("(x0")
 
     def test_rejects_trailing_garbage(self):
         with pytest.raises(ParseError):
@@ -94,6 +97,20 @@ class TestParseRatFun:
         assert all(c > 0 for c in rf.den.terms.values())
         assert rf.evaluate([2, 0]) == -1
 
+    def test_normalises_once(self, monkeypatch):
+        # the operators build (num, den) pairs; RatFun normalises the whole
+        # expression once
+        made = []
+
+        def counting(num, den):
+            made.append((num, den))
+            return RatFun(num, den)
+
+        monkeypatch.setattr(parsing, "RatFun", counting)
+        rf = parse_ratfun("(x0/2 + 1/(1+x1))/(3/x0) - x1/(-2*x1-4)")
+        assert len(made) == 1
+        assert rf.evaluate([2, 1]) == Fraction(7, 6)
+
 
 def _random_expression(rng, nvars, depth):
     """(text, value) of a random expression; value(point) evaluates it in
@@ -132,18 +149,15 @@ class TestRandomExpressions:
                 for _ in range(3)
             ]
             try:
-                num, den = _Parser(tokenize(text), nvars).parse()
+                rf = parse_ratfun(text, nvars)
             except ParseError as exc:
                 # only a divisor that is identically zero is refused
                 assert str(exc) == "division by zero"
                 with pytest.raises(ZeroDivisionError):
                     value(points[0])
                 continue
-            # the parser's own den is normalised, before parse_ratfun wraps it
-            assert den.content() == 1
-            assert den.leading_term()[1] > 0
-            rf = parse_ratfun(text, nvars)
-            assert (rf.num, rf.den) == (num, den)
+            assert rf.den.content() == 1
+            assert rf.den.leading_term()[1] > 0
             for point in points:
                 try:
                     expected = value(point)
@@ -200,10 +214,55 @@ class TestLongSums:
                 else:
                     a, b = rng.randrange(3), rng.randrange(3)
                     summands.append(f"({rng.randrange(-2, 3)}*x0^{a}-x1^{b})")
-            num, den = _Parser(tokenize("+".join(summands)), 2).parse()
-            want_num, want_den = _fold_sum(summands, 2)
-            assert list(num.terms.items()) == list(want_num.terms.items())
-            assert list(den.terms.items()) == list(want_den.terms.items())
+            rf = parse_ratfun("+".join(summands), 2)
+            want = RatFun(*_fold_sum(summands, 2))
+            assert list(rf.num.terms.items()) == list(want.num.terms.items())
+            assert list(rf.den.terms.items()) == list(want.den.terms.items())
+
+
+# the maps of the acceptance tests and the bench
+ACCEPTANCE_MAPS = [
+    "(4+x0)/(1+x1)", "(1+2*x1)/(1+x0+x1)", "x1/(2+x0+x1)", "x1/(2+x1)",
+    "2*x0/(1+x0)", "1+1/2*x0", "2*x0", "1/x0", "9/x0", "(1+x0)/(1+2*x0)",
+    "(2+x0)/(1+x1+x2)", "(1/2+x0)/(1+x1+x2)", "x2/(2+x0+x1+x2)",
+]
+
+
+def _pinned_corpus():
+    """(text, nvars) pairs: the acceptance maps, nested expressions with
+    / ^ and unary minus, and long sums with cancellation."""
+    rng = random.Random(23)
+    corpus = [(text, None) for text in ACCEPTANCE_MAPS]
+    for _ in range(400):
+        nvars = rng.randint(1, 3)
+        corpus.append((_random_expression(rng, nvars, 5)[0], nvars))
+    for rational in (0.0, 0.0, 0.0, 0.1, 0.1, 0.1):
+        summands = []
+        for _ in range(150):
+            if rng.random() < rational:
+                summands.append(f"x0^{rng.randrange(3)}/({rng.randrange(1, 4)}+x1)")
+            else:
+                summands.append(f"x0^{rng.randrange(3)}*x1^{rng.randrange(3)}")
+        corpus.append(("".join(rng.choice("+-") + t for t in summands), 2))
+    return corpus
+
+
+class TestParsePinned:
+    """The parsed map, terms in order, over a fixed corpus.  R's term order
+    feeds P's, which the build pins hold, so this pins the build's input."""
+
+    SHA = "146121041a07bc406bad634993838bb9b556d9385ebd6e0cfea5a3563dc97425"
+
+    def test_terms_in_order(self):
+        parsed = []
+        for text, nvars in _pinned_corpus():
+            try:
+                rf = parse_ratfun(text, nvars)
+            except ParseError:
+                continue
+            parsed.append((list(rf.num.terms.items()), list(rf.den.terms.items())))
+        assert len(parsed) > 300
+        assert hashlib.sha256(repr(parsed).encode()).hexdigest() == self.SHA
 
 
 class TestParseRational:
