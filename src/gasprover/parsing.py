@@ -8,76 +8,87 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
-from .polynomial import MultiPoly, RatFun
+from .packed import drop_zeros, power_by_squaring
+from .polynomial import MultiPoly, RatFun, signed_content
 
 
 class ParseError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+# [0-9], not \d, which matches the decimal digits of every script.  A
+# character that starts no token is a "bad" token, so one pass finds it.
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)"
+                       r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    end = len(text.rstrip())
-    while pos < end:
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            pos = len(text) - len(text[pos:].lstrip())
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.group("int") is not None:
-            lit = m.group("int")
-            if "." in lit:
-                raise ParseError(f"floating-point literal {lit!r} is not allowed; use p/q rationals")
-            tokens.append(("int", lit))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r} at position {m.start(kind)}")
+        if kind == "int" and "." in value:
+            raise ParseError(f"floating-point literal {value!r} is not allowed; use p/q rationals")
+        tokens.append((kind, value))
     return tokens
 
 
-_VAR_RE = re.compile(r"^x(\d+)$")
+_VAR_RE = re.compile(r"x(0|[1-9][0-9]*)")
 
 
-def _infer_nvars(tokens) -> int:
-    top = -1
-    for kind, value in tokens:
-        if kind == "name":
-            m = _VAR_RE.match(value)
-            if not m:
-                raise ParseError(f"unknown name {value!r}: variables must be x0, x1, ...")
-            top = max(top, int(m.group(1)))
-    return max(top + 1, 1)
+def _variable_index(name: str) -> int:
+    m = _VAR_RE.fullmatch(name)
+    if not m:
+        raise ParseError(f"unknown name {name!r}: variables must be x0, x1, ...")
+    return int(m[1])
 
 
 # Each level costs the recursive descent about five stack frames, so this
 # stays well inside Python's default recursion limit.
 _MAX_DEPTH = 100
 
+# an integer polynomial is a dict from exponent tuples to non-zero ints
+Pair = tuple[dict, dict]
 
-Pair = tuple[MultiPoly, MultiPoly]
+
+def _times(a: dict, b: dict) -> dict:
+    """a*b in `MultiPoly.__mul__`'s term order: a constant operand scales the
+    other, and otherwise a is the outer loop and b the inner one.  A product
+    by the constant 1 is the other operand itself."""
+    if not any(map(any, b)):
+        a, b = b, a
+    elif any(map(any, a)):
+        inner = list(b.items())
+        product = {}
+        get = product.get
+        for e1, c1 in a.items():
+            for e2, c2 in inner:
+                e = tuple(map(add, e1, e2))
+                product[e] = get(e, 0) + c1 * c2
+        return drop_zeros(product)
+    c = sum(a.values())  # a's constant term: a holds at most that one term
+    return b if c == 1 else {e: v * c for e, v in b.items()} if c else {}
 
 
 class _Parser:
-    """Recursive descent over + - * / ^ with unary minus, into (num, den) pairs.
+    """Recursive descent over + - * / ^ with unary minus, into (num, den)
+    pairs of integer polynomials.
 
-    Atoms have den 1, and no operator normalises a pair: `parse_ratfun`'s
-    RatFun constructor does that once, for the whole expression.
-    """
+    Atoms have den 1, and no operator normalises a pair: `parse_ratfun`
+    divides by den's signed content once, for the whole expression.  Only a
+    sum changes a dict, and only its own copy: operands are shared."""
 
     def __init__(self, tokens, nvars: int):
-        self.tokens = tokens
+        # a sentinel ends the tokens, so reading the next one needs no bounds check
+        self.tokens = tokens + [(None, None)]
         self.pos = 0
         self.nvars = nvars
         self.depth = 0
-        self.one = MultiPoly.constant(nvars, 1)
+        self.zero = (0,) * nvars
+        self.one = {self.zero: 1}
 
     def nested(self, parse) -> Pair:
         """parse() one parenthesis or unary sign deeper, up to _MAX_DEPTH."""
@@ -88,112 +99,97 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            got = "end of input" if value is None else repr(value)
-            raise ParseError(f"expected {op!r}, got {got}")
-
     def parse(self) -> Pair:
         result = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"unexpected trailing token {self.peek()[1]!r}")
+        if self.tokens[self.pos][0] is not None:
+            raise ParseError(f"unexpected trailing token {self.tokens[self.pos][1]!r}")
         return result
 
     def expr(self) -> Pair:
         """A sum: num/den ± n/d is (num*d ± n*den, den*d), accumulated in one
         dict of num's terms, in place; a d other than 1 first multiplies it.
-
         The dict gets the terms, in the order, that adding the summands one
         by one would give: a key that cancels is deleted, so it comes back last.
         """
         num, den = self.term()
         terms = None
-        while True:
-            kind, value = self.peek()
-            if not (kind == "op" and value in "+-"):
-                break
-            self.take()
+        # only an operator token has an operator for its value
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
             n, d = self.term()
-            if value == "-":
-                n = -n
+            if op == "-":
+                n = {e: -c for e, c in n.items()}
             if terms is None:
-                terms = dict(num.terms)
+                terms = dict(num)
             if d != self.one:
-                # a copy: a product by a constant 1 is its other operand
-                terms = dict((MultiPoly._trusted(self.nvars, terms) * d).terms)
-            for e, c in (n * den).terms.items():
+                terms = dict(_times(terms, d))  # a copy: a product by 1 is shared
+            for e, c in _times(n, den).items():
                 c += terms.get(e, 0)
                 if c:
                     terms[e] = c
                 else:
                     del terms[e]
-            den = den * d
-        if terms is not None:
-            num = MultiPoly._trusted(self.nvars, terms)
-        return num, den
+            den = _times(den, d)
+        return (num if terms is None else terms), den
 
     def term(self) -> Pair:
         num, den = self.factor()
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                n, d = self.factor()
-                if value == "/":
-                    if n.is_zero():
-                        raise ParseError("division by zero")
-                    n, d = d, n
-                num, den = num * n, den * d
-            else:
-                return num, den
-
-    def factor(self) -> Pair:
-        kind, value = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            num, den = self.nested(self.factor)
-            return (-num if value == "-" else num), den
-        num, den = self.atom()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            exp_kind, exp_value = self.take()
-            neg = False
-            if exp_kind == "op" and exp_value in "+-":
-                neg = exp_value == "-"
-                exp_kind, exp_value = self.take()
-            if exp_kind != "int":
-                raise ParseError("exponent must be an integer literal")
-            n = int(exp_value)
-            if neg:
-                raise ParseError("negative exponents are not allowed; use division")
-            return num ** n, den ** n
+        while (op := self.tokens[self.pos][1]) in ("*", "/"):
+            self.pos += 1
+            n, d = self.factor()
+            if op == "/":
+                if not n:
+                    raise ParseError("division by zero")
+                n, d = d, n
+            num, den = _times(num, n), _times(den, d)
         return num, den
 
+    def factor(self) -> Pair:
+        if (sign := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            num, den = self.nested(self.factor)
+            return ({e: -c for e, c in num.items()} if sign == "-" else num), den
+        num, den = self.atom()
+        if self.tokens[self.pos][1] != "^":
+            return num, den
+        if (sign := self.tokens[self.pos + 1][1]) in ("+", "-"):
+            self.pos += 1
+        self.pos += 1
+        kind, value = self.tokens[self.pos]
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal")
+        self.pos += 1
+        n = int(value)
+        if sign == "-":
+            raise ParseError("negative exponents are not allowed; use division")
+        return self.power(num, n), self.power(den, n)
+
+    def power(self, p: dict, n: int) -> dict:
+        """p**n as `MultiPoly.__pow__` makes it: a monomial's in one term."""
+        if n == 0:
+            return self.one
+        if len(p) == 1 and n > 1:
+            [(exps, c)] = p.items()
+            return {tuple([e * n for e in exps]): c ** n}
+        return power_by_squaring(p, n, _times)
+
     def atom(self) -> Pair:
-        kind, value = self.take()
+        kind, value = self.tokens[self.pos]
+        self.pos += 1
         if kind == "int":
-            return MultiPoly.constant(self.nvars, int(value)), self.one
+            c = int(value)
+            return ({self.zero: c} if c else {}), self.one
         if kind == "name":
-            m = _VAR_RE.match(value)
-            if not m:
-                raise ParseError(f"unknown name {value!r}: variables must be x0, x1, ...")
-            index = int(m.group(1))
+            index = _variable_index(value)
             if index >= self.nvars:
                 raise ParseError(f"variable x{index} out of range for {self.nvars} variables")
-            return MultiPoly.variable(self.nvars, index), self.one
+            return {self.zero[:index] + (1,) + self.zero[index + 1:]: 1}, self.one
         if kind == "op" and value == "(":
             inner = self.nested(self.expr)
-            self.expect_op(")")
+            value = self.tokens[self.pos][1]
+            if value != ")":
+                raise ParseError(f"expected ')', got {'end of input' if value is None else repr(value)}")
+            self.pos += 1
             return inner
         raise ParseError(f"unexpected token {value!r}" if value is not None else "unexpected end of input")
 
@@ -204,8 +200,12 @@ def parse_ratfun(text: str, nvars: int | None = None) -> RatFun:
     if not tokens:
         raise ParseError("empty expression")
     if nvars is None:
-        nvars = _infer_nvars(tokens)
-    return RatFun(*_Parser(tokens, nvars).parse())
+        nvars = max([_variable_index(value) for kind, value in tokens if kind == "name"],
+                    default=0) + 1
+    num, den = _Parser(tokens, nvars).parse()
+    g = signed_content(den)  # so RatFun finds den primitive, of positive lead
+    return RatFun(MultiPoly._trusted(nvars, {e: Fraction(c, g) for e, c in num.items()}),
+                  MultiPoly._trusted(nvars, {e: Fraction(c // g) for e, c in den.items()}))
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
@@ -221,11 +221,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text:
         raise ParseError(f"floating-point literal {text!r} is not allowed; use p/q rationals")
-    m = re.fullmatch(r"([+-]?\d+)(?:\s*/\s*(\d+))?", text)
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?", text)
     if not m:
         raise ParseError(f"invalid rational literal {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num, den = int(m[1]), int(m[2] or 1)
     if den == 0:
         raise ParseError("zero denominator")
     return Fraction(num, den)

@@ -15,9 +15,11 @@ made once; the positivity prover runs its shifts and inversions on that
 form.  `from_packed` keeps its integers and makes the Fraction terms on
 first read.
 
-A `RatFun` is a parsed map N/D, not an algebra: its constructor is the one
-place that normalises a denominator, and the parser, which owns the
-arithmetic on (num, den) pairs, calls it only to divide.
+A `RatFun` is a parsed map N/D, not an algebra: its constructor divides
+both parts by the `signed_content` of den, and scales nothing when that is 1.
+The parser, which owns the arithmetic on (num, den) pairs of integer
+polynomials, divides them by that content itself and calls the constructor
+once per expression.
 """
 from __future__ import annotations
 
@@ -45,6 +47,12 @@ def _as_fraction(c) -> Fraction:
 def grlex_key(exps: Exponents):
     """Sort key for graded lexicographic order (ascending)."""
     return (sum(exps), exps)
+
+
+def signed_content(terms: Mapping[Exponents, int]) -> int:
+    """The gcd of non-empty integer `terms`, negative if their grlex lead is."""
+    g = reduce(gcd, terms.values(), 0)
+    return -g if terms[max(terms, key=grlex_key)] < 0 else g
 
 
 class MultiPoly:
@@ -374,8 +382,9 @@ class MultiPoly:
 class RatFun:
     """A parsed map num/den with den primitive and of positive grlex lead.
 
-    The constructor normalises by scaling both parts by the signed content of
-    den; the parser calls it once per expression.  The proof pipeline also
+    The constructor normalises by dividing both parts by the signed content
+    c = g/D of den, from den's integer terms over D; it scales nothing when
+    c is 1 and otherwise makes each Fraction once.  The proof pipeline also
     needs no negative coefficient in num or den; `parse_rde` rejects such maps.
     """
 
@@ -385,9 +394,15 @@ class RatFun:
         num._check_compatible(den)
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
-        c, den_norm = den.primitive()
-        object.__setattr__(self, "num", num * (1 / c))
-        object.__setattr__(self, "den", den_norm)
+        d, scaled = den._integer_terms()
+        scaled = dict(scaled)
+        g = signed_content(scaled)
+        if g != d:
+            num = MultiPoly._trusted(num.nvars, {
+                e: Fraction(c.numerator * d, c.denominator * g) for e, c in num.terms.items()})
+            den = MultiPoly._trusted(den.nvars, {e: Fraction(c // g) for e, c in scaled.items()})
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")

@@ -66,17 +66,16 @@ def parse_rde(text: str, order: int | None = None) -> RecurrenceSpec:
     if num.is_zero():
         raise UnsupportedInputError("invalid", "recurrence map is identically zero")
     for poly, label in ((num, "numerator"), (den, "denominator")):
-        for coeff in poly.terms.values():
-            if coeff < 0:
-                raise UnsupportedInputError(
-                    "negative-coefficient",
-                    f"{label} has a negative coefficient; "
-                    "the method requires a positive-coefficient map",
-                )
+        if any(c.numerator < 0 for c in poly.terms.values()):
+            raise UnsupportedInputError(
+                "negative-coefficient",
+                f"{label} has a negative coefficient; "
+                "the method requires a positive-coefficient map",
+            )
     return RecurrenceSpec(
         order=num.nvars,
         R=rf,
-        closed_domain=den.constant_term() > 0,
+        closed_domain=den.constant_term().numerator > 0,
     )
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from gasprover import parsing
+from gasprover.cli import main
 from gasprover.parsing import ParseError, parse_poly, parse_ratfun, parse_rational
 from gasprover.polynomial import MultiPoly, RatFun
+from gasprover.recurrence import parse_rde
 
 
 class TestParsePoly:
@@ -81,6 +83,32 @@ class TestParsePoly:
 
     def test_moderate_nesting(self):
         assert parse_poly("(" * 50 + "x0" + ")" * 50) == parse_poly("x0")
+
+
+class TestDigitsAndNames:
+    """Digits are ASCII and a variable's index has no leading zero."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("(\u0664+x0)/(1+x1)", "unexpected character '\u0664' at position 1"),
+        ("x0^\u0662", "unexpected character '\u0662' at position 3"),
+        ("x01*x1", "unknown name 'x01'"),
+        ("x00", "unknown name 'x00'"),
+    ])
+    def test_rejected(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_ratfun(text)
+
+    def test_rational_rejects_other_digits(self):
+        with pytest.raises(ParseError, match="invalid rational literal"):
+            parse_rational("\u0661/\u0662")
+
+    def test_prove_exits_with_an_input_error(self, capsys):
+        assert main(["prove", "--rde", "(\u0664+x0)/(1+x1)"]) == 3
+        assert "unexpected character" in capsys.readouterr().err
+
+    def test_indices_and_unicode_whitespace_accepted(self):
+        assert parse_poly("x10", 11) == MultiPoly.variable(11, 10)
+        assert parse_poly("x0\u00a0+\u20031") == parse_poly("x0+1")
 
 
 class TestParseRatFun:
@@ -245,6 +273,38 @@ def _pinned_corpus():
                 summands.append(f"x0^{rng.randrange(3)}*x1^{rng.randrange(3)}")
         corpus.append(("".join(rng.choice("+-") + t for t in summands), 2))
     return corpus
+
+
+# the input forms of `webbook` templates, with multi-digit literals
+WEBBOOK_FORMS = [
+    ("x1/((97/54)+x0+x1)", [((0, 1), 54)], [((0, 0), 97), ((1, 0), 54), ((0, 1), 54)]),
+    ("(73/25)*x0/(1+x0)", [((1,), Fraction(73, 25))], [((0,), 1), ((1,), 1)]),
+    ("x0/(-1-x0)", [((1,), -1)], [((0,), 1), ((1,), 1)]),
+    ("(100000000000000000039+x0)/(1+x0)",
+     [((0,), 100000000000000000039), ((1,), 1)], [((0,), 1), ((1,), 1)]),
+]
+
+
+class TestWebbookForms:
+    @pytest.mark.parametrize("text, num, den", WEBBOOK_FORMS, ids=[f[0] for f in WEBBOOK_FORMS])
+    def test_terms_in_order(self, text, num, den):
+        rf = parse_ratfun(text)
+        assert list(rf.num.terms.items()) == num
+        assert list(rf.den.terms.items()) == den
+        assert {type(c) for c in [*rf.num.terms.values(), *rf.den.terms.values()]} == {Fraction}
+
+    def test_no_polynomial_arithmetic(self, monkeypatch):
+        # the parser computes on integer polynomials and makes MultiPolys
+        # only for the finished map
+        def refuse(*args):
+            raise AssertionError("MultiPoly arithmetic while parsing")
+
+        for name in ("__mul__", "__rmul__", "__pow__", "__neg__", "_combine"):
+            monkeypatch.setattr(MultiPoly, name, refuse)
+        for text in ACCEPTANCE_MAPS:
+            parse_rde(text)
+        for text, num, den in WEBBOOK_FORMS:
+            assert list(parse_ratfun(text).num.terms.items()) == num
 
 
 class TestParsePinned:

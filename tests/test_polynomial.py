@@ -273,6 +273,16 @@ class TestRatFun:
         assert r.den == P("x0+1")
         assert r.num == P("-1/2*x0")
 
+    def test_rational_den_scaled_in_order(self):
+        r = RatFun(P("x0+2"), P("2/3*x0+4/3"))
+        assert list(r.den.terms.items()) == [((1,), 1), ((0,), 2)]
+        assert list(r.num.terms.items()) == [((1,), Fraction(3, 2)), ((0,), 3)]
+
+    def test_primitive_den_of_positive_lead_is_not_scaled(self):
+        num, den = P("x0/2"), P("x0+1")
+        r = RatFun(num, den)
+        assert r.num is num and r.den is den
+
     def test_equality(self):
         assert RatFun(P("2*x0"), P("2", 1)) == RatFun(P("x0"), P("1", 1))
 
