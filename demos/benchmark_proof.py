@@ -1,9 +1,11 @@
 """Walkthrough: proving global asymptotic stability of a second-order map.
 
 The recurrence x_{n+1} = (4 + x_n) / (1 + x_{n-1}) has equilibrium 2. The
-proof proceeds in stages: exact local stability, then for K = 1, 2, ... the
+proof proceeds in stages: exact local stability, then for K = 2, 3, ... the
 contraction polynomial and an exact orthant positivity check, until one K
-is proven. Run with: python3 demos/benchmark_proof.py
+is proven. K starts at the order, 2: K = 1 only shifts x_n into the x_{n-1}
+slot, which cannot shrink the distance to the equilibrium at (x, 2) for any
+x != 2. Run with: python3 demos/benchmark_proof.py
 """
 from gasprover import (
     build_contraction_poly,
@@ -28,7 +30,7 @@ print(f"\nlocal stability: {las.outcome}")
 print(f"characteristic polynomial coefficients (low to high): {coeffs}")
 
 print("\ncontraction exponent loop:")
-for K in range(1, 9):
+for K in range(spec.order, 9):
     P = build_contraction_poly(spec, eq, K)
     cert = prove_nonneg(P, eq.value)
     line = f"  K = {K}: {len(P.terms)} terms, {cert.verdict}"

@@ -72,7 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="full pipeline: stability, K search, proof")
     p.add_argument("--rde", required=True, help="right-hand side R(x0, x1, ...)")
-    p.add_argument("--max-k", type=int, default=10)
+    p.add_argument("--max-k", type=int, default=10,
+                   help="largest contraction exponent K tried; K starts at the "
+                        "recurrence order, as no smaller K can contract")
     p.add_argument("--order", type=int, default=None,
                    help="recurrence order (default: inferred from variables)")
     p.add_argument("--depth", type=int, default=12)
@@ -108,14 +110,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=10)
+    p.add_argument("--max-k", type=int, default=10, help="as for prove")
     p.add_argument("--depth", type=int, default=12)
     return parser
 
 
-def _write_cert(path: Path | None, cert) -> None:
-    if path is not None and cert is not None:
-        path.write_text(certificate_to_json(cert))
+def _write_cert(path: Path | None, cert, reason: str = "") -> None:
+    """Write cert to path; a result without one writes nothing and says why."""
+    if path is None:
+        return
+    if cert is None:
+        print(f"no certificate ({reason}): {path} not written", file=sys.stderr)
+        return
+    path.write_text(certificate_to_json(cert))
 
 
 def _print_result(result, verbose: bool) -> None:
@@ -151,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "prove":
             spec = parse_rde(args.rde, args.order)
             result = prove(spec, args.max_k, depth_limit=args.depth)
-            _write_cert(args.cert, result.certificate)
+            _write_cert(args.cert, result.certificate, result.reason)
             _print_result(result, args.verbose)
             return _VERDICT_EXIT[result.verdict]
 
@@ -160,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
             result, P = _prove_k(spec, args.k, args.depth)
             if args.verbose and result.certificate is not None:
                 _print_regions(P, result.equilibrium.value)
-            _write_cert(args.cert, result.certificate)
+            _write_cert(args.cert, result.certificate, result.reason)
             _print_result(result, args.verbose)
             return _VERDICT_EXIT[result.verdict]
 

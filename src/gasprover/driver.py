@@ -1,6 +1,7 @@
 """End-to-end pipeline: local stability pre-check, an exact contraction-
-exponent loop (the positivity prover run for K = 1, 2, ... up to maxK), and
-batch ("webbook") reporting.
+exponent loop (the positivity prover run for K = n, n + 1, ... up to maxK,
+where n is the recurrence's order: no smaller K can contract), and batch
+("webbook") reporting.
 
 Verdicts follow a three-valued contract: "true" (global asymptotic stability
 proven, always with a Proven certificate attached), "false" (the equilibrium
@@ -125,9 +126,18 @@ def prove(
 ) -> PipelineResult:
     """Full pipeline: local stability, then the exact K loop.
 
-    The positivity prover runs for K = 1, 2, ... up to maxK and the first
-    Proven K is the answer; a false K is refuted cheaply, mostly by the exact
-    dyadic grid of prove_nonneg.
+    The positivity prover runs for K = n, n + 1, ... up to maxK, where n is
+    spec.order, and the first Proven K is the answer; a false K is refuted
+    cheaply, mostly by the exact dyadic grid of prove_nonneg.  With maxK < n
+    no K is tried: the result is FAIL max-k-exhausted, with no certificate.
+
+    No K < n can be a strict contraction.  Q^K then only shifts x_0 ...
+    x_{n-1-K} into the K oldest slots, so with R_j = (Q^j)_0,
+        |Q^K(x) - x̄|² - |x - x̄|² = Σ_{j<=K} (R_j(x) - x̄)² - Σ_{i>=n-K} (x_i - x̄)²,
+    which is >= 0 at any x != x̄ whose K oldest coordinates equal x̄.  Such
+    points lie in every domain the pipeline accepts: x̄ > 0 is inside the open
+    orthant, and x̄ = 0 comes with a closed domain.  The same holds term by
+    term for any positive diagonal weights on the squares.
     """
     if maxK < 1:
         raise ValueError("maxK must be >= 1")
@@ -151,7 +161,7 @@ def prove(
         )
 
     last_cert = None
-    for K in range(1, maxK + 1):
+    for K in range(spec.order, maxK + 1):
         step = _prove_step(spec, eq, K, depth_limit, timings)[0]
         last_cert = step.certificate or last_cert
         if step.verdict == "true":

@@ -50,6 +50,11 @@ def _variable_index(name: str) -> int:
 # stays well inside Python's default recursion limit.
 _MAX_DEPTH = 100
 
+# The most term pairs one product may multiply out, so that a short input
+# such as ((1+x0+x1+x2)^8)^8 ends with a ParseError instead of running for
+# half a minute.  A map the prover can build stays far below it.
+_MAX_TERM_PAIRS = 100_000
+
 # an integer polynomial is a dict from exponent tuples to non-zero ints
 Pair = tuple[dict, dict]
 
@@ -57,10 +62,16 @@ Pair = tuple[dict, dict]
 def _times(a: dict, b: dict) -> dict:
     """a*b in `MultiPoly.__mul__`'s term order: a constant operand scales the
     other, and otherwise a is the outer loop and b the inner one.  A product
-    by the constant 1 is the other operand itself."""
+    by the constant 1 is the other operand itself.  A product of two
+    non-constant operands with more than _MAX_TERM_PAIRS term pairs is a
+    ParseError."""
     if not any(map(any, b)):
         a, b = b, a
     elif any(map(any, a)):
+        if len(a) * len(b) > _MAX_TERM_PAIRS:
+            raise ParseError(f"expression too large: a product of {len(a)} by {len(b)} "
+                             f"terms exceeds the parser's budget of {_MAX_TERM_PAIRS} "
+                             f"term pairs")
         inner = list(b.items())
         product = {}
         get = product.get

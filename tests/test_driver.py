@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,13 @@ from gasprover.certificate import ProofCertificate
 from gasprover.checker import replay_certificate
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
-from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
+from gasprover.positivity import prove_nonneg
+from gasprover.recurrence import (
+    UnsupportedInputError,
+    build_contraction_poly,
+    find_equilibrium,
+    parse_rde,
+)
 
 F = Fraction
 
@@ -72,9 +79,59 @@ class TestProveK:
         monkeypatch.setattr(gasprover.driver, "build_contraction_poly", keeping)
         assert prove_k(parse_rde("x2/(2+x0+x1+x2)"), 3).verdict == "true"
         assert prove(parse_rde("(4+x0)/(1+x1)")).verdict == "true"
-        assert len(built) == 6
+        assert len(built) == 5  # K = 3, and K = 2..5 of the second-order map
         for P in built:
             assert P._terms is None
+
+
+def _random_map(rng):
+    """A positive linear-fractional map of order 2 or 3, and its order.  In
+    three of four maps the constant makes a seeded rational x̄ > 0 the one
+    positive equilibrium; the rest have no constant, so 0 is a fixed point."""
+    n = rng.choice((2, 3))
+    b = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    d = [rng.choice((0, 1, 1, 2, 3)) for _ in range(n)]
+    c = rng.randint(1, 4)
+    a = F(0)
+    if rng.random() < 0.75:
+        xbar = F(rng.randint(1, 8), rng.randint(1, 4))
+        if c + sum(d) * xbar <= sum(b):
+            c += sum(b)
+        a = xbar * (c + sum(d) * xbar - sum(b))
+    num = "+".join([f"({a})"] + [f"{v}*x{i}" for i, v in enumerate(b) if v])
+    den = "+".join([str(c)] + [f"{v}*x{i}" for i, v in enumerate(d) if v])
+    return f"({num})/({den})", n
+
+
+class TestNoKBelowTheOrder:
+    """For K < n, Q^K only shifts x_0 ... x_{n-1-K} into the oldest slots, so
+    the squared distance to x̄ cannot shrink at a point whose K oldest
+    coordinates are x̄: no such K is a strict contraction, and prove() does
+    not try one."""
+
+    def test_prove_k_is_never_true_below_the_order(self):
+        rng = random.Random(29)
+        maps = [(text, None) for text in (
+            "(4+x0)/(1+x1)", "(1+2*x1)/(1+x0+x1)", "x1/(2+x0+x1)", "x1/(2+x1)",
+            "(2+x0)/(1+x1+x2)", "(1/2+x0)/(1+x1+x2)", "x2/(2+x0+x1+x2)",
+        )]
+        for _ in range(10):  # the bench's second-order templates
+            a = F(rng.randint(65, 256), 64)
+            maps += [(f"x1/(({a})+x0+x1)", None), (f"x1/(({a})+x1)", None)]
+        maps += [_random_map(rng) for _ in range(200)]
+        decided = 0
+        for text, order in maps:
+            try:
+                spec = parse_rde(text, order)
+                find_equilibrium(spec)
+            except UnsupportedInputError:  # x̄ irrational, or not unique
+                continue
+            assert spec.order >= 2
+            for K in range(1, spec.order):
+                result = prove_k(spec, K)
+                assert result.verdict != "true", (text, K)
+                decided += result.verdict == "false"
+        assert decided > 250
 
 
 class TestProve:
@@ -135,7 +192,7 @@ class TestProve:
             monkeypatch.setattr(gasprover.driver, name, counted)
         assert prove(parse_rde("(1+2*x1)/(1+x0+x1)"), maxK=4).K == 2
         assert calls == {
-            "find_equilibrium": 1, "build_contraction_poly": 2, "prove_nonneg": 2,
+            "find_equilibrium": 1, "build_contraction_poly": 1, "prove_nonneg": 1,
         }
 
     def test_timings_keys(self):
@@ -150,6 +207,45 @@ class TestProve:
     def test_max_k_too_small(self):
         result = prove(parse_rde("(4+x0)/(1+x1)"), maxK=3)
         assert result.verdict == "FAIL"
+
+    @pytest.mark.parametrize("rde, built", [
+        ("2*x0/(1+x0)", [1]),
+        ("(4+x0)/(1+x1)", [2, 3, 4, 5]),
+        ("x2/(2+x0+x1+x2)", [3]),
+        ("(1/2+x0)/(1+x1+x2)", [3, 4]),
+    ])
+    def test_k_loop_starts_at_the_order(self, monkeypatch, rde, built):
+        ks, proofs = [], []
+
+        def building(spec, eq, K):
+            ks.append(K)
+            return build_contraction_poly(spec, eq, K)
+
+        def proving(P, *args):
+            proofs.append(P)
+            return prove_nonneg(P, *args)
+
+        monkeypatch.setattr(gasprover.driver, "build_contraction_poly", building)
+        monkeypatch.setattr(gasprover.driver, "prove_nonneg", proving)
+        result = prove(parse_rde(rde))
+        assert (result.verdict, result.K) == ("true", built[-1])
+        assert ks == built
+        assert len(proofs) == len(built)
+
+    @pytest.mark.parametrize("rde, maxK", [
+        ("(4+x0)/(1+x1)", 1), ("(2+x0)/(1+x1+x2)", 1), ("(2+x0)/(1+x1+x2)", 2),
+    ])
+    def test_max_k_below_the_order_tries_no_k(self, monkeypatch, rde, maxK):
+        def refuse(*args):
+            raise AssertionError("a K below the order was tried")
+
+        monkeypatch.setattr(gasprover.driver, "build_contraction_poly", refuse)
+        monkeypatch.setattr(gasprover.driver, "prove_nonneg", refuse)
+        result = prove(parse_rde(rde), maxK=maxK)
+        assert (result.verdict, result.reason, result.K) == ("FAIL", "max-k-exhausted", maxK)
+        assert result.certificate is None
+        assert result.las.outcome == "LAS"
+        assert list(result.timings) == ["equilibrium", "las"]
 
     def test_prove_each_k(self):
         result = prove(parse_rde("1/2*x0"), maxK=3)
@@ -256,6 +352,19 @@ class TestCli:
         assert code == 0
         data = json.loads(cert_path.read_text())
         assert data["verdict"] == "Proven"
+
+    @pytest.mark.parametrize("argv, code, reason", [
+        (["prove", "--rde", "2*x0"], 1, "not-locally-asymptotically-stable"),
+        (["prove", "--rde", "(4+x0)/(1+x1)", "--max-k", "1"], 2, "max-k-exhausted"),
+        (["prove-k", "--rde", "1/x0", "--k", "2"], 1, "identically-zero-for-strictness"),
+    ])
+    def test_cert_without_a_certificate(self, tmp_path, capsys, argv, code, reason):
+        cert_path = tmp_path / "cert.json"
+        assert main(argv + ["--cert", str(cert_path)]) == code
+        out, err = capsys.readouterr()
+        assert f"reason: {reason}" in out.splitlines()
+        assert err == f"no certificate ({reason}): {cert_path} not written\n"
+        assert not cert_path.exists()
 
     def test_webbook_cli(self, capsys):
         code = main([

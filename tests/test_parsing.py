@@ -307,6 +307,31 @@ class TestWebbookForms:
             assert list(parse_ratfun(text).num.terms.items()) == num
 
 
+class TestSizeBudget:
+    """A product of two non-constant operands may multiply out at most
+    parsing._MAX_TERM_PAIRS term pairs."""
+
+    def test_nested_power_is_rejected(self):
+        # 969 * 969 term pairs: without the budget this ran for half a minute
+        with pytest.raises(ParseError, match="budget of 100000 term pairs"):
+            parse_ratfun("((1+x0+x1+x2)^8)^8")
+
+    def test_below_the_budget_parses(self):
+        # its last product is 165 * 165 term pairs
+        assert len(parse_ratfun("(1+x0+x1+x2)^16").num.terms) == 969
+
+    def test_bound_is_inclusive_and_constants_are_free(self, monkeypatch):
+        monkeypatch.setattr(parsing, "_MAX_TERM_PAIRS", 4)
+        assert len(parse_poly("(1+x0)*(1+x1)").terms) == 4
+        assert len(parse_poly("3*(1+x0+x1+x2+x3)*5").terms) == 5
+        with pytest.raises(ParseError, match="a product of 2 by 3 terms"):
+            parse_poly("(1+x0)*(1+x1+x2)")
+
+    def test_prove_exits_with_an_input_error(self, capsys):
+        assert main(["prove", "--rde", "((1+x0+x1+x2)^8)^8"]) == 3
+        assert "budget" in capsys.readouterr().err
+
+
 class TestParsePinned:
     """The parsed map, terms in order, over a fixed corpus.  R's term order
     feeds P's, which the build pins hold, so this pins the build's input."""
