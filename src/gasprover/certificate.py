@@ -12,7 +12,6 @@ the checker makes each node polynomial itself.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,6 +113,8 @@ def _node_document(node: CertNode) -> dict:
 
 
 def certificate_to_json(cert: ProofCertificate) -> str:
+    import json  # here, not at the top: a proof that writes no JSON never loads it
+
     return json.dumps(certificate_document(cert), indent=2)
 
 
@@ -149,6 +150,8 @@ def _box(raw, where: str) -> BoxSpec:
 def certificate_from_json(text: str) -> ProofCertificate:
     """The certificate of a JSON document.  ValueError if a key is missing or
     a value has the wrong JSON type; keys it does not know are ignored."""
+    import json
+
     doc = json.loads(text)
     nodes = []
     for i, raw in enumerate(_get(doc, "tree", "certificate", list)):

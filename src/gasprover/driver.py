@@ -25,6 +25,7 @@ from .conjecture import conjecture_k
 from .polynomial import MultiPoly
 from .positivity import prove_nonneg
 from .recurrence import (
+    Composition,
     Equilibrium,
     RecurrenceSpec,
     UnsupportedInputError,
@@ -66,18 +67,19 @@ _VERDICTS = {
 
 def _prove_step(
     spec: RecurrenceSpec, eq: Equilibrium, K: int, depth_limit: int,
-    timings: dict,
+    timings: dict, composition: Composition | None = None,
 ) -> tuple[PipelineResult, MultiPoly]:
     """Build the contraction polynomial for K and run the positivity prover,
     adding the stage times to the running totals in `timings`; returns the
-    result and the polynomial.
+    result and the polynomial.  The build composes on from `composition`
+    when one is given (see `build_contraction_poly`).
 
     An identically-zero polynomial (periodic maps at even powers) is "false",
     and so is one with a zero away from x̄: strict contraction demands strict
     positivity off the equilibrium.
     """
     t0 = time.perf_counter()
-    P = build_contraction_poly(spec, eq, K)
+    P = build_contraction_poly(spec, eq, K, composition)
     timings["build"] = timings.get("build", 0.0) + time.perf_counter() - t0
     if P.is_zero():
         return PipelineResult(
@@ -161,8 +163,10 @@ def prove(
         )
 
     last_cert = None
+    # one composition for the whole loop: each K composes one step more
+    composition = Composition(spec)
     for K in range(spec.order, maxK + 1):
-        step = _prove_step(spec, eq, K, depth_limit, timings)[0]
+        step = _prove_step(spec, eq, K, depth_limit, timings, composition)[0]
         last_cert = step.certificate or last_cert
         if step.verdict == "true":
             step.las = las

@@ -4,9 +4,10 @@ Such a polynomial is a plain dict from a packed exponent int to a non-zero
 int coefficient.  A `Packing` maps exponent vectors to keys whose integer
 order is grlex order and whose sum is the key of the summed exponents.  The
 kernels are `mul_packed`, the one term-pair product loop (which
-`MultiPoly.__mul__` also runs), `pow_packed`, `add_packed` and
-`divide_packed`, exact division in Z[x] with the remainder updated in place
-and leading terms taken from a heap of keys.
+`MultiPoly.__mul__` also runs), `sqr_packed`, which visits each unordered
+pair of terms once, `pow_packed`, `add_packed` and `divide_packed`, exact
+division in Z[x] with the remainder updated in place and leading terms taken
+from a heap of keys.
 
 A `PackedPoly` is such a dict over one positive denominator, with its layout:
 a polynomial over Q.  Its kernels are the variable substitutions of the
@@ -22,12 +23,22 @@ operands.
 """
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from math import comb, gcd
 from operator import mul
 from typing import NamedTuple, Sequence
+
+# The interpreter's own SHA-256, as `random` takes its sha512: `hashlib`
+# would load OpenSSL's `_hashlib`, a few megabytes, for the one digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 Exponents = tuple[int, ...]
 
@@ -90,8 +101,30 @@ def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return drop_zeros(product)
 
 
-def power_by_squaring(base, n: int, times):
-    """base**n for n >= 1: square-and-multiply with `times` as the product."""
+def sqr_packed(a: dict[int, int]) -> dict[int, int]:
+    """a*a with the terms, in the order, of `mul_packed(a, a)`, from half its pairs.
+
+    Term i meets itself and then each later term j once, doubled.  The pair
+    of mul_packed's loop that first makes a key is the least (i, j) making
+    it, and i <= j there, since (j, i) makes the same key; that pair comes
+    first here too, so every key is inserted at the same place.
+    """
+    items = list(a.items())
+    product: dict[int, int] = {}
+    get = product.get
+    for i, (k1, c1) in enumerate(items, 1):
+        k = k1 + k1
+        product[k] = get(k, 0) + c1 * c1
+        c1 += c1
+        for k2, c2 in items[i:]:
+            k = k1 + k2
+            product[k] = get(k, 0) + c1 * c2
+    return drop_zeros(product)
+
+
+def power_by_squaring(base, n: int, times, square=None):
+    """base**n for n >= 1: square-and-multiply with `times` as the product
+    and `square`, by default `times(b, b)`, as the square."""
     result = None
     while True:
         if n & 1:
@@ -99,12 +132,12 @@ def power_by_squaring(base, n: int, times):
         n >>= 1
         if not n:
             return result
-        base = times(base, base)
+        base = times(base, base) if square is None else square(base)
 
 
 def pow_packed(a: dict[int, int], n: int) -> dict[int, int]:
     """a**n for n >= 1 by square-and-multiply; a**1 is a itself."""
-    return power_by_squaring(a, n, mul_packed)
+    return power_by_squaring(a, n, mul_packed, sqr_packed)
 
 
 def add_packed(a: dict[int, int], b: dict[int, int], scale: int = 1) -> dict[int, int]:
@@ -235,19 +268,20 @@ def digest_packed(poly: PackedPoly) -> str:
     """SHA-256 of "nvars=<n>;" and the terms' "exponents:coefficient" joined by ";", in
     descending grlex order (that of the keys), each coefficient c/den reduced."""
     packing, terms, den = poly
-    shifts, mask = packing.shifts, packing.mask
+    mask = packing.mask
     field = [str(e) for e in range(mask + 1)]
-    parts = []
-    for k in sorted(terms, reverse=True):
-        c = terms[k]
-        exps = ",".join([field[(k >> s) & mask] for s in shifts])
-        if den == 1:
-            parts.append(f"{exps}:{c}")
-            continue
-        g = gcd(c, den)
-        parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
+    keys = sorted(terms, reverse=True)
+    # one column of exponent strings per variable, zipped into the rows
+    columns = [[field[(k >> s) & mask] for k in keys] for s in packing.shifts]
+    exps = map(",".join, zip(*columns)) if columns else repeat("")
+    cs = [terms[k] for k in keys]
+    if den == 1:
+        parts = [f"{e}:{c}" for e, c in zip(exps, cs)]
+    else:
+        parts = [f"{e}:{c // g}" if g == den else f"{e}:{c // g}/{den // g}"
+                 for e, c, g in zip(exps, cs, map(gcd, cs, repeat(den)))]
     canon = f"nvars={poly.nvars};" + ";".join(parts)
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def evaluate_packed(poly: PackedPoly, point: Sequence[Fraction]) -> Fraction:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import ceil, log2
 from operator import add
 
 from .packed import drop_zeros, power_by_squaring
@@ -54,6 +55,13 @@ _MAX_DEPTH = 100
 # such as ((1+x0+x1+x2)^8)^8 ends with a ParseError instead of running for
 # half a minute.  A map the prover can build stays far below it.
 _MAX_TERM_PAIRS = 100_000
+
+# The largest degree, and the most bits a coefficient may need, in a power's
+# result, so that a short input such as 3^16000000 (25 million bits) or
+# x0^1000000 ends with a ParseError instead of running for seconds or
+# stalling the proof.  A map the prover can build stays far below both.
+_MAX_POWER_DEGREE = 1_000
+_MAX_POWER_BITS = 10_000
 
 # an integer polynomial is a dict from exponent tuples to non-zero ints
 Pair = tuple[dict, dict]
@@ -176,9 +184,23 @@ class _Parser:
         return self.power(num, n), self.power(den, n)
 
     def power(self, p: dict, n: int) -> dict:
-        """p**n as `MultiPoly.__pow__` makes it: a monomial's in one term."""
+        """p**n as `MultiPoly.__pow__` makes it: a monomial's in one term.
+
+        A result of degree over _MAX_POWER_DEGREE, or one whose coefficients
+        may need more than _MAX_POWER_BITS bits, is a ParseError, raised
+        before any of it is made.  The bits are bounded by n*log2 of the sum
+        of p's absolute coefficients, exact for a one-term p."""
         if n == 0:
             return self.one
+        degree = n * max(map(sum, p), default=0)
+        if degree > _MAX_POWER_DEGREE:
+            raise ParseError(f"expression too large: a power of degree {degree} exceeds "
+                             f"the parser's budget of degree {_MAX_POWER_DEGREE}")
+        bits = n * log2(sum(map(abs, p.values()))) if p else 0
+        if bits > _MAX_POWER_BITS:
+            raise ParseError(f"expression too large: a power with coefficients of up to "
+                             f"{ceil(bits)} bits exceeds the parser's budget of "
+                             f"{_MAX_POWER_BITS} coefficient bits")
         if len(p) == 1 and n > 1:
             [(exps, c)] = p.items()
             return {tuple([e * n for e in exps]): c ** n}

@@ -6,11 +6,16 @@ This module finds the equilibrium exactly, iterates Q symbolically, and builds
 the polynomial whose non-negativity certifies that Q^K strictly contracts the
 Euclidean distance to the equilibrium.
 
-Q^K and P are built on the integer polynomials of `packed`, from the first
-composition to the finished P, all packed by one layout whose fields fit a
-degree bound computed before the build starts.  Denominators stay factored
-over a pool of primitive integer polynomials.  `q_power` makes Fractions at
-once; P keeps the build's integers and makes its Fractions on first read.
+Q^K and P are built on the integer polynomials of `packed`.  A `Composition`
+holds Q^t with its denominators factored over a pool of primitive integer
+polynomials, all packed by one layout whose fields fit the degree bound of
+the K being built.  `driver.prove` carries one composition from each K to
+the next, so each K composes one step more; the layout is widened only when
+a K's bound needs more bits.  P is assembled from D, the lcm of the
+component denominators den_i: with c_i = D/den_i and g_i =
+den_i*(component_i - xbar), P = D^2*|X - Xbar|^2 - sum_i (c_i*g_i)^2, each
+square made by `sqr_packed`.  `q_power` makes Fractions at once; P keeps the
+build's integers and makes its Fractions on first read.
 """
 from __future__ import annotations
 
@@ -21,7 +26,8 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import univariate as uni
-from .packed import PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed
+from .packed import (PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed,
+                     sqr_packed)
 from .parsing import ParseError, parse_ratfun
 from .polynomial import MultiPoly, RatFun
 
@@ -134,8 +140,8 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
 # ---------------------------------------------------------------------------
 # Iterated map with factored denominators, in integers.
 #
-# The build packs every exponent vector with one `Packing`, sized in
-# `_q_power_factored`.  A component of Q^t is (A, a, factors): its numerator
+# The build packs every exponent vector with one `Packing`, sized by
+# `_degree_bound`.  A component of Q^t is (A, a, factors): its numerator
 # is A/a with A an integer polynomial and a > 0, and its denominator is the
 # product of pool[i]**m over the Counter `factors` of pool indices.  The pool
 # holds primitive integer polynomials of positive lead.  Composition
@@ -258,46 +264,97 @@ def _compose_first(R, state: list[Component], pool, powers, packing) -> Componen
     return num, d_num * content, factors
 
 
-def _q_power_factored(
-    spec: RecurrenceSpec, K: int, pool: list[dict], powers: dict
-) -> tuple[Packing, list[Component]]:
-    """The components of Q^K, and the one layout that packs them and P.
+def _degree_bound(degs: list[int], K: int) -> int:
+    """A bound on every degree met in composing Q^K and building its P.
 
     If the numerator and denominator of component i have degree at most h_i,
     R's num or den at the components, cleared by prod den_i^degs[i], has
-    degree at most sum_i degs[i]*h_i, and cancelling only lowers it.  A summand
-    of P, g_j^2 times its cofactor or |X - Xbar|^2 times the lcm of the squared
-    denominators, then has degree at most 2 + 2*sum_j h_j.
+    degree at most sum_i degs[i]*h_i, and cancelling only lowers it.  D, the
+    lcm of the denominators, and each c_i*g_i of P then have degree at most
+    sum_j h_j, so a summand of P has degree at most 2 + 2*sum_j h_j.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    num_r, den_r = spec.R.num, spec.R.den
-    degs = [max(num_r.degree_in(i), den_r.degree_in(i)) for i in range(spec.order)]
-    h = [1] * spec.order
+    h = [1] * len(degs)
     peak = 1
     for _ in range(K):
         h = [sum(map(mul, degs, h))] + h[:-1]
         peak = max(peak, h[0])
-    packing = Packing(spec.order, max(peak, 2 + 2 * sum(h)))
+    return max(peak, 2 + 2 * sum(h))
 
-    d_num, num_terms = num_r._integer_terms()
-    d_den, den_terms = den_r._integer_terms()
-    R = ((list(num_terms), d_num), (list(den_terms), d_den), degs)
-    state: list[Component] = [({x_i: 1}, 1, Counter()) for x_i in packing.units]
-    for _ in range(K):
-        state = [_compose_first(R, state, pool, powers, packing)] + state[:-1]
-    return packing, state
+
+class Composition:
+    """Q^t of one recurrence, carried from one K to the next.
+
+    It holds the components of Q^t, the factor pool, the memo of factor
+    products (`_expand_factors`' `powers`) and the layout that packs them.
+    `advance(K)` composes on from t to K, one step per K, so that the K loop
+    of `driver.prove` composes each step once.  The layout is widened, and
+    every held polynomial re-keyed to it, only when K's degree bound needs
+    more bits per field than it has.  A composition at K gives the
+    components, term for term, that composing K times afresh gives.
+    """
+
+    __slots__ = ("R", "t", "state", "pool", "powers", "packing")
+
+    def __init__(self, spec: RecurrenceSpec):
+        num_r, den_r = spec.R.num, spec.R.den
+        degs = [max(num_r.degree_in(i), den_r.degree_in(i)) for i in range(spec.order)]
+        d_num, num_terms = num_r._integer_terms()
+        d_den, den_terms = den_r._integer_terms()
+        self.R = ((list(num_terms), d_num), (list(den_terms), d_den), degs)
+        self.t = 0
+        self.state: list[Component] = []
+        self.pool: list[dict] = []
+        self.powers: dict = {}
+        self.packing: Packing | None = None
+
+    def advance(self, K: int) -> tuple[Packing, list[Component]]:
+        """The layout and the components of Q^K, composed on from Q^t."""
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        if K < self.t:
+            raise ValueError(f"a composition at Q^{self.t} cannot go back to Q^{K}")
+        degs = self.R[2]
+        packing = Packing(len(degs), _degree_bound(degs, K))
+        if self.packing is None:
+            self.state = [({x_i: 1}, 1, Counter()) for x_i in packing.units]
+            self.packing = packing
+        elif packing.mask > self.packing.mask:
+            self._repack(packing)
+        while self.t < K:
+            self.state = [_compose_first(self.R, self.state, self.pool, self.powers,
+                                         self.packing)] + self.state[:-1]
+            self.t += 1
+        return self.packing, self.state
+
+    def _repack(self, packing: Packing) -> None:
+        """Re-key every held polynomial to the wider `packing`, in order.  A
+        polynomial held in several places (a pool entry is its own first
+        power in the memo) is re-keyed once and stays shared."""
+        old = self.packing
+        moved: dict[int, dict] = {}
+
+        def rekey(terms: dict) -> dict:
+            new = moved.get(id(terms))
+            if new is None:
+                new = moved[id(terms)] = {
+                    packing.pack(old.exponents(k)): c for k, c in terms.items()}
+            return new
+
+        # every old polynomial stays held until all are re-keyed, so ids are unique
+        pool = [rekey(f) for f in self.pool]
+        state = [(rekey(A), a, factors) for A, a, factors in self.state]
+        powers = {key: rekey(v) for key, v in self.powers.items()}
+        self.pool, self.state, self.powers, self.packing = pool, state, powers, packing
 
 
 def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
     """The k+1 components of Q^K as rational functions in x0..xk."""
     n = spec.order
-    pool: list[dict] = []
-    powers: dict = {}
+    composition = Composition(spec)
     components = []
-    packing, state = _q_power_factored(spec, K, pool, powers)
+    packing, state = composition.advance(K)
     for A, a, factors in state:
-        den = _expand_factors(factors, pool, powers)
+        den = _expand_factors(factors, composition.pool, composition.powers)
         if any(c <= 0 for c in den.values()):
             raise UnsupportedInputError(
                 "non-positive-denominator",
@@ -319,29 +376,34 @@ def _vanishes_on_diagonal(f: dict, x: Fraction, packing: Packing) -> bool:
 
 
 def build_contraction_poly(
-    spec: RecurrenceSpec, eq: Equilibrium, K: int
+    spec: RecurrenceSpec, eq: Equilibrium, K: int, composition: Composition | None = None
 ) -> MultiPoly:
     """Numerator of |X - Xbar|^2 - |Q^K(X) - Xbar|^2.
 
-    Denominators are cleared by the least common multiple of the squared
-    component denominators, which is positive on the domain, so the result has
-    the same sign as the norm difference at every domain point.  The build
-    runs in integers, and P keeps them (`MultiPoly.from_packed`) for the
-    positivity engine; its Fractions are made only if its terms are read.
+    With den_i the denominator of component i, D their lcm and
+    c_i = D/den_i, the result is D^2*|X - Xbar|^2 - sum_i (c_i*g_i)^2 where
+    g_i = den_i*(component_i - xbar): D^2 is positive on the domain, so the
+    result has the same sign as the norm difference at every domain point.
+    The build runs in integers, and P keeps them (`MultiPoly.from_packed`)
+    for the positivity engine; its Fractions are made only if its terms are
+    read.  `composition`, a `Composition` of spec at some Q^t with t <= K,
+    is composed on to Q^K and left there; without one, Q^K is composed
+    afresh.  Either way P is the same, term for term.
     """
-    pool: list[dict] = []
-    powers: dict = {}
-    packing, components = _q_power_factored(spec, K, pool, powers)
+    if composition is None:
+        composition = Composition(spec)
+    packing, components = composition.advance(K)
+    pool, powers = composition.pool, composition.powers
 
-    lcm_factors: Counter = Counter()
+    d_factors: Counter = Counter()
     for _, _, factors in components:
         for f, mult in factors.items():
-            lcm_factors[f] = max(lcm_factors[f], 2 * mult)
+            d_factors[f] = max(d_factors[f], mult)
 
-    # Every exponent in lcm_factors is even, so lcm_poly(xbar) > 0 iff no factor vanishes.
-    if any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in lcm_factors):
+    # D(xbar) != 0 iff no factor of D vanishes there, and D^2 > 0 then.
+    if any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in d_factors):
         raise RuntimeError(f"a denominator factor of Q^{K} vanishes at xbar = {eq.value}")
-    lcm_poly = _expand_factors(lcm_factors, pool, powers)
+    d_poly = _expand_factors(d_factors, pool, powers)
 
     # Every summand is kept over the one denominator (s*q)^2, where xbar = p/q
     # and s is the lcm of the components' numerator denominators a.
@@ -350,18 +412,17 @@ def build_contraction_poly(
     dist: dict = {}
     for x_i in packing.units:
         t = add_packed({x_i: s * q}, {0: s * p}, -1)
-        dist = add_packed(dist, mul_packed(t, t))
+        dist = add_packed(dist, sqr_packed(t))
 
-    result = mul_packed(dist, lcm_poly)
+    result = mul_packed(dist, sqr_packed(d_poly))
     for A, a, factors in components:
-        g = add_packed({k: c * (s // a * q) for k, c in A.items()},
-                       _expand_factors(factors, pool, powers), -s * p)
         cofactor = Counter()
-        for f, mult in lcm_factors.items():
-            rem = mult - 2 * factors.get(f, 0)
+        for f, mult in d_factors.items():
+            rem = mult - factors.get(f, 0)
             if rem:
                 cofactor[f] = rem
-        result = add_packed(
-            result, mul_packed(mul_packed(g, g), _expand_factors(cofactor, pool, powers)), -1
-        )
+        # c_i*g_i = (s*q/a)*c_i*A_i - s*p*D, as c_i*den_i = D
+        scaled = mul_packed({k: c * (s // a * q) for k, c in A.items()},
+                            _expand_factors(cofactor, pool, powers))
+        result = add_packed(result, sqr_packed(add_packed(scaled, d_poly, -s * p)), -1)
     return MultiPoly.from_packed(PackedPoly(packing, result, (s * q) ** 2))

@@ -72,8 +72,8 @@ class TestProveK:
     def test_proof_path_makes_no_fractions_of_P(self, monkeypatch):
         built = []
 
-        def keeping(spec, eq, K):
-            built.append(build_contraction_poly(spec, eq, K))
+        def keeping(spec, eq, K, *composition):
+            built.append(build_contraction_poly(spec, eq, K, *composition))
             return built[-1]
 
         monkeypatch.setattr(gasprover.driver, "build_contraction_poly", keeping)
@@ -215,11 +215,13 @@ class TestProve:
         ("(1/2+x0)/(1+x1+x2)", [3, 4]),
     ])
     def test_k_loop_starts_at_the_order(self, monkeypatch, rde, built):
-        ks, proofs = [], []
+        ks, proofs, starts, compositions = [], [], [], set()
 
-        def building(spec, eq, K):
+        def building(spec, eq, K, composition):
             ks.append(K)
-            return build_contraction_poly(spec, eq, K)
+            starts.append(composition.t)
+            compositions.add(id(composition))
+            return build_contraction_poly(spec, eq, K, composition)
 
         def proving(P, *args):
             proofs.append(P)
@@ -231,6 +233,9 @@ class TestProve:
         assert (result.verdict, result.K) == ("true", built[-1])
         assert ks == built
         assert len(proofs) == len(built)
+        # one composition for the loop, and each K composes on from the last
+        assert len(compositions) == 1
+        assert starts == [0] + built[:-1]
 
     @pytest.mark.parametrize("rde, maxK", [
         ("(4+x0)/(1+x1)", 1), ("(2+x0)/(1+x1+x2)", 1), ("(2+x0)/(1+x1+x2)", 2),

@@ -332,6 +332,47 @@ class TestSizeBudget:
         assert "budget" in capsys.readouterr().err
 
 
+class TestPowerBudget:
+    """A power's result may have degree at most parsing._MAX_POWER_DEGREE and
+    coefficients of at most parsing._MAX_POWER_BITS bits, checked before
+    anything is multiplied out."""
+
+    @pytest.mark.parametrize("text, budget", [
+        # 5.6 s without the budget
+        ("3^16000000", "25359401 bits exceeds the parser's budget of 10000 coefficient bits"),
+        # parsed at once without the budget, but the proof did not end
+        ("(1+x0^1000000)/(1+x1)", "degree 1000000 exceeds the parser's budget of degree 1000"),
+        ("(x0^501)^2", "degree 1002 exceeds"),
+        ("(1+x0)^1001", "degree 1001 exceeds"),
+        ("x1/(1+x0*x1)^501", "degree 1002 exceeds"),
+        ("(2^5000)^3", "15000 bits exceeds"),
+        ("(1+x0)^100*(3000+x1)^1000", "11552 bits exceeds"),
+    ])
+    def test_over_a_budget_is_rejected(self, text, budget):
+        with pytest.raises(ParseError, match=budget):
+            parse_ratfun(text)
+
+    def test_at_the_budgets_parses(self):
+        assert parse_poly("2^10000") == MultiPoly.constant(1, 2 ** 10000)
+        assert parse_poly("(x0^500)^2").terms == {(1000,): 1}
+        assert parse_poly("(-2*x0)^1000").terms == {(1000,): 2 ** 1000}
+        assert parse_poly("(x0-x0)^5000").is_zero()
+        assert len(parse_poly("(1+x0)^200").terms) == 201
+
+    @pytest.mark.parametrize("text", ["3^16000000", "(1+x0^1000000)/(1+x1)"])
+    def test_prove_exits_with_an_input_error(self, capsys, text):
+        assert main(["prove", "--rde", text]) == 3
+        assert "budget" in capsys.readouterr().err
+
+    def test_bits_are_bounded_by_the_coefficient_sum(self, monkeypatch):
+        # n*log2(sum |c|): (1+x0)^n needs n bits, as C(n, n/2) is near 2^n
+        monkeypatch.setattr(parsing, "_MAX_POWER_BITS", 30)
+        assert len(parse_poly("(1-x0)^30").terms) == 31
+        with pytest.raises(ParseError, match="31 bits"):
+            parse_poly("(1-x0)^31")
+        assert parse_poly("1^100000") == MultiPoly.constant(1, 1)
+
+
 class TestParsePinned:
     """The parsed map, terms in order, over a fixed corpus.  R's term order
     feeds P's, which the build pins hold, so this pins the build's input."""

@@ -1,12 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from gasprover.parsing import parse_poly, parse_ratfun
-from gasprover.packed import PackedPoly, Packing, divide_packed, invert_packed, shift_packed
+from gasprover.packed import (PackedPoly, Packing, divide_packed, invert_packed, mul_packed,
+                              shift_packed, sqr_packed)
 from gasprover.polynomial import MultiPoly, RatFun, digest_packed, grlex_key
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
@@ -333,7 +334,30 @@ class TestCanonicalForm:
                      for k in sorted(terms, reverse=True)]
             canon = f"nvars={nvars};" + ";".join(parts)
             want = hashlib.sha256(canon.encode()).hexdigest()
-            assert digest_packed(PackedPoly(packing, terms, den)) == want
+            poly = PackedPoly(packing, terms, den)
+            assert digest_packed(poly) == want == _former_digest(poly)
+        for den in (1, 6):
+            poly = PackedPoly(Packing(0, 1), {0: -4}, den)
+            assert digest_packed(poly) == _former_digest(poly)
+
+
+def _former_digest(poly):
+    """digest_packed as it was, one term's string at a time: the reference for
+    the column-wise one, which must give the same bytes."""
+    packing, terms, den = poly
+    shifts, mask = packing.shifts, packing.mask
+    field = [str(e) for e in range(mask + 1)]
+    parts = []
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        exps = ",".join([field[(k >> s) & mask] for s in shifts])
+        if den == 1:
+            parts.append(f"{exps}:{c}")
+            continue
+        g = gcd(c, den)
+        parts.append(f"{exps}:{c // g}" if g == den else f"{exps}:{c // g}/{den // g}")
+    canon = f"nvars={poly.nvars};" + ";".join(parts)
+    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 class TestPow:
@@ -602,6 +626,17 @@ class TestKernelsMatchFractionReference:
         assert (P("x0^100+x1^100") * P("x0^155+x1^155")).terms == {
             (255, 0): 1, (100, 155): 1, (155, 100): 1, (0, 255): 1,
         }
+
+    def test_square_is_the_product_by_itself(self):
+        # the terms of mul_packed(a, a) in its order, from half the pairs
+        rng, cases = _kernel_cases()
+        cancelling = P("x0^2+2*x0*x1-2*x1^2")  # at x0^2*x1^2: 2^2 + 2*1*(-2) = 0
+        for p in cases + [cancelling, P("x0-x1+3*x2") ** 3]:
+            terms = p.packed().terms
+            assert list(sqr_packed(terms).items()) == list(mul_packed(terms, terms).items())
+        packing, terms, _ = cancelling.packed()
+        assert packing.unpack_terms(sqr_packed(terms)) == {
+            (4, 0): 1, (3, 1): 4, (1, 3): -8, (0, 4): 4}
 
     def test_cancellation_leaves_no_zero_term(self):
         got = P("x0-x1") * P("x0+x1")

@@ -15,6 +15,7 @@ from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.polynomial import MultiPoly, RatFun
 from gasprover.positivity import prove_nonneg
 from gasprover.recurrence import (
+    Composition,
     Equilibrium,
     RecurrenceSpec,
     UnsupportedInputError,
@@ -258,20 +259,39 @@ class TestBuildContractionPoly:
 # max over keys and digests sort them, as the term-order test below checks.
 BUILD_PINS = [
     ("x2/(2+x0+x1+x2)", 3,
-     "a38b80f0542fd0469855e1fadd4258b52f8e417efa563187c46b78e93014979d"),
+     "a499815c26a27b5ad5f091337dba7fe044d41bfcb258d0e8c3ccb35247eccf11"),
     ("(2+x0)/(1+x1+x2)", 1,
      "9aeb67433d0ec0b769675d8f10b16009b19997b263486422bed61e1cd7f73b9a"),
     ("(2+x0)/(1+x1+x2)", 2,
-     "78497a2dc61fab8f4f2485775bbdb99d3a980446ab88055e1b70f10f2c85ac7c"),
+     "b0de2fe3b1bc828c479c70075ead255447ccef1f67715eb630d0e118d6e1adb1"),
     ("(2+x0)/(1+x1+x2)", 3,
-     "77d25c2123daadc3f27066582514814a665537f3707ffe80c35eff0837be9baf"),
+     "80e32da94e0f32fd325364bd5e59419ca52f12a66b92f3937af2d86abea399b0"),
     ("(2+x0)/(1+x1+x2)", 4,
-     "3c2d544f3df70233908c008e1cf04416d46b1a8f18052d5f490a35c4adb8159d"),
+     "fdbcdf478907126811ef55bbf9a3228ded99df694c6e94eb658007ee9194266f"),
     (BENCH, 5,
-     "61b17b8c1e052a8965d54e676b4a4c5ad7dfa21a1f8e00357c2dcefa1d54cdf3"),
+     "1299ce6f0022417d3e6da6d341eca4fdfed54063af82414ecb109d32a6cf301b"),
     ("(1+2*x1)/(1+x0+x1)", 2,
-     "ab41c72d607501afa604f38f5129f4bede346956ed8c349dc712db3648d641f9"),
+     "a4ec27bfecc0f4bd5ab350025f7ff4752ea3a9f2b5dbbdbfbff1f706f7323815"),
 ]
+
+# P.digest() of each build above.  An assembly may reorder P's terms (the
+# term-order pins above are then re-pinned), but P itself must not change.
+BUILD_DIGESTS = {
+    ("x2/(2+x0+x1+x2)", 3):
+        "0c598b950b642a56152ace3463ab154b2b34c7a03eb5b487e809306b4c7a8582",
+    ("(2+x0)/(1+x1+x2)", 1):
+        "815dd793a9bad7fa63b53501a5b378636c7a6e3e1ef034f4c1c685bf42ccc462",
+    ("(2+x0)/(1+x1+x2)", 2):
+        "67650b588d45e6a795b207c9f70e17d8023b9034817855147624d6f477007cd1",
+    ("(2+x0)/(1+x1+x2)", 3):
+        "af44323d1426bda12458c5113c3cac8eccaae758ae07cbd504b1d0a52e595cba",
+    ("(2+x0)/(1+x1+x2)", 4):
+        "b22e61519a7cea042dd1844f0349c4fe59ee9d0ce808b42845bbdd8a8aaa9d19",
+    (BENCH, 5):
+        "6cd6932728e1273e06af43072bd46a3ef882f9b9840cd629522a93d166adad16",
+    ("(1+2*x1)/(1+x0+x1)", 2):
+        "0bcf8b4c3042261eb94e8a253f3d918d7df5ae557a757f0d19940de3b716716a",
+}
 
 
 class TestBuildPinned:
@@ -280,6 +300,12 @@ class TestBuildPinned:
         spec = parse_rde(text)
         p = build_contraction_poly(spec, find_equilibrium(spec), K)
         assert hashlib.sha256(repr(list(p.terms.items())).encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("text,K", list(BUILD_DIGESTS))
+    def test_digest(self, text, K):
+        spec = parse_rde(text)
+        p = build_contraction_poly(spec, find_equilibrium(spec), K)
+        assert p.digest() == BUILD_DIGESTS[text, K]
 
     @pytest.mark.parametrize("text,K,sha", BUILD_PINS)
     def test_term_order_does_not_reach_the_certificate(self, text, K, sha):
@@ -320,7 +346,7 @@ class TestBuildPinned:
                 assert raised
                 assert set(raised.values()) == {1}
                 assert set(multiplied.values()) <= {1}
-                # P's lcm of the squared denominators has more than one factor
+                # P's lcm D of the denominators has more than one factor
                 assert multiplied or name == "Q^K"
 
     def test_leaves_no_cyclic_garbage(self):
@@ -335,8 +361,8 @@ class TestBuildPinned:
             gc.enable()
 
 
-# The Fraction composition and assembly that the integer build replaced, kept
-# as the reference it must match term for term, insertion order included.
+# The build in Fractions, kept as the reference it must match term for term,
+# insertion order included.
 
 
 def _ref_divide_exact(a, b):
@@ -446,23 +472,42 @@ def _ref_q_power_factored(spec, K, powers):
 
 
 def _ref_build(spec, xbar, K):
-    """(the components of Q^K, P), from one composition."""
+    """(the components of Q^K, P, P by the former assembly), from one composition.
+
+    P is D^2*|X - Xbar|^2 - sum_i (c_i*g_i)^2, with D the lcm of the
+    component denominators and c_i = D/den_i, made in the build's term
+    order.  The former assembly, |X - Xbar|^2 times the lcm L of the squared
+    denominators less each g_i^2 times its cofactor L/den_i^2, gives the
+    same polynomial in another term order: the value oracle.
+    """
     nvars = spec.order
     powers = {}
     components = _ref_q_power_factored(spec, K, powers)
     q_power_ = [RatFun(num, _ref_expand(factors, nvars, powers))
                 for num, factors in components]
-    lcm = Counter()
-    for _, factors in components:
-        for f, mult in factors.items():
-            lcm[f] = max(lcm[f], 2 * mult)
-    lcm_poly = _ref_expand(lcm, nvars, powers)
     xbar_c = MultiPoly.constant(nvars, xbar)
     dist = MultiPoly.zero(nvars)
     for i in range(nvars):
         t = MultiPoly.variable(nvars, i) - xbar_c
         dist = dist + t * t
-    result = dist * lcm_poly
+
+    d_factors = Counter()
+    for _, factors in components:
+        for f, mult in factors.items():
+            d_factors[f] = max(d_factors[f], mult)
+    d_poly = _ref_expand(d_factors, nvars, powers)
+    result = dist * (d_poly * d_poly)
+    for num, factors in components:
+        cofactor = Counter({f: m - factors.get(f, 0) for f, m in d_factors.items()
+                            if m > factors.get(f, 0)})
+        cg = num * _ref_expand(cofactor, nvars, powers) - xbar_c * d_poly
+        result = result - cg * cg
+
+    lcm = Counter()
+    for _, factors in components:
+        for f, mult in factors.items():
+            lcm[f] = max(lcm[f], 2 * mult)
+    former = dist * _ref_expand(lcm, nvars, powers)
     for num, factors in components:
         g = num - xbar_c * _ref_expand(factors, nvars, powers)
         cofactor = Counter()
@@ -470,8 +515,8 @@ def _ref_build(spec, xbar, K):
             rem = mult - 2 * factors.get(f, 0)
             if rem:
                 cofactor[f] = rem
-        result = result - g * g * _ref_expand(cofactor, nvars, powers)
-    return q_power_, result
+        former = former - g * g * _ref_expand(cofactor, nvars, powers)
+    return q_power_, result, former
 
 
 def _random_map(rng):
@@ -554,11 +599,67 @@ class TestBuildMatchesFractionReference:
             spec = _random_map(rng)
             xbar = rng.choice((F(1, 2), F(1), F(2), F(3, 2)))
             for K in (1, 2, 3):
-                want_q, want = _ref_build(spec, xbar, K)
+                want_q, want, former = _ref_build(spec, xbar, K)
                 got = build_contraction_poly(spec, Equilibrium(xbar, spec.order), K)
-                assert got == want
+                assert got == want == former
                 assert list(got.terms) == list(want.terms)
                 for c, r in zip(q_power(spec, K), want_q, strict=True):
                     assert c.num == r.num and c.den == r.den
                     assert list(c.num.terms) == list(r.num.terms)
                     assert list(c.den.terms) == list(r.den.terms)
+
+
+class TestCompositionCarried:
+    """A build composed on from an earlier K's `Composition`, as prove's K
+    loop builds, is the build composed afresh, term for term."""
+
+    @staticmethod
+    def check(spec, xbar, Ks):
+        eq = Equilibrium(xbar, spec.order)
+        composition = Composition(spec)
+        masks = set()
+        for K in Ks:
+            carried = build_contraction_poly(spec, eq, K, composition).packed()
+            fresh = build_contraction_poly(spec, eq, K).packed()
+            assert list(carried.terms.items()) == list(fresh.terms.items())
+            assert (carried.den, carried.packing.mask) == (fresh.den, fresh.packing.mask)
+            assert composition.t == K
+            masks.add(composition.packing.mask)
+            # a pool entry is its own first power in the memo, also once re-keyed
+            firsts = [(i, v) for (i, *m), v in composition.powers.items() if m == [1]]
+            assert all(v is composition.pool[i] for i, v in firsts)
+        return masks
+
+    @pytest.mark.parametrize("text", sorted({text for text, _, _ in BUILD_PINS}))
+    def test_pinned_maps(self, text):
+        spec = parse_rde(text)
+        # x2/(2+x0+x1+x2) takes seconds at K = 5 and minutes at K = 6
+        top = 4 if text == "x2/(2+x0+x1+x2)" else 6
+        masks = self.check(spec, find_equilibrium(spec).value, range(spec.order, top + 1))
+        assert len(masks) > 1  # the layout was widened on the way
+
+    def test_random_maps(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            spec = _random_map(rng)
+            xbar = F(0) if spec.closed_domain and rng.random() < 0.3 else \
+                rng.choice((F(1, 2), F(1), F(2), F(3, 2)))
+            # a third-order map's build takes seconds from K = 5 on
+            self.check(spec, xbar, range(spec.order, 7 if spec.order < 3 else 5))
+
+    def test_components_are_those_of_a_fresh_composition(self):
+        spec = parse_rde("(2+x0)/(1+x1+x2)")
+        composition = Composition(spec)
+        for K in (1, 2, 4, 5):
+            _, carried = composition.advance(K)
+            _, fresh = Composition(spec).advance(K)
+            assert [(list(A.items()), a, list(f.items())) for A, a, f in carried] == \
+                [(list(A.items()), a, list(f.items())) for A, a, f in fresh]
+
+    def test_no_going_back(self):
+        composition = Composition(parse_rde(BENCH))
+        composition.advance(3)
+        with pytest.raises(ValueError, match="cannot go back"):
+            composition.advance(2)
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            Composition(parse_rde(BENCH)).advance(0)
