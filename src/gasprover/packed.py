@@ -3,11 +3,11 @@
 Such a polynomial is a plain dict from a packed exponent int to a non-zero
 int coefficient.  A `Packing` maps exponent vectors to keys whose integer
 order is grlex order and whose sum is the key of the summed exponents.  The
-kernels are `mul_packed`, the one term-pair product loop (which
-`MultiPoly.__mul__` also runs), `sqr_packed`, which visits each unordered
-pair of terms once, `pow_packed`, `add_packed` and `divide_packed`, exact
-division in Z[x] with the remainder updated in place and leading terms taken
-from a heap of keys.
+kernels are `mul_packed`, the one term-pair product loop, `sqr_packed`,
+which visits each unordered pair of terms once, `pow_packed`, `add_packed`
+and `divide_packed`, exact division in Z[x] with the remainder updated in
+place and leading terms taken from a heap of keys.  With the parser's
+product and power, they are all the polynomial arithmetic of the package.
 
 A `PackedPoly` is such a dict over one positive denominator, with its layout:
 a polynomial over Q.  Its kernels are the variable substitutions of the

@@ -56,23 +56,41 @@ _MAX_DEPTH = 100
 # half a minute.  A map the prover can build stays far below it.
 _MAX_TERM_PAIRS = 100_000
 
-# The largest degree, and the most bits a coefficient may need, in a power's
-# result, so that a short input such as 3^16000000 (25 million bits) or
-# x0^1000000 ends with a ParseError instead of running for seconds or
-# stalling the proof.  A map the prover can build stays far below both.
+# The largest degree of a power's result, and the most bits a coefficient
+# of a power or a product may need, so that a short input such as
+# 3^16000000 (25 million bits), 3^6000*3^6000*3^6000 or x0^1000000 ends with
+# a ParseError instead of running for seconds or stalling the proof.  A map
+# the prover can build stays far below both.
 _MAX_POWER_DEGREE = 1_000
-_MAX_POWER_BITS = 10_000
+_MAX_COEFF_BITS = 10_000
 
 # an integer polynomial is a dict from exponent tuples to non-zero ints
 Pair = tuple[dict, dict]
 
 
+def _bits(p: dict) -> float:
+    """log2 of the sum of p's absolute coefficients, which bounds each of them."""
+    return log2(sum(map(abs, p.values())))
+
+
+def _check_coeff_bits(bits: float, what: str) -> None:
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(f"expression too large: {what} with coefficients of up to {ceil(bits)} "
+                         f"bits exceeds the parser's budget of {_MAX_COEFF_BITS} coefficient bits")
+
+
 def _times(a: dict, b: dict) -> dict:
-    """a*b in `MultiPoly.__mul__`'s term order: a constant operand scales the
-    other, and otherwise a is the outer loop and b the inner one.  A product
-    by the constant 1 is the other operand itself.  A product of two
-    non-constant operands with more than _MAX_TERM_PAIRS term pairs is a
-    ParseError."""
+    """a*b: a constant operand scales the other, keeping its term order, and
+    otherwise a is the outer loop and b the inner one, each exponent placed
+    where the loop first meets it.  A product by the constant 1 is the other
+    operand itself.
+
+    A product is a ParseError before any of it is made if its coefficients
+    may need more than _MAX_COEFF_BITS bits, bounded by log2 of the product
+    of the operands' absolute coefficient sums, or if it multiplies two
+    non-constant operands with more than _MAX_TERM_PAIRS term pairs."""
+    if not a or not b:
+        return {}
     if not any(map(any, b)):
         a, b = b, a
     elif any(map(any, a)):
@@ -80,6 +98,7 @@ def _times(a: dict, b: dict) -> dict:
             raise ParseError(f"expression too large: a product of {len(a)} by {len(b)} "
                              f"terms exceeds the parser's budget of {_MAX_TERM_PAIRS} "
                              f"term pairs")
+        _check_coeff_bits(_bits(a) + _bits(b), "a product")
         inner = list(b.items())
         product = {}
         get = product.get
@@ -88,8 +107,11 @@ def _times(a: dict, b: dict) -> dict:
                 e = tuple(map(add, e1, e2))
                 product[e] = get(e, 0) + c1 * c2
         return drop_zeros(product)
-    c = sum(a.values())  # a's constant term: a holds at most that one term
-    return b if c == 1 else {e: v * c for e, v in b.items()} if c else {}
+    [c] = a.values()  # a's constant term, its only term
+    if c == 1:
+        return b
+    _check_coeff_bits(_bits(a) + _bits(b), "a product")
+    return {e: v * c for e, v in b.items()}
 
 
 class _Parser:
@@ -184,10 +206,11 @@ class _Parser:
         return self.power(num, n), self.power(den, n)
 
     def power(self, p: dict, n: int) -> dict:
-        """p**n as `MultiPoly.__pow__` makes it: a monomial's in one term.
+        """p**n: 1 for n = 0, a monomial's power as its one term, and otherwise
+        square-and-multiply on `_times`, in its term order.
 
         A result of degree over _MAX_POWER_DEGREE, or one whose coefficients
-        may need more than _MAX_POWER_BITS bits, is a ParseError, raised
+        may need more than _MAX_COEFF_BITS bits, is a ParseError, raised
         before any of it is made.  The bits are bounded by n*log2 of the sum
         of p's absolute coefficients, exact for a one-term p."""
         if n == 0:
@@ -196,11 +219,8 @@ class _Parser:
         if degree > _MAX_POWER_DEGREE:
             raise ParseError(f"expression too large: a power of degree {degree} exceeds "
                              f"the parser's budget of degree {_MAX_POWER_DEGREE}")
-        bits = n * log2(sum(map(abs, p.values()))) if p else 0
-        if bits > _MAX_POWER_BITS:
-            raise ParseError(f"expression too large: a power with coefficients of up to "
-                             f"{ceil(bits)} bits exceeds the parser's budget of "
-                             f"{_MAX_POWER_BITS} coefficient bits")
+        if p:
+            _check_coeff_bits(n * _bits(p), "a power")
         if len(p) == 1 and n > 1:
             [(exps, c)] = p.items()
             return {tuple([e * n for e in exps]): c ** n}

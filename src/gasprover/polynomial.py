@@ -1,22 +1,20 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-A `MultiPoly`'s coefficients are non-zero `fractions.Fraction`s.  Its hot
-kernels, products, evaluation and the box map, scale their operands to
-exact integers over a positive common denominator, run their term loops on
-those integers and divide once per output term; nothing in this module
-uses floating point.  Sums, negation and scaling build their result
-through one unchecked constructor.  Polynomials are immutable and hashable,
-so they can be shared freely.
+A `MultiPoly` is the package's immutable, hashable polynomial value: its
+coefficients are non-zero `fractions.Fraction`s, and nothing in this module
+uses floating point.  It has no arithmetic.  The package computes on
+integers, in the kernels of `packed` and in the parser; a `MultiPoly` is
+what they hand over and what is printed, digested and checked.
 
-Products run the term-pair loop of `packed.mul_packed`, and the box map
-the kernel of `packed.PackedPoly`, on integer coefficients and packed
-exponents, and digests and evaluation are those of `packed()`, which is
+Its digest, evaluation and box map are those of `packed()`, its terms as
+integers over their least positive common denominator on packed exponents,
 made once; the positivity prover runs its shifts and inversions on that
-form.  `from_packed` keeps its integers and makes the Fraction terms on
-first read.
+form.  `from_packed` keeps a kernel's integers and makes the Fraction terms
+on first read.
 
-A `RatFun` is a parsed map N/D, not an algebra: its constructor divides
-both parts by the `signed_content` of den, and scales nothing when that is 1.
+A `RatFun` is a parsed map N/D, not an algebra, and compares by identity:
+its constructor divides both parts by the `signed_content` of den, and
+scales nothing when that is 1.
 The parser, which owns the arithmetic on (num, den) pairs of integer
 polynomials, divides them by that content itself and calls the constructor
 once per expression.
@@ -26,14 +24,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .packed import (Exponents, PackedPoly, Packing, box_map_packed, digest_packed, drop_zeros,
-                     evaluate_packed, mul_packed, power_by_squaring)
+                     evaluate_packed)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(c) -> Fraction:
@@ -83,22 +80,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars, {})
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
-
-    @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise IndexError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): _ONE})
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
@@ -201,88 +182,6 @@ class MultiPoly:
             raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
         return max((e[var] for e in self.terms), default=0)
 
-    def leading_term(self) -> tuple[Exponents, Fraction]:
-        """Term maximal in graded lex order; raises on the zero polynomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "MultiPoly"):
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
-
-    def _combine(self, other, op):
-        """self op other for op in (add, sub), term by term."""
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = op(terms.get(exps, _ZERO), coeff)
-        return MultiPoly._trusted(self.nvars, terms)
-
-    def __add__(self, other):
-        return self._combine(other, add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._combine(other, sub)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """Product; `mul_packed`'s term-pair loop runs on integers and packed keys.
-
-        Each operand is scaled to integers over a positive common denominator,
-        and its exponent vectors are packed for degree deg self + deg other.
-        Each output term is unpacked once. A constant operand (no exponent
-        vector with a non-zero entry) takes the scalar path, and a product by
-        1 is self, which is safe because polynomials are immutable.
-        """
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 1:
-                return self
-            return MultiPoly._trusted(self.nvars, {e: v * c for e, v in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        if not any(map(any, other.terms)):
-            return self * other.constant_term()
-        if not any(map(any, self.terms)):
-            return other * self.constant_term()
-        packing = Packing(self.nvars, self.total_degree() + other.total_degree())
-        pack = packing.pack
-        d1, outer = self._integer_terms()
-        d2, inner = other._integer_terms()
-        packed = mul_packed({pack(e): c for e, c in outer}, {pack(e): c for e, c in inner})
-        terms = packing.unpack_terms(packed)
-        del packed  # before the Fractions are made, to keep the peak down
-        return MultiPoly._from_integers(self.nvars, terms, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        if n == 0:
-            return MultiPoly.constant(self.nvars, 1)
-        if len(self.terms) == 1 and n > 1:
-            # a monomial, such as a parsed x0^9: one term, no products
-            [(exps, c)] = self.terms.items()
-            return MultiPoly._trusted(self.nvars, {tuple(e * n for e in exps): c ** n})
-        return power_by_squaring(self, n, mul)
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -316,30 +215,6 @@ class MultiPoly:
             if not 0 <= a < b:
                 raise ValueError(f"degenerate box bounds ({a}, {b}) in dimension {i}")
         return MultiPoly.from_packed(box_map_packed(self.packed(), bounds))
-
-    # -- content ----------------------------------------------------------
-
-    def content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients.
-
-        Returns 1 for the zero polynomial.
-        """
-        if not self.terms:
-            return _ONE
-        den, scaled = self._integer_terms()
-        num_gcd = 0
-        for _, c in scaled:
-            num_gcd = gcd(num_gcd, c)
-        return Fraction(num_gcd, den)
-
-    def primitive(self) -> tuple[Fraction, "MultiPoly"]:
-        """Split into (c, q) with self = c*q, q primitive with positive leading coeff."""
-        if not self.terms:
-            return _ONE, self
-        c = self.content()
-        if self.leading_term()[1] < 0:
-            c = -c
-        return c, self * (1 / c)
 
     # -- canonical text form ----------------------------------------------
 
@@ -391,7 +266,8 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
-        num._check_compatible(den)
+        if num.nvars != den.nvars:
+            raise ValueError(f"variable count mismatch: {num.nvars} vs {den.nvars}")
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
         d, scaled = den._integer_terms()
@@ -419,16 +295,6 @@ class RatFun:
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at evaluation point")
         return self.num.evaluate(point) / d
-
-    def __eq__(self, other):
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        # Equal maps share nvars and, unless zero, deg num - deg den (den is not reduced).
-        degree = None if self.num.is_zero() else self.num.total_degree() - self.den.total_degree()
-        return hash((self.nvars, degree))
 
     def __str__(self):
         if self.is_poly():

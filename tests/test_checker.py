@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_polynomial import _ref_add, _ref_mul
 
 from gasprover import checker, positivity
 from gasprover.certificate import CertNode
@@ -71,9 +72,17 @@ def _random_poly(rng, nvars):
             exps = tuple(rng.randrange(0, 4) for _ in range(nvars))
             terms[exps] = terms.get(exps, F(0)) + rng.choice((1, 1, -1)) * rng.randrange(1, 8)
         return MultiPoly(nvars, terms)
-    p = MultiPoly.constant(nvars, F(rng.randrange(0, 3), 4))  # shifted sum of squares
+    return _shifted_squares(rng, nvars)
+
+
+def _shifted_squares(rng, nvars):
+    """c + sum_i (x_i - r_i)^2 with seeded c >= 0 and r_i >= 0, in Fractions."""
+    zero = (0,) * nvars
+    p = MultiPoly(nvars, {zero: F(rng.randrange(0, 3), 4)})
     for i in range(nvars):
-        p = p + (MultiPoly.variable(nvars, i) - F(rng.randrange(0, 7), rng.randrange(1, 4))) ** 2
+        t = MultiPoly(nvars, {zero[:i] + (1,) + zero[i + 1:]: 1,
+                              zero: -F(rng.randrange(0, 7), rng.randrange(1, 4))})
+        p = _ref_add(p, _ref_mul(t, t))
     return p
 
 

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_polynomial import _ref_add, _ref_mul
 
 from gasprover import parsing
 from gasprover.cli import main
 from gasprover.parsing import ParseError, parse_poly, parse_ratfun, parse_rational
-from gasprover.polynomial import MultiPoly, RatFun
+from gasprover.polynomial import MultiPoly, RatFun, signed_content
 from gasprover.recurrence import parse_rde
 
 
@@ -107,7 +108,7 @@ class TestDigitsAndNames:
         assert "unexpected character" in capsys.readouterr().err
 
     def test_indices_and_unicode_whitespace_accepted(self):
-        assert parse_poly("x10", 11) == MultiPoly.variable(11, 10)
+        assert parse_poly("x10", 11) == MultiPoly(11, {(0,) * 10 + (1,): 1})
         assert parse_poly("x0\u00a0+\u20031") == parse_poly("x0+1")
 
 
@@ -117,8 +118,10 @@ class TestParseRatFun:
         assert rf.evaluate([1, 4]) == Fraction(1, 2)
 
     def test_division_normalizes(self):
-        rf = parse_ratfun("(x0^2-1)/(x0-1)")
-        assert rf == parse_ratfun("x0+1")
+        # the same map as x0+1: num*1 == (x0+1)*den, den primitive of positive lead
+        rf, other = parse_ratfun("(x0^2-1)/(x0-1)"), parse_ratfun("x0+1")
+        assert _ref_mul(rf.num, other.den) == _ref_mul(other.num, rf.den)
+        assert rf.den == parse_poly("x0-1")
 
     def test_positive_denominator(self):
         rf = parse_ratfun("x0/(-2-x1)", 2)
@@ -184,8 +187,9 @@ class TestRandomExpressions:
                 with pytest.raises(ZeroDivisionError):
                     value(points[0])
                 continue
-            assert rf.den.content() == 1
-            assert rf.den.leading_term()[1] > 0
+            # den has integer coefficients of gcd 1 and a positive grlex lead
+            assert all(c.denominator == 1 for c in rf.den.terms.values())
+            assert signed_content({e: c.numerator for e, c in rf.den.terms.items()}) == 1
             for point in points:
                 try:
                     expected = value(point)
@@ -202,7 +206,8 @@ def _fold_sum(summands, nvars):
         if num is None:
             num, den = rf.num, rf.den
         else:
-            num, den = num * rf.den + rf.num * den, den * rf.den
+            num, den = _ref_add(_ref_mul(num, rf.den), _ref_mul(rf.num, den)), \
+                _ref_mul(den, rf.den)
     return num, den
 
 
@@ -293,14 +298,11 @@ class TestWebbookForms:
         assert list(rf.den.terms.items()) == den
         assert {type(c) for c in [*rf.num.terms.values(), *rf.den.terms.values()]} == {Fraction}
 
-    def test_no_polynomial_arithmetic(self, monkeypatch):
+    def test_no_polynomial_arithmetic(self):
         # the parser computes on integer polynomials and makes MultiPolys
-        # only for the finished map
-        def refuse(*args):
-            raise AssertionError("MultiPoly arithmetic while parsing")
-
-        for name in ("__mul__", "__rmul__", "__pow__", "__neg__", "_combine"):
-            monkeypatch.setattr(MultiPoly, name, refuse)
+        # only for the finished map; MultiPoly has no arithmetic to call
+        for name in ("__add__", "__sub__", "__mul__", "__pow__", "__neg__"):
+            assert not hasattr(MultiPoly, name) and not hasattr(RatFun, name)
         for text in ACCEPTANCE_MAPS:
             parse_rde(text)
         for text, num, den in WEBBOOK_FORMS:
@@ -333,9 +335,9 @@ class TestSizeBudget:
 
 
 class TestPowerBudget:
-    """A power's result may have degree at most parsing._MAX_POWER_DEGREE and
-    coefficients of at most parsing._MAX_POWER_BITS bits, checked before
-    anything is multiplied out."""
+    """A power's result may have degree at most parsing._MAX_POWER_DEGREE, and
+    a power's or a product's coefficients at most parsing._MAX_COEFF_BITS
+    bits, checked before anything is multiplied out."""
 
     @pytest.mark.parametrize("text, budget", [
         # 5.6 s without the budget
@@ -347,30 +349,50 @@ class TestPowerBudget:
         ("x1/(1+x0*x1)^501", "degree 1002 exceeds"),
         ("(2^5000)^3", "15000 bits exceeds"),
         ("(1+x0)^100*(3000+x1)^1000", "11552 bits exceeds"),
+        # 1 ms to parse, then 7.3 s to find the equilibrium, without the budget
+        ("(3^6000*3^6000*3^6000*3^2000+x0)/(1+x1)",
+         "a product with coefficients of up to 19020 bits exceeds the parser's budget "
+         "of 10000 coefficient bits"),
+        ("x0*3^6000/(1+x1)*3^6000", "a product with coefficients of up to 19020 bits"),
+        ("2^5000*2^5001", "a product with coefficients of up to 10001 bits"),
     ])
     def test_over_a_budget_is_rejected(self, text, budget):
         with pytest.raises(ParseError, match=budget):
             parse_ratfun(text)
 
     def test_at_the_budgets_parses(self):
-        assert parse_poly("2^10000") == MultiPoly.constant(1, 2 ** 10000)
+        assert parse_poly("2^10000").terms == {(0,): 2 ** 10000}
+        assert parse_poly("2^5000*2^5000").terms == {(0,): 2 ** 10000}
         assert parse_poly("(x0^500)^2").terms == {(1000,): 1}
         assert parse_poly("(-2*x0)^1000").terms == {(1000,): 2 ** 1000}
         assert parse_poly("(x0-x0)^5000").is_zero()
         assert len(parse_poly("(1+x0)^200").terms) == 201
 
-    @pytest.mark.parametrize("text", ["3^16000000", "(1+x0^1000000)/(1+x1)"])
+    def test_corpus_within_the_budgets(self):
+        # every input of the pinned corpus parses or divides by zero
+        for text, nvars in _pinned_corpus():
+            try:
+                parse_ratfun(text, nvars)
+            except ParseError as exc:
+                assert str(exc) == "division by zero", text
+
+    @pytest.mark.parametrize("text", ["3^16000000", "(1+x0^1000000)/(1+x1)",
+                                      "(3^6000*3^6000*3^6000*3^2000+x0)/(1+x1)"])
     def test_prove_exits_with_an_input_error(self, capsys, text):
         assert main(["prove", "--rde", text]) == 3
         assert "budget" in capsys.readouterr().err
 
     def test_bits_are_bounded_by_the_coefficient_sum(self, monkeypatch):
         # n*log2(sum |c|): (1+x0)^n needs n bits, as C(n, n/2) is near 2^n
-        monkeypatch.setattr(parsing, "_MAX_POWER_BITS", 30)
+        monkeypatch.setattr(parsing, "_MAX_COEFF_BITS", 30)
         assert len(parse_poly("(1-x0)^30").terms) == 31
         with pytest.raises(ParseError, match="31 bits"):
             parse_poly("(1-x0)^31")
-        assert parse_poly("1^100000") == MultiPoly.constant(1, 1)
+        assert parse_poly("1^100000").terms == {(0,): 1}
+        # a product's bits: log2 of the product of the coefficient sums
+        assert len(parse_poly("(1-x0)^15*(1+x0)^15").terms) == 16
+        with pytest.raises(ParseError, match="a product with coefficients of up to 31 bits"):
+            parse_poly("(1-x0)^15*(1+x0)^16")
 
 
 class TestParsePinned:
@@ -424,5 +446,5 @@ class TestRoundTrip:
 
     def test_zero(self):
         p = parse_poly("x0-x0")
-        assert p == MultiPoly.zero(1)
+        assert p == MultiPoly(1, {})
         assert str(p) == "0"

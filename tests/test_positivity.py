@@ -5,7 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from test_polynomial import _ref_evaluate, _ref_invert_var, _ref_shift_one
+from test_checker import _shifted_squares
+from test_polynomial import _ref_add, _ref_evaluate, _ref_invert_var, _ref_shift_one
 
 from gasprover import certificate, checker, polynomial, positivity
 from gasprover.certificate import BoxSpec, RegionSpec, certificate_from_json, certificate_to_json
@@ -80,7 +81,7 @@ class TestOrthantSplit:
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
-            orthant_split(MultiPoly.zero(2), F(1))
+            orthant_split(MultiPoly(2, {}), F(1))
 
     def test_region_order(self):
         labels = [r.label for r, _ in orthant_split(P(EX1), F(1))]
@@ -724,7 +725,7 @@ class TestProveNonneg:
             p = P(text)
             cert = prove_nonneg(p, F(1), 10)
             assert replay_certificate(cert, p)
-            assert not replay_certificate(cert, p + P("1", 2))
+            assert not replay_certificate(cert, _ref_add(p, P("1", 2)))
             if forge is not None:
                 forged = certificate_from_json(certificate_to_json(cert))
                 forge(forged)
@@ -781,7 +782,7 @@ class TestProveNonneg:
         assert built.count(True) == 1
         assert fresh.digest() == cert.input_digest
         assert built.count(True) == 1
-        assert not replay_certificate(cert, fresh + P("1", 2))
+        assert not replay_certificate(cert, _ref_add(fresh, P("1", 2)))
 
     @pytest.mark.parametrize(
         "text, xbar",
@@ -1070,13 +1071,10 @@ def _reference_corpus():
         elif kind == 1:
             p = _random_posdominant_poly(rng, nvars)
         else:
-            p = MultiPoly.constant(nvars, F(rng.randrange(0, 3), 4))
-            for i in range(nvars):
-                x = MultiPoly.variable(nvars, i)
-                p = p + (x - F(rng.randrange(0, 7), rng.randrange(1, 4))) ** 2
+            p = _shifted_squares(rng, nvars)
         if rng.random() < 0.3 and not p.is_zero():
             top = tuple(p.degree_in(i) for i in range(nvars))
-            p = p + MultiPoly(nvars, {top: F(rng.randrange(1, 4))})
+            p = _ref_add(p, MultiPoly(nvars, {top: F(rng.randrange(1, 4))}))
         if not p.is_zero():
             xbar = rng.choice([F(0), F(1, 2), F(1), F(2), F(3)])
             depth = rng.randrange(0, 6) if nvars < 3 else rng.randrange(0, 2)
@@ -1220,5 +1218,5 @@ def _random_posdominant_poly(rng, nvars):
         terms[exps] = terms.get(exps, F(0)) + coeff
     p = MultiPoly(nvars, terms)
     if p.is_zero():
-        return MultiPoly.constant(nvars, 1)
+        return MultiPoly(nvars, {(0,) * nvars: 1})
     return p

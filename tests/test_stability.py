@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_polynomial import _ref_add as _poly_add
+from test_polynomial import _ref_mul as _poly_mul
 from test_univariate import (
     _ref_add,
     _ref_count_open,
@@ -53,8 +55,8 @@ class TestCharacteristicPoly:
             eq = find_equilibrium(spec)
             N, D = spec.R.num, spec.R.den
             expected = tuple(
-                (_diff(N, i) * D - N * _diff(D, i)).evaluate(eq.vector)
-                / (D * D).evaluate(eq.vector)
+                _poly_add(_poly_mul(_diff(N, i), D), _poly_mul(N, _diff(D, i)), -1)
+                .evaluate(eq.vector) / _poly_mul(D, D).evaluate(eq.vector)
                 for i in range(spec.order)
             )
             assert las_check(spec, eq).multipliers == expected
