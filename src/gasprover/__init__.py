@@ -1,15 +1,10 @@
 """Exact prover for global asymptotic stability of rational difference
 equations, via polynomial positivity certificates on the positive orthant."""
 
-# polynomial first: without a bytecode cache every import compiles the
-# sources, and compiling the largest module while the fewest others are
-# loaded keeps the peak memory of the import down.
-from .polynomial import MultiPoly, RatFun
-from .positivity import prove_nonneg
-from .certificate import ProofCertificate, certificate_from_json, certificate_to_json
-from .checker import replay_certificate
-from .driver import PipelineResult, prove, prove_k, webbook
-from .parsing import ParseError, parse_poly
+# recurrence first: without a bytecode cache every import compiles the
+# sources, and compiling the module whose compile takes the most memory,
+# recurrence.py, while the fewest others are loaded keeps the peak memory of
+# the import down.
 from .recurrence import (
     Equilibrium,
     RecurrenceSpec,
@@ -19,6 +14,12 @@ from .recurrence import (
     parse_rde,
     q_power,
 )
+from .polynomial import MultiPoly, RatFun
+from .positivity import prove_nonneg
+from .certificate import ProofCertificate, certificate_from_json, certificate_to_json
+from .checker import replay_certificate
+from .driver import PipelineResult, prove, prove_k, webbook
+from .parsing import ParseError, parse_poly
 from .stability import LasVerdict, las_check
 
 __all__ = [

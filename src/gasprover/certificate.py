@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .packed import decimal_str
 from .parsing import parse_rational
 
 
@@ -75,9 +76,9 @@ def _detail_json(detail: dict):
     out = {}
     for k, v in detail.items():
         if isinstance(v, Fraction):
-            out[k] = str(v)
+            out[k] = decimal_str(v)
         elif isinstance(v, list) and v and isinstance(v[0], Fraction):
-            out[k] = [str(f) for f in v]
+            out[k] = [decimal_str(f) for f in v]
         else:
             out[k] = v
     return out
@@ -88,11 +89,12 @@ def certificate_document(cert: ProofCertificate) -> dict:
     return {
         "input_digest": cert.input_digest,
         "nvars": cert.nvars,
-        "xbar": str(cert.xbar),
+        "xbar": decimal_str(cert.xbar),
         "depth_limit": cert.depth_limit,
         "verdict": cert.verdict,
-        "witness": [str(x) for x in cert.witness] if cert.witness else None,
-        "witness_value": None if cert.witness_value is None else str(cert.witness_value),
+        "witness": [decimal_str(x) for x in cert.witness] if cert.witness else None,
+        "witness_value": (None if cert.witness_value is None
+                          else decimal_str(cert.witness_value)),
         "fail_reason": cert.fail_reason,
         "tree": [_node_document(node) for node in cert.nodes],
     }
@@ -103,8 +105,9 @@ def _node_document(node: CertNode) -> dict:
     return {
         "path": list(node.path),
         "region": {"highs": ["H" if h else "L" for h in node.region.highs],
-                   "xbar": str(node.region.xbar)},
-        "box": None if box is None else {"bounds": [[str(a), str(b)] for a, b in box.bounds],
+                   "xbar": decimal_str(node.region.xbar)},
+        "box": None if box is None else {"bounds": [[decimal_str(a), decimal_str(b)]
+                                                    for a, b in box.bounds],
                                          "open_low": list(box.open_low)},
         "tests": [{"test": o.test, "result": o.result, "detail": _detail_json(o.detail)}
                   for o in node.outcomes],

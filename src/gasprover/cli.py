@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .certificate import certificate_to_json
 from .driver import _prove_k, prove, webbook
+from .packed import decimal_str
 from .parsing import ParseError, parse_poly, parse_rational
 from .positivity import orthant_split, prove_nonneg
 from .recurrence import UnsupportedInputError, parse_rde
@@ -129,22 +130,26 @@ def _print_result(result, verbose: bool) -> None:
     print(f"verdict: {result.verdict}")
     print(f"reason: {result.reason}")
     if result.equilibrium is not None:
-        print(f"equilibrium: {result.equilibrium.value}")
+        print(f"equilibrium: {decimal_str(result.equilibrium.value)}")
     if result.K is not None:
         print(f"K: {result.K}")
     cert = result.certificate
     if cert is not None:
         if cert.witness is not None:
-            point = ", ".join(str(x) for x in cert.witness)
-            print(f"witness: ({point}) -> {cert.witness_value}")
+            _print_witness(cert)
         print(f"certificate: verdict={cert.verdict} nodes={len(cert.nodes)}")
     if verbose and result.las is not None:
-        coeffs = ", ".join(str(c) for c in result.las.char_poly)
+        coeffs = ", ".join(map(decimal_str, result.las.char_poly))
         print(f"local stability: {result.las.outcome} "
               f"(characteristic coefficients low-to-high: {coeffs})")
     if verbose and result.timings:
         for stage, secs in result.timings.items():
             print(f"time[{stage}]: {secs:.3f}s")
+
+
+def _print_witness(cert) -> None:
+    point = ", ".join(map(decimal_str, cert.witness))
+    print(f"witness: ({point}) -> {decimal_str(cert.witness_value)}")
 
 
 def _print_regions(P, xbar) -> None:
@@ -181,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                 _print_regions(P, args.xbar)
             print(f"verdict: {cert.verdict}")
             if cert.witness is not None:
-                point = ", ".join(str(x) for x in cert.witness)
-                print(f"witness: ({point}) -> {cert.witness_value}")
+                _print_witness(cert)
             return _VERDICT_EXIT[cert.verdict]
 
         if args.verb == "webbook":

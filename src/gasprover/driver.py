@@ -1,6 +1,7 @@
 """End-to-end pipeline: local stability pre-check, an exact contraction-
 exponent loop (the positivity prover run for K = n, n + 1, ... up to maxK,
-where n is the recurrence's order: no smaller K can contract), and batch
+where n is the recurrence's order: no smaller K can contract; a K that the
+exact orbit of an earlier K's negative point refutes is skipped), and batch
 ("webbook") reporting.
 
 Verdicts follow a three-valued contract: "true" (global asymptotic stability
@@ -23,7 +24,7 @@ from .certificate import ProofCertificate
 # hook target of bench/layers.py until the mesh module is retired.
 from .conjecture import conjecture_k
 from .polynomial import MultiPoly
-from .positivity import prove_nonneg
+from .positivity import grid_line_negatives, prove_nonneg
 from .recurrence import (
     Composition,
     Equilibrium,
@@ -95,6 +96,16 @@ def _prove_step(
     ), P
 
 
+def _orbits_refute(orbits, K: int, timings: dict) -> bool:
+    """Whether some orbit ends farther from x̄ at K than it started, so that
+    P_K < 0 at its start and K is not a contraction; the time goes to
+    timings["orbits"]."""
+    t0 = time.perf_counter()
+    refuted = any(orbit.farther(K) for orbit in orbits)
+    timings["orbits"] = timings.get("orbits", 0.0) + time.perf_counter() - t0
+    return refuted
+
+
 def prove_k(
     spec: RecurrenceSpec, K: int, depth_limit: int = 12
 ) -> PipelineResult:
@@ -140,6 +151,19 @@ def prove(
     points lie in every domain the pipeline accepts: x̄ > 0 is inside the open
     orthant, and x̄ = 0 comes with a closed domain.  The same holds term by
     term for any positive diagonal weights on the squares.
+
+    A K below maxK that an earlier K's negative points still refute is
+    skipped: no P is built for it and no positivity walk runs.  When a built
+    K ends Disproven, its witness and the other points of the dyadic grid on
+    the witness's last-axis line where P_K < 0 are carried, those with every
+    coordinate > 0, each with its exact orbit under Q (`orbit.Orbit`).
+    P_K(w) < 0 exactly when |Q^K(w) - x̄| > |w - x̄|, as the cleared
+    denominator is positive on the domain, so an orbit that ends farther
+    from x̄ than it started shows P_K < 0 at a point of the domain, and that
+    K cannot be Proven.  The verdict, reason, K and certificate are those of
+    building every K; maxK is always built, and a FAIL carries its
+    certificate.  The checks' time is timings["orbits"], present once a
+    check has run.
     """
     if maxK < 1:
         raise ValueError("maxK must be >= 1")
@@ -163,14 +187,30 @@ def prove(
         )
 
     last_cert = None
-    # one composition for the whole loop: each K composes one step more
+    # one composition for the whole loop: each built K composes on from the last
     composition = Composition(spec)
+    # the orbits of the points where a built K's P was negative; none of a
+    # built K's points is carried already, as its orbit would have refuted K
+    orbits = []
     for K in range(spec.order, maxK + 1):
-        step = _prove_step(spec, eq, K, depth_limit, timings, composition)[0]
-        last_cert = step.certificate or last_cert
+        if orbits and K < maxK and _orbits_refute(orbits, K, timings):
+            continue
+        step, P = _prove_step(spec, eq, K, depth_limit, timings, composition)
+        cert = step.certificate
+        last_cert = cert or last_cert
         if step.verdict == "true":
             step.las = las
             return step
+        if K < maxK and cert is not None and cert.verdict == "Disproven":
+            points = grid_line_negatives(P, cert.witness)
+            if cert.witness not in points and min(cert.witness) > 0:
+                points.insert(0, cert.witness)
+            # here, not at the top: a run that refutes no K never loads the
+            # module, which without a bytecode cache it would compile
+            from .orbit import Orbit, orbit_map
+
+            R = orbit_map(composition.R)
+            orbits += [Orbit(R, eq.value, point) for point in points]
     return PipelineResult(
         "FAIL", "max-k-exhausted", K=maxK, equilibrium=eq,
         las=las, certificate=last_cert, timings=timings,

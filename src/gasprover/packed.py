@@ -17,6 +17,8 @@ by x_i^deg; and `box_map_packed`, which composes the two.  None of them
 raises the degree in any one variable, so a layout sized for the sum of
 those degrees holds every polynomial they derive.  The one digest and the one
 exact evaluation, of `MultiPoly`s too, are `digest_packed` and `evaluate_packed`.
+`decimal_str` and `decimal_int` are str() and int() of the package's exact
+numbers, also past the interpreter's limit on decimal digits.
 
 Each kernel fixes the order of the terms it returns, and none changes its
 operands.
@@ -124,7 +126,10 @@ def sqr_packed(a: dict[int, int]) -> dict[int, int]:
 
 def power_by_squaring(base, n: int, times, square=None):
     """base**n for n >= 1: square-and-multiply with `times` as the product
-    and `square`, by default `times(b, b)`, as the square."""
+    and `square`, by default `times(b, b)`, as the square.  ValueError for
+    n < 1, which has no product to return."""
+    if n < 1:
+        raise ValueError(f"power_by_squaring needs n >= 1, got {n}")
     result = None
     while True:
         if n & 1:
@@ -136,7 +141,8 @@ def power_by_squaring(base, n: int, times, square=None):
 
 
 def pow_packed(a: dict[int, int], n: int) -> dict[int, int]:
-    """a**n for n >= 1 by square-and-multiply; a**1 is a itself."""
+    """a**n for n >= 1 by square-and-multiply; a**1 is a itself.  ValueError
+    for n < 1."""
     return power_by_squaring(a, n, mul_packed, sqr_packed)
 
 
@@ -264,6 +270,48 @@ def box_map_packed(poly: PackedPoly, bounds) -> PackedPoly:
     return poly
 
 
+# str(n) and int(text) raise ValueError past sys.get_int_max_str_digits()
+# decimal digits (4,300 unless it is set; it cannot be set below 640).  An
+# exact proof can hold longer ints, so past the limit they are converted in
+# chunks of _DIGITS digits, which every limit the interpreter allows admits.
+_DIGITS = 600
+
+
+def decimal_str(x: int | Fraction) -> str:
+    """str(x) of an int or a Fraction, also past the interpreter's limit on
+    decimal digits; below it, str(x) itself."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if isinstance(x, Fraction):
+        num = decimal_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{decimal_str(x.denominator)}"
+    sign, x = ("-", -x) if x < 0 else ("", x)
+    base, chunks = 10 ** _DIGITS, []
+    while x:
+        x, chunk = divmod(x, base)
+        chunks.append(chunk)
+    head = str(chunks.pop())
+    return sign + head + "".join(f"{c:0{_DIGITS}d}" for c in reversed(chunks))
+
+
+def decimal_int(text: str) -> int:
+    """int(text) of a literal of ASCII digits with an optional sign, also past
+    the interpreter's limit on decimal digits; below it, int(text) itself."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    n = 0
+    for i in range(0, len(digits), _DIGITS):
+        chunk = digits[i:i + _DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return -n if text.startswith("-") else n
+
+
 def digest_packed(poly: PackedPoly) -> str:
     """SHA-256 of "nvars=<n>;" and the terms' "exponents:coefficient" joined by ";", in
     descending grlex order (that of the keys), each coefficient c/den reduced."""
@@ -273,15 +321,23 @@ def digest_packed(poly: PackedPoly) -> str:
     keys = sorted(terms, reverse=True)
     # one column of exponent strings per variable, zipped into the rows
     columns = [[field[(k >> s) & mask] for k in keys] for s in packing.shifts]
-    exps = map(",".join, zip(*columns)) if columns else repeat("")
     cs = [terms[k] for k in keys]
-    if den == 1:
-        parts = [f"{e}:{c}" for e, c in zip(exps, cs)]
-    else:
-        parts = [f"{e}:{c // g}" if g == den else f"{e}:{c // g}/{den // g}"
-                 for e, c, g in zip(exps, cs, map(gcd, cs, repeat(den)))]
+    try:
+        parts = _term_texts(columns, cs, den, str)
+    except ValueError:  # an int past the interpreter's limit on decimal digits
+        parts = _term_texts(columns, cs, den, decimal_str)
     canon = f"nvars={poly.nvars};" + ";".join(parts)
     return sha256(canon.encode()).hexdigest()
+
+
+def _term_texts(columns: list[list[str]], cs: list[int], den: int, text) -> list[str]:
+    """The terms "exponents:coefficient" of `digest_packed`, each c/den reduced
+    and its ints written by `text`."""
+    exps = map(",".join, zip(*columns)) if columns else repeat("")
+    if den == 1:
+        return [f"{e}:{text(c)}" for e, c in zip(exps, cs)]
+    return [f"{e}:{text(c // g)}" if g == den else f"{e}:{text(c // g)}/{text(den // g)}"
+            for e, c, g in zip(exps, cs, map(gcd, cs, repeat(den)))]
 
 
 def evaluate_packed(poly: PackedPoly, point: Sequence[Fraction]) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import ceil, log2
 from operator import add
 
-from .packed import drop_zeros, power_by_squaring
+from .packed import decimal_int, drop_zeros, power_by_squaring
 from .polynomial import MultiPoly, RatFun, signed_content
 
 
@@ -277,7 +277,7 @@ def parse_rational(text: str) -> Fraction:
     m = re.fullmatch(r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?", text)
     if not m:
         raise ParseError(f"invalid rational literal {text!r}")
-    num, den = int(m[1]), int(m[2] or 1)
+    num, den = decimal_int(m[1]), decimal_int(m[2] or "1")
     if den == 0:
         raise ParseError("zero denominator")
     return Fraction(num, den)

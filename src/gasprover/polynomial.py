@@ -27,8 +27,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Mapping, Sequence
 
-from .packed import (Exponents, PackedPoly, Packing, box_map_packed, digest_packed, drop_zeros,
-                     evaluate_packed)
+from .packed import (Exponents, PackedPoly, Packing, box_map_packed, decimal_str, digest_packed,
+                     drop_zeros, evaluate_packed)
 
 _ZERO = Fraction(0)
 
@@ -233,9 +233,9 @@ class MultiPoly:
             if mono and mag == 1:
                 body = mono
             elif mono:
-                body = f"{mag}*{mono}"
+                body = f"{decimal_str(mag)}*{mono}"
             else:
-                body = str(mag)
+                body = decimal_str(mag)
             sign = "-" if coeff < 0 else "+"
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]

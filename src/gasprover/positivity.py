@@ -37,6 +37,8 @@ node tests take `PackedPoly`s only.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from typing import Iterator
 
 from .certificate import BoxSpec, CertNode, ProofCertificate, RegionSpec, TestOutcome
 from .checker import (FAIL_REASONS, _cones, _finitize, _poscoeffs, _regions, _subpoly_n,
@@ -152,71 +154,122 @@ _GRID_SCALE = 10
 _GRID_POINTS = 512
 
 
-def _grid_exponents(nvars: int) -> list[int]:
-    """The exponents j of the per-axis grid values 2^j, in increasing order."""
+@cache
+def _grid_exponents(nvars: int) -> tuple[int, ...]:
+    """The exponents j of the per-axis grid values 2^j, in increasing order;
+    made once per number of variables."""
     m = 2 * _GRID_SCALE + 1
     while m > 1 and m ** nvars > _GRID_POINTS:
         m -= 1
     if m == 1:
-        return [0]
-    return [round(Fraction(2 * _GRID_SCALE * k, m - 1)) - _GRID_SCALE
-            for k in range(m)]
+        return (0,)
+    return tuple(round(Fraction(2 * _GRID_SCALE * k, m - 1)) - _GRID_SCALE
+                 for k in range(m))
 
 
-def _grid_negative(P: PackedPoly) -> list[Fraction] | None:
-    """The first point of the dyadic grid where P < 0, in itertools.product
-    order over _grid_exponents, or None if P >= 0 on the whole grid; at once
-    if P has no negative coefficient, as then P >= 0 on the whole orthant.
+@cache
+def _grid_axis(nvars: int) -> dict[int, Fraction]:
+    """The per-axis grid values 2^j by their shifts k = j + _GRID_SCALE, in
+    increasing order; made once per number of variables."""
+    return {j + _GRID_SCALE: Fraction(2) ** j for j in _grid_exponents(nvars)}
 
-    Integer arithmetic only. With d = deg(P) and y_i = 2^(j_i + _GRID_SCALE),
-    den * 2^(_GRID_SCALE * d) * P is an integer polynomial in y, whose term
-    c*y^e at y_i = 2^k_i is c << (e.k). The axes are substituted one at a
-    time, so each prefix of the point is paid for once, not once per point.
-    """
+
+def _grid_terms(P: PackedPoly) -> dict | None:
+    """den * 2^(_GRID_SCALE * d) * P with d = deg(P), an integer polynomial in
+    y_i = 2^(j_i + _GRID_SCALE), whose term c*y^e at y_i = 2^k_i is
+    c << (e.k); None if P has no negative coefficient, as then P >= 0 on the
+    whole orthant."""
     packing, terms, _ = P
     if min(terms.values()) >= 0:
         return None
     top = packing.top
     deg = max(terms) >> top
-    ks = [j + _GRID_SCALE for j in _grid_exponents(P.nvars)]
-    point = _grid_scan({
-        k: c << _GRID_SCALE * (deg - (k >> top)) for k, c in terms.items()
-    }, list(packing.shifts), packing.mask, ks)
-    if point is None:
+    return {k: c << _GRID_SCALE * (deg - (k >> top)) for k, c in terms.items()}
+
+
+def _grid_negative(P: PackedPoly) -> list[Fraction] | None:
+    """The first point of the dyadic grid where P < 0, in itertools.product
+    order over _grid_exponents, or None if P >= 0 on the whole grid; at once
+    if P has no negative coefficient.
+
+    Integer arithmetic only (`_grid_terms`).  The axes are substituted one
+    at a time, so each prefix of the point is paid for once, not once per
+    point.
+    """
+    terms = _grid_terms(P)
+    if terms is None:
         return None
-    return [Fraction(2) ** (k - _GRID_SCALE) for k in point]
+    axis = _grid_axis(P.nvars)
+    point = _grid_scan(terms, list(P.packing.shifts), P.packing.mask, list(axis))
+    return None if point is None else [axis[k] for k in point]
+
+
+def grid_line_negatives(P: MultiPoly, point: list[Fraction]) -> list[list[Fraction]]:
+    """The points of the dyadic grid on the line through `point` along the last
+    axis where P < 0, in increasing order; none if a coordinate of `point`
+    but the last is not a grid value.  Evaluated as `_grid_negative` scans
+    that line."""
+    packed = P.packed()
+    packing = packed.packing
+    axis = _grid_axis(P.nvars)
+    ks = []
+    for x in point[:-1]:
+        p, q = x.numerator, x.denominator
+        k = p.bit_length() - q.bit_length() + _GRID_SCALE
+        if p <= 0 or p & (p - 1) or q & (q - 1) or k not in axis:
+            return []
+        ks.append(k)
+    terms = _grid_terms(packed)
+    if terms is None:
+        return []
+    for s, k in zip(packing.shifts, ks):
+        terms = _substitute(terms, s, packing.mask, k)
+    line = _negatives_on_line(terms, packing.shifts[-1], packing.mask, list(axis))
+    return [point[:-1] + [axis[k]] for k in line]
+
+
+def _substitute(terms: dict, s: int, mask: int, k: int) -> dict:
+    """`terms` at y = 2^k for the variable in key field s, which is cut off
+    each key with any field above it."""
+    low = (1 << s) - 1
+    rest: dict = {}
+    for key, c in terms.items():
+        rest[key & low] = rest.get(key & low, 0) + (c << k * ((key >> s) & mask))
+    return rest
+
+
+def _negatives_on_line(terms: dict, s: int, mask: int, ks: list[int]) -> Iterator[int]:
+    """The k of ks, in order, at which `terms`, an integer polynomial in the
+    one variable of key field s, is negative at y = 2^k: Horner's rule in
+    shifts."""
+    exps = [(key >> s) & mask for key in terms]
+    coeffs = [0] * (max(exps) + 1)
+    for e, c in zip(exps, terms.values()):
+        coeffs[e] += c
+    coeffs.reverse()
+    for k in ks:
+        value = 0
+        for c in coeffs:
+            value = (value << k) + c
+        if value < 0:
+            yield k
 
 
 def _grid_scan(terms: dict, shifts: list[int], mask: int, ks: list[int]) -> list[int] | None:
     """The first point [k_0, ..] in itertools.product order over ks where the
     integer polynomial `terms` is negative at y_i = 2^k_i, or None.
 
-    `shifts` are the key fields of the variables still to substitute; the
-    substituted field (and any above it) is cut off each key.  The last axis
-    is one integer polynomial, evaluated at each grid value by Horner's rule
-    in shifts.  A module-level function, so that the recursion makes no
-    reference cycle.
+    `shifts` are the key fields of the variables still to substitute.  The
+    last axis is one integer polynomial in one variable
+    (`_negatives_on_line`).  A module-level function, so that the recursion
+    makes no reference cycle.
     """
     s, rest_shifts = shifts[0], shifts[1:]
     if not rest_shifts:
-        exps = [(key >> s) & mask for key in terms]
-        coeffs = [0] * (max(exps) + 1)
-        for e, c in zip(exps, terms.values()):
-            coeffs[e] += c
-        coeffs.reverse()
-        for k in ks:
-            value = 0
-            for c in coeffs:
-                value = (value << k) + c
-            if value < 0:
-                return [k]
-        return None
-    low = (1 << s) - 1
+        k = next(_negatives_on_line(terms, s, mask, ks), None)
+        return None if k is None else [k]
     for k in ks:
-        rest: dict = {}
-        for key, c in terms.items():
-            rest[key & low] = rest.get(key & low, 0) + (c << k * ((key >> s) & mask))
-        tail = _grid_scan(rest, rest_shifts, mask, ks)
+        tail = _grid_scan(_substitute(terms, s, mask, k), rest_shifts, mask, ks)
         if tail is not None:
             return [k] + tail
     return None

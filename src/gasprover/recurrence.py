@@ -9,13 +9,14 @@ Euclidean distance to the equilibrium.
 Q^K and P are built on the integer polynomials of `packed`.  A `Composition`
 holds Q^t with its denominators factored over a pool of primitive integer
 polynomials, all packed by one layout whose fields fit the degree bound of
-the K being built.  `driver.prove` carries one composition from each K to
-the next, so each K composes one step more; the layout is widened only when
-a K's bound needs more bits.  P is assembled from D, the lcm of the
-component denominators den_i: with c_i = D/den_i and g_i =
+the K being built.  `driver.prove` carries one composition from each K it
+builds to the next, so each composes on from the last; the layout is widened
+only when a K's bound needs more bits.  P is assembled from D, the lcm of
+the component denominators den_i: with c_i = D/den_i and g_i =
 den_i*(component_i - xbar), P = D^2*|X - Xbar|^2 - sum_i (c_i*g_i)^2, each
 square made by `sqr_packed`.  `q_power` makes Fractions at once; P keeps the
-build's integers and makes its Fractions on first read.
+build's integers and makes its Fractions on first read.  `orbit` follows
+one point under Q on a composition's integer R, which refutes a K with no P.
 """
 from __future__ import annotations
 

@@ -1,18 +1,24 @@
+import importlib
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import gasprover.driver
 import gasprover.recurrence
-from gasprover.certificate import ProofCertificate
+from gasprover.certificate import (ProofCertificate, certificate_document, certificate_from_json,
+                                   certificate_to_json)
 from gasprover.checker import replay_certificate
 from gasprover.cli import main
 from gasprover.driver import prove, prove_k, webbook
+from gasprover.packed import decimal_str
 from gasprover.positivity import prove_nonneg
 from gasprover.recurrence import (
+    Equilibrium,
     UnsupportedInputError,
     build_contraction_poly,
     find_equilibrium,
@@ -20,6 +26,7 @@ from gasprover.recurrence import (
 )
 
 F = Fraction
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 class TestProveK:
@@ -79,7 +86,9 @@ class TestProveK:
         monkeypatch.setattr(gasprover.driver, "build_contraction_poly", keeping)
         assert prove_k(parse_rde("x2/(2+x0+x1+x2)"), 3).verdict == "true"
         assert prove(parse_rde("(4+x0)/(1+x1)")).verdict == "true"
-        assert len(built) == 5  # K = 3, and K = 2..5 of the second-order map
+        # K = 3, and K = 2 and 5 of the second-order map: K = 2's negative
+        # points refute K = 3 and 4 by their orbits, with no P
+        assert len(built) == 3
         for P in built:
             assert P._terms is None
 
@@ -199,6 +208,8 @@ class TestProve:
         stages = ["equilibrium", "las", "build", "positivity"]
         assert list(prove(parse_rde("2*x0/(1+x0)")).timings) == stages
         assert list(prove(parse_rde("(4+x0)/(1+x1)"), maxK=2).timings) == stages
+        # the orbit checks of K = 3, 4 and 5
+        assert list(prove(parse_rde("(4+x0)/(1+x1)")).timings) == stages + ["orbits"]
         assert list(prove_k(parse_rde("2*x0/(1+x0)"), 1).timings) == [
             "equilibrium", "build", "positivity",
         ]
@@ -210,7 +221,7 @@ class TestProve:
 
     @pytest.mark.parametrize("rde, built", [
         ("2*x0/(1+x0)", [1]),
-        ("(4+x0)/(1+x1)", [2, 3, 4, 5]),
+        ("(4+x0)/(1+x1)", [2, 5]),  # K = 2's negative points refute K = 3, 4
         ("x2/(2+x0+x1+x2)", [3]),
         ("(1/2+x0)/(1+x1+x2)", [3, 4]),
     ])
@@ -256,6 +267,113 @@ class TestProve:
         result = prove(parse_rde("1/2*x0"), maxK=3)
         assert result.verdict == "true"
         assert result.K == 1
+
+
+class TestOrbitSkip:
+    """prove() skips a K below maxK that the exact orbit of an earlier K's
+    negative point refutes, and answers as if it had built every K."""
+
+    def test_skipping_changes_no_answer(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        # read the benchmark's cases without writing bytecode next to them
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        cases = importlib.import_module("cases")
+        corpus = [(case.rde, case.k) for case in cases.PLANAR]
+        # the acceptance families, and two third-order maps
+        corpus += [(text, 10) for text in (
+            "2*x0/(1+x0)", "x1/(2+x1)", "1+1/2*x0", "2*x0", "x1/(2+x0+x1)",
+            "(1/2+x0)/(1+x1+x2)", "(2+x0)/(1+x1+x2)",
+        )]
+        for seed in (1, 2, 3):
+            corpus += [(case.rde, case.k) for case in cases.batch(random.Random(seed))]
+
+        def answers():
+            out = []
+            for text, maxK in corpus:
+                try:
+                    r = prove(parse_rde(text), maxK)
+                except UnsupportedInputError as exc:
+                    out.append(exc.kind)
+                    continue
+                cert = r.certificate and certificate_document(r.certificate)
+                out.append((r.verdict, r.reason, r.K, r.las, cert))
+            return out
+
+        checks = Counter()
+
+        def counting(orbits, K, timings, _real=gasprover.driver._orbits_refute):
+            refuted = _real(orbits, K, timings)
+            checks[refuted] += 1
+            return refuted
+
+        monkeypatch.setattr(gasprover.driver, "_orbits_refute", counting)
+        skipping = answers()
+        assert checks[True] >= 4  # K = 3, 4 of (4+x0)/(1+x1) and K = 4, 5 of order 3
+        monkeypatch.setattr(gasprover.driver, "_orbits_refute", lambda *args: False)
+        assert answers() == skipping
+
+    @pytest.mark.parametrize("maxK, built", [(3, [2, 3]), (4, [2, 4]), (10, [2, 5])])
+    def test_max_k_is_always_built(self, monkeypatch, maxK, built):
+        ks = []
+
+        def building(spec, eq, K, *composition):
+            ks.append(K)
+            return build_contraction_poly(spec, eq, K, *composition)
+
+        monkeypatch.setattr(gasprover.driver, "build_contraction_poly", building)
+        spec = parse_rde("(4+x0)/(1+x1)")
+        result = prove(spec, maxK=maxK)
+        assert ks == built
+        # no orbit is checked at maxK, which is built whatever they say
+        assert ("orbits" in result.timings) == (maxK > 3)
+        if maxK < 5:
+            assert (result.verdict, result.reason, result.K) == ("FAIL", "max-k-exhausted", maxK)
+        # the certificate is that of result.K
+        fresh = build_contraction_poly(spec, result.equilibrium, result.K)
+        assert result.certificate.input_digest == fresh.digest()
+        assert replay_certificate(result.certificate, fresh)
+
+    def test_a_witness_off_the_open_orthant_is_not_carried(self, monkeypatch):
+        # An orbit starts in the open orthant.  No witness of the prover has
+        # a zero coordinate, but one that had would not be carried.
+        ks = []
+
+        def building(spec, eq, K, *composition):
+            ks.append(K)
+            return build_contraction_poly(spec, eq, K, *composition)
+
+        def proving(P, *args):
+            cert = prove_nonneg(P, *args)
+            if cert.verdict == "Disproven":
+                cert.witness = [F(0)] + cert.witness[1:]
+            return cert
+
+        monkeypatch.setattr(gasprover.driver, "build_contraction_poly", building)
+        monkeypatch.setattr(gasprover.driver, "prove_nonneg", proving)
+        result = prove(parse_rde("(4+x0)/(1+x1)"))
+        assert (result.verdict, result.K) == ("true", 5)
+        assert ks == [2, 3, 4, 5]
+        assert "orbits" not in result.timings
+
+
+class TestIntegersPastTheDigitLimit:
+    def test_prove_certificate_and_printout(self, tmp_path, capsys):
+        # x̄ = 3^3150; the K = 3 witness value has over 12,000 digits, past
+        # the interpreter's limit on str() and int()
+        rde = "(3^6300+x0)/(1+x1)"
+        path = tmp_path / "big.json"
+        assert main(["prove", "--rde", rde, "--max-k", "3", "--cert", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "reason: max-k-exhausted" in out and "K: 3" in out
+        text = path.read_text()
+        cert = certificate_from_json(text)
+        assert cert.xbar == 3 ** 3150 and len(decimal_str(cert.witness_value)) > 12000
+        witness = ", ".join(map(decimal_str, cert.witness))
+        assert f"witness: ({witness}) -> {decimal_str(cert.witness_value)}" in out
+        assert certificate_to_json(cert) == text
+        P = build_contraction_poly(parse_rde(rde), Equilibrium(cert.xbar, 2), 3)
+        assert P.digest() == cert.input_digest
+        assert replay_certificate(cert, P)
 
 
 class TestWebbook:

@@ -1,5 +1,7 @@
 import hashlib
+import operator
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -8,8 +10,9 @@ import pytest
 
 from gasprover import packed, parsing
 from gasprover.parsing import parse_poly, parse_ratfun
-from gasprover.packed import (PackedPoly, Packing, add_packed, divide_packed, invert_packed,
-                              mul_packed, pow_packed, shift_packed, sqr_packed)
+from gasprover.packed import (PackedPoly, Packing, add_packed, decimal_int, decimal_str,
+                              divide_packed, invert_packed, mul_packed, pow_packed,
+                              power_by_squaring, shift_packed, sqr_packed)
 from gasprover.polynomial import MultiPoly, RatFun, digest_packed, grlex_key, signed_content
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
@@ -427,6 +430,67 @@ class TestPow:
         got = parsing._Parser([], 2).power({(1, 0): 3, (0, 1): -6, (0, 0): 1}, n)
         assert calls == Counter(_times=squarings + products)
         assert MultiPoly(2, got) == _ref_scale(want, 3 ** n)
+
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_power_below_one(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            pow_packed({0: 3}, n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            power_by_squaring(3, n, operator.mul)
+
+
+class TestDecimal:
+    """str() and int() of the package's exact numbers, also past the
+    interpreter's limit on decimal digits, which the package leaves as it is."""
+
+    def test_str_and_int_themselves_below_the_limit(self):
+        rng = random.Random(61)
+        values = [0, 1, -1, 10 ** 599, 10 ** 600, 1 - 10 ** 600]
+        values += [rng.randrange(-10 ** d, 10 ** d) for d in (1, 20, 599, 600, 601, 1300, 4300)]
+        for n in values:
+            assert decimal_str(n) == str(n)
+            assert decimal_int(str(n)) == n
+            x = F(n, rng.randrange(1, 10 ** 50))
+            assert decimal_str(x) == str(x)
+        assert (decimal_int("+17"), decimal_int("-0"), decimal_int("007")) == (17, 0, 7)
+        for text in ("", "-", "+-1", "12a"):
+            with pytest.raises(ValueError):
+                decimal_int(text)
+
+    def test_past_the_limit(self):
+        rng = random.Random(67)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        texts = ["1" + "0" * 5000 + "7", "-" + "9" * 9000]
+        texts += [str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=k))
+                  for k in (4300, 4301, 12073)]
+        for text in texts:
+            n = decimal_int(text)
+            if limit:
+                with pytest.raises(ValueError):
+                    str(n)
+            assert decimal_str(n) == text
+            digits = text.lstrip("-")
+            assert abs(n) % 10 ** 50 == int(digits[-50:])
+            assert abs(n) // 10 ** (len(digits) - 50) == int(digits[:50])
+            assert (n < 0) == text.startswith("-")
+            assert decimal_str(F(1, abs(n))) == "1/" + digits
+            x = F(n, 10 ** 700 + 1)
+            num, den = decimal_str(x).split("/")
+            assert F(decimal_int(num), decimal_int(den)) == x
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="the interpreter has no limit on decimal digits")
+    def test_at_the_least_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = "3" * 700
+            n = decimal_int(text)
+            assert decimal_str(n) == text
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert str(n) == text
 
 
 # Plain Fraction term-pair loops: the reference the integer kernels must match.

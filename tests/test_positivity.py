@@ -19,7 +19,7 @@ from gasprover.checker import (
     subdivide,
 )
 from gasprover.parsing import parse_poly
-from gasprover.polynomial import MultiPoly, digest_packed
+from gasprover.polynomial import MultiPoly, digest_packed, evaluate_packed
 from gasprover.positivity import (
     _const,
     _grid_exponents,
@@ -27,6 +27,7 @@ from gasprover.positivity import (
     _lcoeff,
     _search_negative,
     finitize,
+    grid_line_negatives,
     orthant_split,
     prove_nonneg,
 )
@@ -499,6 +500,43 @@ class TestGrid:
             assert _grid_negative(p.packed()) == expected
             found += expected is not None
         assert 0 < found < len(polys)
+
+
+    def test_exponents_pinned_and_made_once(self):
+        assert _grid_exponents(1) == _grid_exponents(2) == tuple(range(-10, 11))
+        assert _grid_exponents(3) == (-10, -7, -4, -1, 1, 4, 7, 10)
+        assert _grid_exponents(4) == (-10, -3, 3, 10)
+        assert all(_grid_exponents(n) is _grid_exponents(n) for n in range(1, 5))
+
+    def test_line_of_the_benchmark_witness(self):
+        # K = 2 of (4+x0)/(1+x1) is refuted on the line x0 = 2^-10
+        spec = parse_rde("(4+x0)/(1+x1)")
+        P = build_contraction_poly(spec, find_equilibrium(spec), 2)
+        w = prove_nonneg(P, F(2)).witness
+        line = grid_line_negatives(P, w)
+        assert line[0] == w and w[0] == F(1, 1024)
+        assert len(line) == 13
+        assert all(evaluate_packed(P.packed(), x) < 0 for x in line)
+        # a coordinate but the last that is not a grid value has no line
+        for x0 in (F(3), F(0), F(1, 3), F(2) ** 11):
+            assert grid_line_negatives(P, [x0, w[1]]) == []
+
+    def test_line_matches_plain_evaluation(self):
+        rng = random.Random(97)
+        found = 0
+        for _ in range(200):
+            n = rng.randrange(1, 4)
+            p = _random_poly(rng, n)
+            if p.is_zero():
+                continue
+            exps = _grid_exponents(n)
+            prefix = [F(2) ** rng.choice(exps) for _ in range(n - 1)]
+            # the last coordinate of the point given does not matter
+            line = grid_line_negatives(p, prefix + [F(rng.randrange(1, 9))])
+            expected = [prefix + [F(2) ** j] for j in exps]
+            assert line == [x for x in expected if p.evaluate(x) < 0]
+            found += bool(line)
+        assert found > 10
 
 
 class TestProveNonneg:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import heapq
+import itertools
 import random
 import sys
 import time
@@ -14,8 +15,9 @@ from test_polynomial import _ref_add, _ref_mul, _ref_pow, _ref_scale
 from gasprover import recurrence
 from gasprover.certificate import certificate_document
 from gasprover.parsing import parse_poly, parse_ratfun
-from gasprover.polynomial import MultiPoly, RatFun
-from gasprover.positivity import prove_nonneg
+from gasprover.orbit import Orbit, orbit_map
+from gasprover.polynomial import MultiPoly, RatFun, evaluate_packed
+from gasprover.positivity import _grid_exponents, prove_nonneg
 from gasprover.recurrence import (
     Composition,
     Equilibrium,
@@ -677,3 +679,48 @@ class TestCompositionCarried:
             composition.advance(2)
         with pytest.raises(ValueError, match="K must be >= 1"):
             Composition(parse_rde(BENCH)).advance(0)
+
+
+class TestOrbit:
+    """An exact orbit ends strictly farther from x̄ than it started exactly
+    where P_K < 0: the identity by which prove()'s K loop skips a K."""
+
+    @pytest.mark.parametrize("text", [
+        # (x0+x1)/(3+x0) has x̄ = 0
+        BENCH, "(1+2*x1)/(1+x0+x1)", "(x0+x1)/(3+x0)", "(2+x0)/(1+x1+x2)",
+        "(1/2+x0)/(1+x1+x2)",
+    ])
+    def test_sign_agrees_with_P_on_the_grid(self, text):
+        spec = parse_rde(text)
+        eq = find_equilibrium(spec)
+        n = spec.order
+        grid = [[F(2) ** j for j in js]
+                for js in itertools.product(_grid_exponents(n), repeat=n)]
+        points = grid if n == 2 else grid[::7]
+        R = orbit_map(Composition(spec).R)
+        orbits = [Orbit(R, eq.value, w) for w in points]
+        signs = Counter()
+        for K in range(1, 6):
+            P = build_contraction_poly(spec, eq, K).packed()
+            for w, orbit in zip(points, orbits):
+                negative = evaluate_packed(P, w) < 0
+                assert orbit.farther(K) == negative, (w, K)
+                assert len(orbit.ys) >= 2 * (n + K)
+                signs[negative] += 1
+        assert signs[True] and signs[False]
+
+    def test_orbit_is_kept(self):
+        orbit = Orbit(orbit_map(Composition(parse_rde(BENCH)).R), F(2), [F(1, 1024), F(2)])
+        assert orbit.ys == [2, 1, 1, 1024]
+        orbit.farther(3)
+        # y_1 = (4 + 2^-10)/(1 + 2), and so on: one evaluation of R per step
+        assert orbit.ys[4:6] == [4097, 3072] and len(orbit.ys) == 10
+        kept = list(orbit.ys)
+        assert [orbit.farther(K) for K in (1, 2, 3)] == [orbit.farther(K) for K in (1, 2, 3)]
+        assert orbit.ys == kept
+
+    def test_starts_in_the_open_orthant(self):
+        R = orbit_map(Composition(parse_rde(BENCH)).R)
+        for point in ([F(0), F(1)], [F(1), F(-1)]):
+            with pytest.raises(ValueError, match="open orthant"):
+                Orbit(R, F(2), point)
