@@ -92,7 +92,7 @@ def certificate_document(cert: ProofCertificate) -> dict:
         "xbar": decimal_str(cert.xbar),
         "depth_limit": cert.depth_limit,
         "verdict": cert.verdict,
-        "witness": [decimal_str(x) for x in cert.witness] if cert.witness else None,
+        "witness": None if cert.witness is None else [decimal_str(x) for x in cert.witness],
         "witness_value": (None if cert.witness_value is None
                           else decimal_str(cert.witness_value)),
         "fail_reason": cert.fail_reason,
@@ -184,7 +184,7 @@ def certificate_from_json(text: str) -> ProofCertificate:
         depth_limit=_get(doc, "depth_limit", "certificate"),
         verdict=_get(doc, "verdict", "certificate"),
         nodes=nodes,
-        witness=[_rational(x, "witness") for x in witness] if witness else None,
+        witness=None if witness is None else [_rational(x, "witness") for x in witness],
         witness_value=None if value is None else _rational(value, "witness_value"),
         fail_reason=_get(doc, "fail_reason", "certificate"),
     )

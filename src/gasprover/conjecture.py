@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .polynomial import MultiPoly
 from .recurrence import Equilibrium, RecurrenceSpec, build_contraction_poly
@@ -42,24 +41,19 @@ def mesh_minimize(
     n = P.nvars
     eps, N = params.eps, params.N
 
-    # Mesh points are i*eps; rescaling by the positive constant L*q^D turns
-    # every mesh value into an integer, which keeps the descent comparisons
-    # exact but much faster than Fraction arithmetic. True values are
-    # recovered at the end by dividing the scale back out.
+    # Mesh points are i*eps; rescaling by the positive constant den*q^D, with
+    # den the denominator of P's packed integers, turns every mesh value into
+    # an integer, which keeps the descent comparisons exact but much faster
+    # than Fraction arithmetic. True values are recovered at the end by
+    # dividing the scale back out.
     p_num, q_den = eps.numerator, eps.denominator
     D = P.total_degree()
-    lcm = 1
-    for coeff in P.terms.values():
-        d = coeff.denominator
-        lcm = lcm * d // gcd(lcm, d)
+    packing, ints, den = P.packed()
     int_terms = [
-        (
-            exps,
-            int(coeff * lcm) * p_num ** sum(exps) * q_den ** (D - sum(exps)),
-        )
-        for exps, coeff in P.terms.items()
+        (exps, c * p_num ** sum(exps) * q_den ** (D - sum(exps)))
+        for exps, c in packing.unpack_terms(ints).items()
     ]
-    scale = Fraction(lcm * q_den ** D)
+    scale = Fraction(den * q_den ** D)
     cache: dict[tuple[int, ...], int] = {}
 
     def value(idx: tuple[int, ...]) -> int:

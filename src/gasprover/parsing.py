@@ -257,8 +257,7 @@ def parse_ratfun(text: str, nvars: int | None = None) -> RatFun:
                     default=0) + 1
     num, den = _Parser(tokens, nvars).parse()
     g = signed_content(den)  # so RatFun finds den primitive, of positive lead
-    return RatFun(MultiPoly._trusted(nvars, {e: Fraction(c, g) for e, c in num.items()}),
-                  MultiPoly._trusted(nvars, {e: Fraction(c // g) for e, c in den.items()}))
+    return RatFun(MultiPoly._from_integers(nvars, num, g), MultiPoly._from_integers(nvars, den, g))
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:

@@ -1,36 +1,35 @@
 """Exact sparse multivariate polynomials and rational functions over Q.
 
-A `MultiPoly` is the package's immutable, hashable polynomial value: its
-coefficients are non-zero `fractions.Fraction`s, and nothing in this module
-uses floating point.  It has no arithmetic.  The package computes on
-integers, in the kernels of `packed` and in the parser; a `MultiPoly` is
-what they hand over and what is printed, digested and checked.
-
-Its digest, evaluation and box map are those of `packed()`, its terms as
-integers over their least positive common denominator on packed exponents,
-made once; the positivity prover runs its shifts and inversions on that
-form.  `from_packed` keeps a kernel's integers and makes the Fraction terms
-on first read.
+A `MultiPoly` is the package's immutable, hashable polynomial value.  It
+holds one form, `packed()`: its terms as integers over their least positive
+common denominator, on packed exponents in the layout whose fields fit the
+sum of its degrees in each x_i.  Every constructor makes that form, so equal
+polynomials hold equal integers, and equality, hashing, the degrees, the
+digest, evaluation and the box map read them; the positivity prover runs its
+shifts and inversions on them.  `terms`, the coefficients as
+`fractions.Fraction`s by exponent tuple, is a read-only view made on first
+read, for the printout.  Nothing in this module uses floating point.  A
+`MultiPoly` has no arithmetic: the package computes on integers, in the
+kernels of `packed` and in the parser, and `from_packed` keeps a kernel's
+result.
 
 A `RatFun` is a parsed map N/D, not an algebra, and compares by identity:
-its constructor divides both parts by the `signed_content` of den, and
-scales nothing when that is 1.
+its constructor divides both parts by the signed content of den's integers,
+and scales nothing when that is 1.
 The parser, which owns the arithmetic on (num, den) pairs of integer
-polynomials, divides them by that content itself and calls the constructor
-once per expression.
+polynomials, divides them by that content itself and hands both parts over
+in integers, once per expression.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import mul
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .packed import (Exponents, PackedPoly, Packing, box_map_packed, decimal_str, digest_packed,
-                     drop_zeros, evaluate_packed)
-
-_ZERO = Fraction(0)
+                     evaluate_packed)
 
 
 def _as_fraction(c) -> Fraction:
@@ -52,15 +51,22 @@ def signed_content(terms: Mapping[Exponents, int]) -> int:
     return -g if terms[max(terms, key=grlex_key)] < 0 else g
 
 
+def _pack(nvars: int, terms: Mapping[Exponents, int], den: int) -> PackedPoly:
+    """terms/den on the layout whose fields fit the sum of their degrees in each x_i."""
+    packing = Packing(nvars, sum(map(max, zip(*terms))))
+    return PackedPoly(packing, {packing.pack(e): c for e, c in terms.items()}, den)
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent vectors -> nonzero Fractions."""
+    """Sparse multivariate polynomial over Q, held as its canonical `PackedPoly`."""
 
-    __slots__ = ("nvars", "_terms", "_hash", "_digest", "_packed")
+    __slots__ = ("_packed", "_terms", "_hash", "_digest")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, int | Fraction]):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
         clean: dict[Exponents, Fraction] = {}
+        den = 1
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != nvars:
@@ -70,126 +76,106 @@ class MultiPoly:
             coeff = _as_fraction(coeff)
             if coeff != 0:
                 clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_packed", None)
+                den = lcm(den, coeff.denominator)
+        self._keep(*_pack(nvars, {e: c.numerator * (den // c.denominator)
+                                  for e, c in clean.items()}, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def _keep(self, packing: Packing, terms: dict[int, int], den: int) -> None:
+        """Hold terms/den on `packing`, the layout of their own degrees, with
+        the gcd of the integers and den, of den's sign, divided out."""
+        g = reduce(gcd, terms.values(), den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+        object.__setattr__(self, "_packed", PackedPoly(packing, terms, den // g))
+        object.__setattr__(self, "_terms", None)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_digest", None)
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
-        """Polynomial over `terms` (valid exponent tuples -> coefficients), unchecked.
-
-        Takes over `terms` and drops its zero coefficients in place.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "_terms", drop_zeros(terms))
-        object.__setattr__(poly, "_hash", None)
-        object.__setattr__(poly, "_digest", None)
-        object.__setattr__(poly, "_packed", None)
-        return poly
-
-    @classmethod
-    def _from_integers(cls, nvars: int, terms: dict[Exponents, int], den: int) -> "MultiPoly":
-        """Polynomial with coefficients c/den for valid exponent tuples.
-
-        Takes over `terms`, drops its zeros while they are still ints and
-        converts it in place, so a kernel's result never exists as two
-        dictionaries at once.
-        """
-        poly = cls._trusted(nvars, terms)
-        if den == 1:
-            for e, c in terms.items():
-                terms[e] = Fraction(c)
-        else:
-            for e, c in terms.items():
-                terms[e] = Fraction(c, den)
-        return poly
-
-    def _integer_terms(self) -> tuple[int, Iterator[tuple[Exponents, int]]]:
-        """(D, lazy pairs (e, D*c)) with D the least positive common denominator."""
-        den = 1
-        # a loop, not lcm(*...): that argument tuple, as long as the
-        # polynomial, raised the peak resident memory of a run
-        for c in self.terms.values():
-            den = lcm(den, c.denominator)
-        return den, ((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
-
-    def packed(self) -> PackedPoly:
-        """self on packed keys over its least positive denominator, made once, in
-        the layout its transforms keep: fields for the sum of its degrees in each x_i."""
-        if self._packed is None:
-            packing = Packing(self.nvars, sum(map(max, zip(*self.terms))))
-            units = packing.units
-            den, scaled = self._integer_terms()
-            object.__setattr__(self, "_packed", PackedPoly(
-                packing, {sum(map(mul, e, units)): c for e, c in scaled}, den))
-        return self._packed
-
-    @classmethod
     def from_packed(cls, poly: PackedPoly) -> "MultiPoly":
-        """`poly` kept as `packed()` of its terms would make it: gcd divided out,
-        re-keyed in order to that layout.  Its terms are made on first read."""
+        """`poly` in canonical form: re-keyed in order to the layout of its own
+        degrees, with the gcd of its integers and den divided out, and den
+        made positive.  It may hold `poly.terms` itself, which must then not
+        be changed."""
         packing, terms, den = poly
-        g = reduce(gcd, terms.values(), den)
         layout = Packing(poly.nvars, sum(packing.degree_in(terms, i) for i in range(poly.nvars)))
         if layout.mask != packing.mask:
             terms = {layout.pack(packing.exponents(k)): c for k, c in terms.items()}
-        if g > 1:
-            terms = {k: c // g for k, c in terms.items()}
         out = object.__new__(cls)
-        object.__setattr__(out, "nvars", poly.nvars)
-        object.__setattr__(out, "_terms", None)
-        object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_digest", None)
-        object.__setattr__(out, "_packed", PackedPoly(layout, terms, den // g))
+        out._keep(layout, terms, den)
+        return out
+
+    @classmethod
+    def _from_integers(cls, nvars: int, terms: Mapping[Exponents, int], den: int) -> "MultiPoly":
+        """c/den for each exponent tuple -> non-zero int c of `terms`, den != 0:
+        the parser's constructor, with no Fraction."""
+        out = object.__new__(cls)
+        out._keep(*_pack(nvars, terms, den))
         return out
 
     # -- predicates / accessors -------------------------------------------
 
+    def packed(self) -> PackedPoly:
+        """The polynomial's integers over their least positive denominator, on
+        packed keys in the layout its transforms keep: fields for the sum of
+        its degrees in each x_i.  The terms are in the order the constructor
+        met them, and must not be changed."""
+        return self._packed
+
     @property
-    def terms(self) -> dict[Exponents, Fraction]:
-        """Exponent vectors -> non-zero Fractions; made on first read from
-        the integers of a `from_packed` polynomial."""
+    def nvars(self) -> int:
+        return self._packed.packing.nvars
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """A read-only view, exponent vectors -> non-zero Fractions in the
+        order of `packed()`, made on first read."""
         if self._terms is None:
             packing, ints, den = self._packed
-            terms = MultiPoly._from_integers(self.nvars, packing.unpack_terms(ints), den)._terms
-            object.__setattr__(self, "_terms", terms)
+            object.__setattr__(self, "_terms", MappingProxyType(
+                {e: Fraction(c, den) for e, c in packing.unpack_terms(ints).items()}))
         return self._terms
 
     def is_zero(self) -> bool:
-        return not (self._packed or self).terms
+        return not self._packed.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self._packed.terms)  # the constant's key is 0
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        _, ints, den = self._packed
+        return Fraction(ints.get(0, 0), den)
 
     def total_degree(self) -> int:
         """Max total degree over terms; 0 for the zero polynomial."""
-        return max(map(sum, self.terms), default=0)
+        packing, ints, _ = self._packed
+        return max(ints, default=0) >> packing.top  # the grlex lead's
 
     def degree_in(self, var: int) -> int:
         """Max exponent of `var`; 0 for the zero polynomial."""
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range for {self.nvars} variables")
-        return max((e[var] for e in self.terms), default=0)
+        packing, ints, _ = self._packed
+        return packing.degree_in(ints, var)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        (a_packing, a, a_den), (b_packing, b, b_den) = self._packed, other._packed
+        return (a_packing.nvars == b_packing.nvars and a_packing.mask == b_packing.mask
+                and a_den == b_den and a == b)
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.nvars, frozenset(self.terms.items()))))
+            _, ints, den = self._packed
+            object.__setattr__(self, "_hash", hash((self.nvars, den, frozenset(ints.items()))))
         return self._hash
 
     # -- evaluation and the box map ----------------------------------------
@@ -255,12 +241,13 @@ class MultiPoly:
 
 
 class RatFun:
-    """A parsed map num/den with den primitive and of positive grlex lead.
+    """A parsed map num/den with den primitive over 1 and of positive grlex lead.
 
-    The constructor normalises by dividing both parts by the signed content
-    c = g/D of den, from den's integer terms over D; it scales nothing when
-    c is 1 and otherwise makes each Fraction once.  The proof pipeline also
-    needs no negative coefficient in num or den; `parse_rde` rejects such maps.
+    The constructor normalises on `den.packed()`, integers over D: it divides
+    both parts by den's signed content c = g/D, g the gcd of those integers
+    with the sign of their grlex lead, and scales nothing when c is 1.  The
+    proof pipeline also needs no negative coefficient in num or den;
+    `parse_rde` rejects such maps.
     """
 
     __slots__ = ("num", "den")
@@ -270,13 +257,15 @@ class RatFun:
             raise ValueError(f"variable count mismatch: {num.nvars} vs {den.nvars}")
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
-        d, scaled = den._integer_terms()
-        scaled = dict(scaled)
-        g = signed_content(scaled)
+        packing, ints, d = den.packed()
+        g = reduce(gcd, ints.values())
+        if ints[max(ints)] < 0:  # the largest key is the grlex lead
+            g = -g
         if g != d:
-            num = MultiPoly._trusted(num.nvars, {
-                e: Fraction(c.numerator * d, c.denominator * g) for e, c in num.terms.items()})
-            den = MultiPoly._trusted(den.nvars, {e: Fraction(c // g) for e, c in scaled.items()})
+            n_packing, n_ints, n_den = num.packed()
+            num = MultiPoly.from_packed(
+                PackedPoly(n_packing, {k: d * c for k, c in n_ints.items()}, n_den * g))
+            den = MultiPoly.from_packed(PackedPoly(packing, ints, g))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

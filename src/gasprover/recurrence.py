@@ -14,9 +14,9 @@ builds to the next, so each composes on from the last; the layout is widened
 only when a K's bound needs more bits.  P is assembled from D, the lcm of
 the component denominators den_i: with c_i = D/den_i and g_i =
 den_i*(component_i - xbar), P = D^2*|X - Xbar|^2 - sum_i (c_i*g_i)^2, each
-square made by `sqr_packed`.  `q_power` makes Fractions at once; P keeps the
-build's integers and makes its Fractions on first read.  `orbit` follows
-one point under Q on a composition's integer R, which refutes a K with no P.
+square made by `sqr_packed`.  The components of `q_power` and P keep the
+build's integers (`MultiPoly.from_packed`).  `orbit` follows one point under
+Q on a composition's integer R, which refutes a K with no P.
 """
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def parse_rde(text: str, order: int | None = None) -> RecurrenceSpec:
     if num.is_zero():
         raise UnsupportedInputError("invalid", "recurrence map is identically zero")
     for poly, label in ((num, "numerator"), (den, "denominator")):
-        if any(c.numerator < 0 for c in poly.terms.values()):
+        if any(c < 0 for c in poly.packed().terms.values()):
             raise UnsupportedInputError(
                 "negative-coefficient",
                 f"{label} has a negative coefficient; "
@@ -82,20 +82,21 @@ def parse_rde(text: str, order: int | None = None) -> RecurrenceSpec:
     return RecurrenceSpec(
         order=num.nvars,
         R=rf,
-        closed_domain=den.constant_term().numerator > 0,
+        closed_domain=den.constant_term() > 0,
     )
 
 
 def equilibrium_poly(spec: RecurrenceSpec) -> list[int]:
     """A positive integer multiple of E(x) = x*den(x,..,x) - num(x,..,x), collapsed
     on the diagonal; equilibria are its domain roots."""
-    d_num, num_terms = spec.R.num._integer_terms()
-    d_den, den_terms = spec.R.den._integer_terms()
+    num_packing, num_terms, d_num = spec.R.num.packed()
+    den_packing, den_terms, d_den = spec.R.den.packed()
     out = [0] * (max(spec.R.num.total_degree(), spec.R.den.total_degree() + 1) + 1)
-    for exps, c in den_terms:
-        out[sum(exps) + 1] += d_num * c
-    for exps, c in num_terms:
-        out[sum(exps)] -= d_den * c
+    # a key shifted right by its layout's `top` is its term's total degree
+    for k, c in den_terms.items():
+        out[(k >> den_packing.top) + 1] += d_num * c
+    for k, c in num_terms.items():
+        out[k >> num_packing.top] -= d_den * c
     return uni.trim(out)
 
 
@@ -299,9 +300,8 @@ class Composition:
     def __init__(self, spec: RecurrenceSpec):
         num_r, den_r = spec.R.num, spec.R.den
         degs = [max(num_r.degree_in(i), den_r.degree_in(i)) for i in range(spec.order)]
-        d_num, num_terms = num_r._integer_terms()
-        d_den, den_terms = den_r._integer_terms()
-        self.R = ((list(num_terms), d_num), (list(den_terms), d_den), degs)
+        self.R = (*((list(packing.unpack_terms(ints).items()), d)
+                    for packing, ints, d in (num_r.packed(), den_r.packed())), degs)
         self.t = 0
         self.state: list[Component] = []
         self.pool: list[dict] = []
@@ -350,7 +350,6 @@ class Composition:
 
 def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
     """The k+1 components of Q^K as rational functions in x0..xk."""
-    n = spec.order
     composition = Composition(spec)
     components = []
     packing, state = composition.advance(K)
@@ -361,10 +360,8 @@ def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
                 "non-positive-denominator",
                 "a denominator of Q^K has a non-positive coefficient",
             )
-        components.append(RatFun(
-            MultiPoly._from_integers(n, packing.unpack_terms(A), a),
-            MultiPoly._from_integers(n, packing.unpack_terms(den), 1),
-        ))
+        components.append(RatFun(MultiPoly.from_packed(PackedPoly(packing, A, a)),
+                                 MultiPoly.from_packed(PackedPoly(packing, den, 1))))
     return components
 
 
@@ -386,10 +383,9 @@ def build_contraction_poly(
     g_i = den_i*(component_i - xbar): D^2 is positive on the domain, so the
     result has the same sign as the norm difference at every domain point.
     The build runs in integers, and P keeps them (`MultiPoly.from_packed`)
-    for the positivity engine; its Fractions are made only if its terms are
-    read.  `composition`, a `Composition` of spec at some Q^t with t <= K,
-    is composed on to Q^K and left there; without one, Q^K is composed
-    afresh.  Either way P is the same, term for term.
+    for the positivity engine.  `composition`, a `Composition` of spec at
+    some Q^t with t <= K, is composed on to Q^K and left there; without one,
+    Q^K is composed afresh.  Either way P is the same, term for term.
     """
     if composition is None:
         composition = Composition(spec)

@@ -32,14 +32,14 @@ def _at_diagonal(poly: MultiPoly, x: Fraction, deg: int) -> tuple[int, int, list
     """(D, q^deg*f(x,..,x), [q^deg*df/dx_i(x,..,x)]) for f = D*poly in Z[x0..xk],
     D > 0 and x = p/q; deg must be at least poly's total degree."""
     p, q = x.numerator, x.denominator
-    den, terms = poly._integer_terms()
+    packing, terms, den = poly.packed()
     value, partials = 0, [0] * poly.nvars
-    for exps, c in terms:
-        t = sum(exps)
+    for k, c in terms.items():
+        t = k >> packing.top
         value += c * p**t * q ** (deg - t)
         if t:
             w = c * p ** (t - 1) * q ** (deg - t + 1)
-            for i, e in enumerate(exps):
+            for i, e in enumerate(packing.exponents(k)):
                 if e:
                     partials[i] += e * w
     return den, value, partials

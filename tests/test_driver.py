@@ -85,12 +85,16 @@ class TestProveK:
 
         monkeypatch.setattr(gasprover.driver, "build_contraction_poly", keeping)
         assert prove_k(parse_rde("x2/(2+x0+x1+x2)"), 3).verdict == "true"
-        assert prove(parse_rde("(4+x0)/(1+x1)")).verdict == "true"
+        spec = parse_rde("(4+x0)/(1+x1)")
+        assert prove(spec).verdict == "true"
         # K = 3, and K = 2 and 5 of the second-order map: K = 2's negative
         # points refute K = 3 and 4 by their orbits, with no P
         assert len(built) == 3
         for P in built:
             assert P._terms is None
+        # nor of the parsed map: the equilibrium, the LAS check, the
+        # composition and the orbits read its integers
+        assert spec.R.num._terms is None and spec.R.den._terms is None
 
 
 def _random_map(rng):

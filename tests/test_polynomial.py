@@ -59,20 +59,12 @@ def _add(a, b, scale=1):
 
 def _divide(a, b):
     """a/b by `divide_packed` on b's primitive part; None if b does not divide a."""
-    packing = Packing(a.nvars, max(a.total_degree(), b.total_degree()))
-    den_a, ints = a._integer_terms()
-    den_b, b_ints = b._integer_terms()
-    b_ints = dict(b_ints)
-    g = signed_content(b_ints)
-    got = divide_packed(
-        {packing.pack(e): v for e, v in ints},
-        {packing.pack(e): v // g for e, v in b_ints.items()},
-        packing,
-    )
+    packing, _, (a_ints, b_ints) = _over((a, b), max(a.total_degree(), b.total_degree()))
+    g = signed_content(packing.unpack_terms(b_ints))
+    got = divide_packed(a_ints, {k: v // g for k, v in b_ints.items()}, packing)
     if got is None:
         return None
-    return MultiPoly(a.nvars, {e: F(q * den_b, den_a * g)
-                               for e, q in packing.unpack_terms(got).items()})
+    return _unpacked(packing, got, g)
 
 
 def _packed(p, packing):
@@ -676,6 +668,22 @@ class TestKernelsMatchFractionReference:
             kept = MultiPoly.from_packed(scaled).packed()
             assert kept.packing.mask == packed.packing.mask and kept.den == packed.den
             assert list(kept.terms.items()) == list(packed.terms.items())
+            # equal polynomials compare and hash equal whichever constructor
+            # made them, and == and hash read their integers: no Fraction terms
+            fresh = MultiPoly(p.nvars, dict(p.terms))
+            widened = PackedPoly(wide, {wide.pack(e): c for e, c in exps.items()}, packed.den)
+            copies = [MultiPoly(p.nvars, dict(p.terms)), parse_poly(str(p), p.nvars),
+                      MultiPoly.from_packed(scaled), MultiPoly.from_packed(widened)]
+            for q in copies:
+                assert q == fresh and fresh == q and hash(q) == hash(fresh)
+                assert q._terms is None
+            assert fresh._terms is None
+            twice = PackedPoly(packed.packing, {k: 2 * c for k, c in packed.terms.items()},
+                               packed.den)
+            assert (MultiPoly.from_packed(twice) == fresh) == p.is_zero()
+            assert MultiPoly(p.nvars + 1, {e + (0,): c for e, c in p.terms.items()}) != fresh
+            with pytest.raises(TypeError):
+                p.terms[(0,) * p.nvars] = F(1)
         # a witness of the third-order map's K = 3 polynomial (223 terms)
         spec = parse_rde("(2+x0)/(1+x1+x2)")
         big = build_contraction_poly(spec, find_equilibrium(spec), 3)

@@ -860,6 +860,13 @@ class TestProveNonneg:
         assert restored.input_digest == cert.input_digest
         assert len(restored.nodes) == len(cert.nodes)
         assert replay_certificate(restored, p)
+        # a refutation in no variables has the empty witness, which is not None
+        p = MultiPoly(0, {(): -1})
+        cert = prove_nonneg(p, 1)
+        assert cert.verdict == "Disproven" and cert.witness == []
+        restored = certificate_from_json(certificate_to_json(cert))
+        assert restored.witness == [] and restored.witness_value == -1
+        assert replay_certificate(restored, p)
 
     def test_no_floats_in_serialized_certificate(self):
         import json as _json

@@ -570,11 +570,12 @@ class TestBuildKeepsPackedP:
             got = build_contraction_poly(spec, Equilibrium(xbar, spec.order), K)
             packing, ints, den = handed[-1]
             # the eager form: P's Fractions made from the build's integers at once
-            eager = MultiPoly._from_integers(spec.order, packing.unpack_terms(ints), den)
+            eager = MultiPoly(spec.order, {e: F(c, den)
+                                           for e, c in packing.unpack_terms(ints).items()})
             kept = got.packed()
             assert got._terms is None
             assert got.is_zero() == eager.is_zero()
-            want = MultiPoly(spec.order, eager.terms).packed()
+            want = eager.packed()
             assert kept.packing.mask == want.packing.mask
             assert list(kept.terms.items()) == list(want.terms.items())
             assert kept.den == want.den
