@@ -12,15 +12,16 @@ the checker makes each node polynomial itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .packed import decimal_str
 from .parsing import parse_rational
 
 
-@dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(NamedTuple):
     """One of the 2^n orthant regions: per variable low [0,xbar] or high [xbar,inf)."""
 
     highs: tuple[bool, ...]
@@ -35,23 +36,23 @@ class RegionSpec:
         return "".join("H" if h else "L" for h in self.highs)
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(NamedTuple):
     """Axis-aligned rational box; open_low marks axes open on the low side."""
 
     bounds: tuple[tuple[Fraction, Fraction], ...]
     open_low: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(NamedTuple):
     test: str  # PosCoeffs | ZeroOnlyAtOrigin | SubPolyN | LCoeff | Const | Cones (regions only)
     result: str  # pass | fail | refute
-    detail: dict = field(default_factory=dict)
+    detail: Mapping = MappingProxyType({})  # read-only: every default shares it
 
 
 @dataclass
 class CertNode:
+    """One node of the tree; a dataclass, as `prove_nonneg` sets its status after recording it."""
+
     path: tuple[str, ...]
     region: RegionSpec
     box: BoxSpec | None  # None for region-level nodes
@@ -61,6 +62,8 @@ class CertNode:
 
 @dataclass
 class ProofCertificate:
+    """One `prove_nonneg` run: input digest, verdict, nodes in visiting order, witness or reason."""
+
     input_digest: str
     nvars: int
     xbar: Fraction
@@ -72,7 +75,7 @@ class ProofCertificate:
     fail_reason: str | None = None
 
 
-def _detail_json(detail: dict):
+def _detail_json(detail: Mapping):
     out = {}
     for k, v in detail.items():
         if isinstance(v, Fraction):

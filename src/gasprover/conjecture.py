@@ -8,7 +8,6 @@ is a conjecture to be proved, never a proof by itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import MultiPoly
@@ -17,16 +16,16 @@ from .recurrence import Equilibrium, RecurrenceSpec, build_contraction_poly
 _SEED = 987654321
 
 
-@dataclass(frozen=True)
 class MeshParams:
-    eps: Fraction = Fraction(1, 10)
-    N: int = 100
-    restarts: int = 200
-    maxK: int = 10
+    """The mesh step eps, N steps per axis, the restarts and the largest K."""
 
-    def __post_init__(self):
-        if self.eps <= 0 or self.N < 1 or self.restarts < 1 or self.maxK < 1:
+    __slots__ = ("eps", "N", "restarts", "maxK")
+
+    def __init__(self, eps: Fraction = Fraction(1, 10), N: int = 100, restarts: int = 200,
+                 maxK: int = 10):
+        if eps <= 0 or N < 1 or restarts < 1 or maxK < 1:
             raise ValueError("mesh parameters must be positive")
+        self.eps, self.N, self.restarts, self.maxK = eps, N, restarts, maxK
 
 
 def mesh_minimize(

@@ -18,6 +18,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certificate import ProofCertificate
 # Not called by the pipeline; imported so that driver.conjecture_k stays a
@@ -47,6 +48,8 @@ __all__ = [
 
 @dataclass
 class PipelineResult:
+    """A `prove` or `prove_k` answer: verdict, reason, last K, equilibrium, LAS, certificate."""
+
     verdict: str  # true | false | FAIL
     reason: str
     K: int | None = None
@@ -222,8 +225,7 @@ def prove(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WebbookRow:
+class WebbookRow(NamedTuple):
     values: tuple[tuple[str, Fraction], ...]
     rde: str
     status: str  # true | false | FAIL | skipped
@@ -232,8 +234,7 @@ class WebbookRow:
     K: int | None = None
 
 
-@dataclass
-class WebbookReport:
+class WebbookReport(NamedTuple):
     template: str
     seed: int
     rows: list[WebbookRow]

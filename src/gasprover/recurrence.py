@@ -21,10 +21,10 @@ Q on a composition's integer R, which refutes a K with no P.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from . import univariate as uni
 from .packed import (PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed,
@@ -41,8 +41,7 @@ class UnsupportedInputError(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """Order k+1 recurrence with map R in variables x0..xk.
 
     closed_domain is True when 0 is an allowed state value, which requires a
@@ -54,8 +53,7 @@ class RecurrenceSpec:
     closed_domain: bool
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     value: Fraction
     order: int
 

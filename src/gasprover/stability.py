@@ -10,8 +10,8 @@ where linearization proves nothing).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import univariate as uni
 from .polynomial import MultiPoly
@@ -20,12 +20,11 @@ from .recurrence import Equilibrium, RecurrenceSpec
 Poly = list[int]
 
 
-@dataclass(frozen=True)
-class LasVerdict:
+class LasVerdict(NamedTuple):
     outcome: str  # LAS | unstable | inconclusive
     char_poly: tuple[Fraction, ...]
     multipliers: tuple[Fraction, ...]  # partial derivatives of R at the equilibrium
-    schur_table: tuple[tuple[Fraction, Fraction], ...] = field(default_factory=tuple)
+    schur_table: tuple[tuple[Fraction, Fraction], ...] = ()
 
 
 def _at_diagonal(poly: MultiPoly, x: Fraction, deg: int) -> tuple[int, int, list[int]]:
