@@ -8,6 +8,8 @@ which visits each unordered pair of terms once, `pow_packed`, `add_packed`
 and `divide_packed`, exact division in Z[x] with the remainder updated in
 place and leading terms taken from a heap of keys.  With the parser's
 product and power, they are all the polynomial arithmetic of the package.
+`signed_content` is the one rule that makes such a polynomial primitive with
+a positive grlex lead.
 
 A `PackedPoly` is such a dict over one positive denominator, with its layout:
 a polynomial over Q.  Its kernels are the variable substitutions of the
@@ -89,6 +91,13 @@ def drop_zeros(terms: dict) -> dict:
     for k in [k for k, c in terms.items() if not c]:
         del terms[k]
     return terms
+
+
+def signed_content(terms: dict[int, int]) -> int:
+    """The gcd of non-empty integer `terms`, negative if their grlex lead, the
+    term at the largest key, is."""
+    g = gcd(*terms.values())
+    return -g if terms[max(terms)] < 0 else g
 
 
 def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import ceil, log2
 from operator import add
 
-from .packed import decimal_int, drop_zeros, power_by_squaring
-from .polynomial import MultiPoly, RatFun, signed_content
+from .packed import PackedPoly, decimal_int, drop_zeros, power_by_squaring, signed_content
+from .polynomial import MultiPoly, RatFun, _pack
 
 
 class ParseError(ValueError):
@@ -256,8 +256,10 @@ def parse_ratfun(text: str, nvars: int | None = None) -> RatFun:
         nvars = max([_variable_index(value) for kind, value in tokens if kind == "name"],
                     default=0) + 1
     num, den = _Parser(tokens, nvars).parse()
+    packing, den, _ = _pack(nvars, den, 1)
     g = signed_content(den)  # so RatFun finds den primitive, of positive lead
-    return RatFun(MultiPoly._from_integers(nvars, num, g), MultiPoly._from_integers(nvars, den, g))
+    return RatFun(MultiPoly._from_integers(_pack(nvars, num, g)),
+                  MultiPoly._from_integers(PackedPoly(packing, den, g)))
 
 
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:

@@ -6,30 +6,30 @@ common denominator, on packed exponents in the layout whose fields fit the
 sum of its degrees in each x_i.  Every constructor makes that form, so equal
 polynomials hold equal integers, and equality, hashing, the degrees, the
 digest, evaluation and the box map read them; the positivity prover runs its
-shifts and inversions on them.  `terms`, the coefficients as
-`fractions.Fraction`s by exponent tuple, is a read-only view made on first
-read, for the printout.  Nothing in this module uses floating point.  A
+shifts and inversions on them, and the printout walks their keys in
+descending order, which `Packing` makes grlex order.  `terms`, the
+coefficients as `fractions.Fraction`s by exponent tuple, is a read-only view
+made on first read.  Nothing in this module uses floating point.  A
 `MultiPoly` has no arithmetic: the package computes on integers, in the
 kernels of `packed` and in the parser, and `from_packed` keeps a kernel's
 result.
 
 A `RatFun` is a parsed map N/D, not an algebra, and compares by identity:
-its constructor divides both parts by the signed content of den's integers,
-and scales nothing when that is 1.
+its constructor divides both parts by `packed.signed_content` of den's
+integers, the one copy of that rule, and scales nothing when that is 1.
 The parser, which owns the arithmetic on (num, den) pairs of integer
-polynomials, divides them by that content itself and hands both parts over
-in integers, once per expression.
+polynomials, packs den once, divides both parts by its signed content itself
+and hands them over packed, once per expression.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .packed import (Exponents, PackedPoly, Packing, box_map_packed, decimal_str, digest_packed,
-                     evaluate_packed)
+                     evaluate_packed, signed_content)
 
 
 def _as_fraction(c) -> Fraction:
@@ -38,17 +38,6 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
-def grlex_key(exps: Exponents):
-    """Sort key for graded lexicographic order (ascending)."""
-    return (sum(exps), exps)
-
-
-def signed_content(terms: Mapping[Exponents, int]) -> int:
-    """The gcd of non-empty integer `terms`, negative if their grlex lead is."""
-    g = reduce(gcd, terms.values(), 0)
-    return -g if terms[max(terms, key=grlex_key)] < 0 else g
 
 
 def _pack(nvars: int, terms: Mapping[Exponents, int], den: int) -> PackedPoly:
@@ -86,7 +75,7 @@ class MultiPoly:
     def _keep(self, packing: Packing, terms: dict[int, int], den: int) -> None:
         """Hold terms/den on `packing`, the layout of their own degrees, with
         the gcd of the integers and den, of den's sign, divided out."""
-        g = reduce(gcd, terms.values(), den)
+        g = gcd(den, *terms.values())
         if den < 0:
             g = -g
         if g != 1:
@@ -113,11 +102,12 @@ class MultiPoly:
         return out
 
     @classmethod
-    def _from_integers(cls, nvars: int, terms: Mapping[Exponents, int], den: int) -> "MultiPoly":
-        """c/den for each exponent tuple -> non-zero int c of `terms`, den != 0:
-        the parser's constructor, with no Fraction."""
+    def _from_integers(cls, poly: PackedPoly) -> "MultiPoly":
+        """`poly` (den != 0, of either sign), already on the layout of its own
+        degrees: the parser's constructor, which packs nothing again.  It
+        may hold `poly.terms` itself."""
         out = object.__new__(cls)
-        out._keep(*_pack(nvars, terms, den))
+        out._keep(*poly)
         return out
 
     # -- predicates / accessors -------------------------------------------
@@ -204,15 +194,14 @@ class MultiPoly:
 
     # -- canonical text form ----------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in descending graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]), reverse=True)
-
     def __str__(self):
-        if not self.terms:
+        """The terms in descending grlex order, that of their keys."""
+        packing, ints, den = self._packed
+        if not ints:
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for key in sorted(ints, reverse=True):
+            exps, coeff = packing.exponents(key), Fraction(ints[key], den)
             monos = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e]
             mono = "*".join(monos)
             mag = abs(coeff)
@@ -258,9 +247,7 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is zero")
         packing, ints, d = den.packed()
-        g = reduce(gcd, ints.values())
-        if ints[max(ints)] < 0:  # the largest key is the grlex lead
-            g = -g
+        g = signed_content(ints)
         if g != d:
             n_packing, n_ints, n_den = num.packed()
             num = MultiPoly.from_packed(

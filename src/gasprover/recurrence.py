@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from . import univariate as uni
-from .packed import (PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed,
-                     sqr_packed)
+from .packed import (PackedPoly, Packing, add_packed, divide_packed, evaluate_packed, mul_packed,
+                     pow_packed, signed_content, sqr_packed)
 from .parsing import ParseError, parse_ratfun
 from .polynomial import MultiPoly, RatFun
 
@@ -219,9 +219,7 @@ def _decompose(poly: dict, pool: list[dict], packing: Packing) -> tuple[Counter,
             factors[i] += 1
             rest = q
     if any(rest):
-        content = gcd(*rest.values())
-        if rest[max(rest)] < 0:
-            content = -content
+        content = signed_content(rest)
         pool.append({k: c // content for k, c in rest.items()})
         factors[len(pool) - 1] += 1
     else:
@@ -363,14 +361,6 @@ def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
     return components
 
 
-def _vanishes_on_diagonal(f: dict, x: Fraction, packing: Packing) -> bool:
-    """Whether f(x, .., x) = 0, evaluated in integers."""
-    p, q = x.numerator, x.denominator
-    degrees = [k >> packing.top for k in f]
-    deg = max(degrees)
-    return not sum(c * p ** d * q ** (deg - d) for c, d in zip(f.values(), degrees))
-
-
 def build_contraction_poly(
     spec: RecurrenceSpec, eq: Equilibrium, K: int, composition: Composition | None = None
 ) -> MultiPoly:
@@ -396,7 +386,7 @@ def build_contraction_poly(
             d_factors[f] = max(d_factors[f], mult)
 
     # D(xbar) != 0 iff no factor of D vanishes there, and D^2 > 0 then.
-    if any(_vanishes_on_diagonal(pool[f], eq.value, packing) for f in d_factors):
+    if any(evaluate_packed(PackedPoly(packing, pool[f], 1), eq.vector) == 0 for f in d_factors):
         raise RuntimeError(f"a denominator factor of Q^{K} vanishes at xbar = {eq.value}")
     d_poly = _expand_factors(d_factors, pool, powers)
 

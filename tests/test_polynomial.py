@@ -12,8 +12,8 @@ from gasprover import packed, parsing
 from gasprover.parsing import parse_poly, parse_ratfun
 from gasprover.packed import (PackedPoly, Packing, add_packed, decimal_int, decimal_str,
                               divide_packed, invert_packed, mul_packed, pow_packed,
-                              power_by_squaring, shift_packed, sqr_packed)
-from gasprover.polynomial import MultiPoly, RatFun, digest_packed, grlex_key, signed_content
+                              power_by_squaring, shift_packed, signed_content, sqr_packed)
+from gasprover.polynomial import MultiPoly, RatFun, digest_packed
 from gasprover.recurrence import build_contraction_poly, find_equilibrium, parse_rde
 
 F = Fraction
@@ -60,7 +60,7 @@ def _add(a, b, scale=1):
 def _divide(a, b):
     """a/b by `divide_packed` on b's primitive part; None if b does not divide a."""
     packing, _, (a_ints, b_ints) = _over((a, b), max(a.total_degree(), b.total_degree()))
-    g = signed_content(packing.unpack_terms(b_ints))
+    g = signed_content(b_ints)
     got = divide_packed(a_ints, {k: v // g for k, v in b_ints.items()}, packing)
     if got is None:
         return None
@@ -296,7 +296,8 @@ class TestDivideExact:
     def test_keys_order_as_grlex(self):
         packing = Packing(3, 6)
         exps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-        assert sorted(exps, key=packing.pack) == sorted(exps, key=grlex_key)
+        # grlex: total degree first, then the exponents lexicographically, x0 first
+        assert sorted(exps, key=packing.pack) == sorted(exps, key=lambda e: (sum(e), e))
 
 
 class TestRatFun:
@@ -324,6 +325,50 @@ class TestRatFun:
         r = RatFun(P("4+x0", 2), P("1+x1"))
         assert r.evaluate([2, 2]) == 2
 
+    @pytest.mark.parametrize("num, den", [("x0", "-2*x0"), ("1", "-x0"), ("x0", "-2")])
+    def test_one_term_den_primitive_of_positive_lead(self, num, den):
+        num, den = P(num, 1), P(den, 1)
+        r = RatFun(num, den)
+        _, ints, d = r.den.packed()
+        assert d == 1 and signed_content(ints) == 1
+        point = [F(3, 5)]
+        assert r.evaluate(point) == num.evaluate(point) / den.evaluate(point)
+
+    def test_str_over_negative_constant_den(self):
+        r = RatFun(P("x0"), P("-2", 1))
+        assert str(r) == "-1/2*x0"
+        assert r.evaluate([F(3)]) == F(-3, 2) == parse_poly(str(r), 1).evaluate([F(3)])
+
+    def test_random_den_primitive_of_positive_lead(self):
+        """Integer num and den, one-term dens and dens of negative lead among
+        them: den is primitive with a positive grlex lead, and the value is
+        num/den."""
+        rng = random.Random(61)
+
+        def integer_poly(nvars, max_terms):
+            scale = rng.choice([1, 2, 6, -1, -4])
+            return MultiPoly(nvars, {
+                tuple(rng.randrange(4) for _ in range(nvars)): scale * rng.randint(-9, 9)
+                for _ in range(rng.randint(1, max_terms))})
+
+        seen = Counter()
+        for _ in range(400):
+            nvars = rng.randint(1, 3)
+            num, den = integer_poly(nvars, 4), integer_poly(nvars, 3)
+            if den.is_zero():
+                continue
+            _, den_ints, _ = den.packed()
+            seen["one term"] += len(den_ints) == 1
+            seen["negative lead"] += den_ints[max(den_ints)] < 0
+            r = RatFun(num, den)
+            _, ints, d = r.den.packed()
+            assert d == 1 and signed_content(ints) == 1
+            for _ in range(3):
+                point = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nvars)]
+                if den.evaluate(point) != 0:
+                    assert r.evaluate(point) == num.evaluate(point) / den.evaluate(point)
+        assert seen["one term"] > 50 and seen["negative lead"] > 50
+
 
 class TestCanonicalForm:
     def test_graded_lex_string(self):
@@ -335,6 +380,13 @@ class TestCanonicalForm:
         for _ in range(30):
             p = _random_poly(rng, 3)
             assert parse_poly(str(p), 3) == p
+
+    def test_zero_over_negative_den_is_the_zero(self):
+        zero = MultiPoly(1, {})
+        for p in (parse_poly("(x0-x0)/(-1)"),
+                  MultiPoly.from_packed(PackedPoly(Packing(1, 0), {}, -3))):
+            assert p == zero and hash(p) == hash(zero)
+            assert p.packed().den == 1
 
     def test_digest_stable(self):
         p = P("x0^2-x0*x1+x1^2")

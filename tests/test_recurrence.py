@@ -220,7 +220,7 @@ class TestBuildContractionPoly:
 
     def test_denominator_vanishing_at_xbar_raises(self, monkeypatch):
         # a soundness guard, not an assert, so that it holds under python -O
-        monkeypatch.setattr(recurrence, "_vanishes_on_diagonal", lambda f, x, packing: True)
+        monkeypatch.setattr(recurrence, "evaluate_packed", lambda poly, point: 0)
         spec = parse_rde(BENCH)
         with pytest.raises(RuntimeError, match="vanishes at xbar"):
             build_contraction_poly(spec, find_equilibrium(spec), 2)
