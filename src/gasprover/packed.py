@@ -3,13 +3,22 @@
 Such a polynomial is a plain dict from a packed exponent int to a non-zero
 int coefficient.  A `Packing` maps exponent vectors to keys whose integer
 order is grlex order and whose sum is the key of the summed exponents.  The
-kernels are `mul_packed`, the one term-pair product loop, `sqr_packed`,
-which visits each unordered pair of terms once, `pow_packed`, `add_packed`
-and `divide_packed`, exact division in Z[x] with the remainder updated in
-place and leading terms taken from a heap of keys.  With the parser's
-product and power, they are all the polynomial arithmetic of the package.
-`signed_content` is the one rule that makes such a polynomial primitive with
-a positive grlex lead.
+kernels are `mul_packed`, the one product loop, `sqr_packed`, which visits
+each unordered pair once, `pow_packed`, `add_packed` and `divide_packed`,
+exact division in Z[x] with the remainder updated in place and leading terms
+taken from a heap of keys.  With the parser's product and power, they are
+all the polynomial arithmetic of the package.  `signed_content` is the one
+rule that makes such a polynomial primitive with a positive grlex lead.
+
+Given the operands' `Packing`, a product of operands of `_PACK_FROM` terms
+or more is a partial Kronecker substitution: the terms are grouped by their
+key less its x_{n-1} part, each group's x_{n-1} coefficients packed into one
+int, w bits a slot, pairs of groups multiplied, and the slots read back with
+signed borrow.  A coefficient v of a*b sums c1*c2 over distinct pairs of
+terms, so |v| <= S = Σ|a|·Σ|b|; a product group is sum_j v_j*2^(w*j), so with
+w = bitlen(S) + 1 its digits in [-2^(w-1), 2^(w-1)) are the v_j, and no slot
+overflows.  Groups come in the order their pairs first make them, each from
+x_{n-1}^0 up; values, digests and certificates do not depend on term order.
 
 A `PackedPoly` is such a dict over one positive denominator, with its layout:
 a polynomial over Q.  Its kernels are the variable substitutions of the
@@ -80,6 +89,14 @@ class Packing:
         s, mask = self.shifts[var], self.mask
         return max([(k >> s) & mask for k in terms], default=0)
 
+    def rekey(self, terms: dict[int, int], old: Packing) -> dict[int, int]:
+        """`terms`, keyed in the `old` layout, re-keyed to this one in order, a
+        column per variable: its exponents' keys here, read from a table."""
+        span = range(min(old.mask, self.mask) + 1)  # the exponents both layouts hold
+        columns = [[table[(k >> s) & old.mask] for k in terms]
+                   for s, table in zip(old.shifts, ([e * u for e in span] for u in self.units))]
+        return dict(zip(map(sum, zip(*columns)), terms.values())) if columns else dict(terms)
+
     def unpack_terms(self, packed: dict[int, int]) -> dict[Exponents, int]:
         """The same terms, in the same order, keyed by exponent tuples."""
         shifts, mask = self.shifts, self.mask
@@ -100,8 +117,47 @@ def signed_content(terms: dict[int, int]) -> int:
     return -g if terms[max(terms)] < 0 else g
 
 
-def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product; terms in the order the loop meets them, a outer and b inner."""
+# With fewer terms in an operand the term-pair loop is faster (bench, order 4).
+_PACK_FROM = 10
+
+
+def _grouped(a: dict[int, int], b: dict[int, int],
+             packing: Packing | None) -> tuple[dict[int, int], dict[int, int], int]:
+    """a, b and 0 for the term-pair loop; on the packed path (module docstring)
+    their groups by key less x_{n-1}'s part, x_{n-1}^e's coefficient in slot e,
+    and the slot width.  A 0-variable operand has one term at most."""
+    if packing is None or min(len(a), len(b)) < _PACK_FROM:
+        return a, b, 0
+    width = (sum(map(abs, a.values())) * sum(map(abs, b.values()))).bit_length() + 1
+    unit, mask = packing.units[-1], packing.mask
+    pair = []
+    for terms in (a,) if a is b else (a, b):
+        groups: dict[int, int] = {}
+        for k, c in terms.items():
+            e = k & mask
+            groups[k - e * unit] = groups.get(k - e * unit, 0) + (c << e * width)
+        pair.append(groups)
+    return pair[0], pair[-1], width
+
+
+def _ungroup(groups: dict[int, int], packing: Packing, width: int) -> dict[int, int]:
+    """The non-zero terms of packed groups, slots read up with signed borrow."""
+    unit, mask, half = packing.units[-1], (1 << width) - 1, 1 << width - 1
+    terms: dict[int, int] = {}
+    for k, v in groups.items():
+        while v:
+            c = ((v & mask) ^ half) - half
+            if c:
+                terms[k] = c
+            v = (v - c) >> width
+            k += unit
+    return terms
+
+
+def mul_packed(a: dict[int, int], b: dict[int, int],
+               packing: Packing | None = None) -> dict[int, int]:
+    """Product; pairs of terms, or of groups on the packed path, a outer, b inner."""
+    a, b, width = _grouped(a, b, packing)
     inner = list(b.items())
     product: dict[int, int] = {}
     get = product.get
@@ -109,18 +165,19 @@ def mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for k2, c2 in inner:
             k = k1 + k2
             product[k] = get(k, 0) + c1 * c2
-    return drop_zeros(product)
+    return _ungroup(product, packing, width) if width else drop_zeros(product)
 
 
-def sqr_packed(a: dict[int, int]) -> dict[int, int]:
-    """a*a with the terms, in the order, of `mul_packed(a, a)`, from half its pairs.
+def sqr_packed(a: dict[int, int], packing: Packing | None = None) -> dict[int, int]:
+    """a*a with the terms, in the order, of `mul_packed(a, a, packing)`, from half its pairs.
 
-    Term i meets itself and then each later term j once, doubled.  The pair
+    Item i meets itself and then each later item j once, doubled.  The pair
     of mul_packed's loop that first makes a key is the least (i, j) making
     it, and i <= j there, since (j, i) makes the same key; that pair comes
     first here too, so every key is inserted at the same place.
     """
-    items = list(a.items())
+    groups, _, width = _grouped(a, a, packing)
+    items = list(groups.items())
     product: dict[int, int] = {}
     get = product.get
     for i, (k1, c1) in enumerate(items, 1):
@@ -130,7 +187,7 @@ def sqr_packed(a: dict[int, int]) -> dict[int, int]:
         for k2, c2 in items[i:]:
             k = k1 + k2
             product[k] = get(k, 0) + c1 * c2
-    return drop_zeros(product)
+    return _ungroup(product, packing, width) if width else drop_zeros(product)
 
 
 def power_by_squaring(base, n: int, times, square=None):
@@ -149,10 +206,11 @@ def power_by_squaring(base, n: int, times, square=None):
         base = times(base, base) if square is None else square(base)
 
 
-def pow_packed(a: dict[int, int], n: int) -> dict[int, int]:
+def pow_packed(a: dict[int, int], n: int, packing: Packing | None = None) -> dict[int, int]:
     """a**n for n >= 1 by square-and-multiply; a**1 is a itself.  ValueError
     for n < 1."""
-    return power_by_squaring(a, n, mul_packed, sqr_packed)
+    return power_by_squaring(a, n, lambda x, y: mul_packed(x, y, packing),
+                             lambda x: sqr_packed(x, packing))
 
 
 def add_packed(a: dict[int, int], b: dict[int, int], scale: int = 1) -> dict[int, int]:

@@ -96,7 +96,7 @@ class MultiPoly:
         packing, terms, den = poly
         layout = Packing(poly.nvars, sum(packing.degree_in(terms, i) for i in range(poly.nvars)))
         if layout.mask != packing.mask:
-            terms = {layout.pack(packing.exponents(k)): c for k, c in terms.items()}
+            terms = layout.rekey(terms, packing)
         out = object.__new__(cls)
         out._keep(layout, terms, den)
         return out

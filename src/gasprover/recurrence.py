@@ -27,8 +27,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import univariate as uni
-from .packed import (PackedPoly, Packing, add_packed, divide_packed, evaluate_packed, mul_packed,
-                     pow_packed, signed_content, sqr_packed)
+from .packed import (PackedPoly, Packing, add_packed, divide_packed, mul_packed, pow_packed,
+                     signed_content, sqr_packed)
 from .parsing import ParseError, parse_ratfun
 from .polynomial import MultiPoly, RatFun
 
@@ -155,7 +155,7 @@ def find_equilibrium(spec: RecurrenceSpec) -> Equilibrium:
 Component = tuple[dict, int, Counter]
 
 
-def _expand_factors(factors: Counter, pool: list[dict], powers: dict) -> dict:
+def _expand_factors(factors: Counter, pool: list[dict], powers: dict, packing: Packing) -> dict:
     """Product of pool[i]**mult over the factors.
 
     `powers` maps (i, mult) to pool[i]**mult, and the tuple of the first
@@ -173,14 +173,15 @@ def _expand_factors(factors: Counter, pool: list[dict], powers: dict) -> dict:
         if product is None:
             power = powers.get(item)
             if power is None:
-                power = powers[item] = pow_packed(pool[item[0]], item[1])
-            product = powers[prefix] = power if result is None else mul_packed(result, power)
+                power = powers[item] = pow_packed(pool[item[0]], item[1], packing)
+            product = powers[prefix] = (power if result is None
+                                       else mul_packed(result, power, packing))
         result = product
     return {0: 1} if result is None else result
 
 
 def _poly_at_rational_args(
-    poly: list, nums: list[tuple[dict, int]], dens: list[dict], degs: list[int]
+    poly: list, nums: list[tuple[dict, int]], dens: list[dict], degs: list[int], packing: Packing
 ) -> dict:
     """prod a_i^degs[i] * poly(n_0/d_0, ..) * prod d_i^degs[i], an integer polynomial.
 
@@ -193,16 +194,16 @@ def _poly_at_rational_args(
 
     def power(cache, base, e):
         while len(cache) <= e:
-            cache.append(mul_packed(cache[-1], base))
+            cache.append(mul_packed(cache[-1], base, packing))
         return cache[e]
 
     for exps, coeff in poly:
         term = {0: coeff * prod(a ** (d - e) for (_, a), d, e in zip(nums, degs, exps))}
         for i, e in enumerate(exps):
             if e:
-                term = mul_packed(term, power(num_pows[i], nums[i][0], e))
+                term = mul_packed(term, power(num_pows[i], nums[i][0], e), packing)
             if degs[i] > e:
-                term = mul_packed(term, power(den_pows[i], dens[i], degs[i] - e))
+                term = mul_packed(term, power(den_pows[i], dens[i], degs[i] - e), packing)
         result = add_packed(result, term)
     return result
 
@@ -250,9 +251,9 @@ def _compose_first(R, state: list[Component], pool, powers, packing) -> Componen
     """
     (num_r, d_num), (den_r, d_den), degs = R
     nums = [(A, a) for A, a, _ in state]
-    dens = [_expand_factors(factors, pool, powers) for _, _, factors in state]
-    top = _poly_at_rational_args(num_r, nums, dens, degs)
-    bottom = _poly_at_rational_args(den_r, nums, dens, degs)
+    dens = [_expand_factors(factors, pool, powers, packing) for _, _, factors in state]
+    top = _poly_at_rational_args(num_r, nums, dens, degs, packing)
+    bottom = _poly_at_rational_args(den_r, nums, dens, degs, packing)
     factors, content = _decompose(bottom, pool, packing)
     # R = (top/d_num) / (bottom/d_den) with bottom = content * prod factors
     if content < 0:
@@ -333,8 +334,7 @@ class Composition:
         def rekey(terms: dict) -> dict:
             new = moved.get(id(terms))
             if new is None:
-                new = moved[id(terms)] = {
-                    packing.pack(old.exponents(k)): c for k, c in terms.items()}
+                new = moved[id(terms)] = packing.rekey(terms, old)
             return new
 
         # every old polynomial stays held until all are re-keyed, so ids are unique
@@ -350,7 +350,7 @@ def q_power(spec: RecurrenceSpec, K: int) -> list[RatFun]:
     components = []
     packing, state = composition.advance(K)
     for A, a, factors in state:
-        den = _expand_factors(factors, composition.pool, composition.powers)
+        den = _expand_factors(factors, composition.pool, composition.powers, packing)
         if any(c <= 0 for c in den.values()):
             raise UnsupportedInputError(
                 "non-positive-denominator",
@@ -385,21 +385,24 @@ def build_contraction_poly(
         for f, mult in factors.items():
             d_factors[f] = max(d_factors[f], mult)
 
-    # D(xbar) != 0 iff no factor of D vanishes there, and D^2 > 0 then.
-    if any(evaluate_packed(PackedPoly(packing, pool[f], 1), eq.vector) == 0 for f in d_factors):
-        raise RuntimeError(f"a denominator factor of Q^{K} vanishes at xbar = {eq.value}")
-    d_poly = _expand_factors(d_factors, pool, powers)
+    # D(xbar) != 0 iff no factor of D vanishes there, and D^2 > 0 then: q^d times
+    # a factor at (p/q, .., p/q) sums c*p^e*q^(d-e), e = key >> top its degree.
+    p, q, top = eq.value.numerator, eq.value.denominator, packing.top
+    for f in d_factors:
+        d = max(pool[f]) >> top
+        if not sum(c * p ** (k >> top) * q ** (d - (k >> top)) for k, c in pool[f].items()):
+            raise RuntimeError(f"a denominator factor of Q^{K} vanishes at xbar = {eq.value}")
+    d_poly = _expand_factors(d_factors, pool, powers, packing)
 
     # Every summand is kept over the one denominator (s*q)^2, where xbar = p/q
     # and s is the lcm of the components' numerator denominators a.
-    p, q = eq.value.numerator, eq.value.denominator
     s = lcm(*(a for _, a, _ in components))
     dist: dict = {}
     for x_i in packing.units:
         t = add_packed({x_i: s * q}, {0: s * p}, -1)
-        dist = add_packed(dist, sqr_packed(t))
+        dist = add_packed(dist, sqr_packed(t, packing))
 
-    result = mul_packed(dist, sqr_packed(d_poly))
+    result = mul_packed(dist, sqr_packed(d_poly, packing), packing)
     for A, a, factors in components:
         cofactor = Counter()
         for f, mult in d_factors.items():
@@ -408,6 +411,6 @@ def build_contraction_poly(
                 cofactor[f] = rem
         # c_i*g_i = (s*q/a)*c_i*A_i - s*p*D, as c_i*den_i = D
         scaled = mul_packed({k: c * (s // a * q) for k, c in A.items()},
-                            _expand_factors(cofactor, pool, powers))
-        result = add_packed(result, sqr_packed(add_packed(scaled, d_poly, -s * p)), -1)
+                            _expand_factors(cofactor, pool, powers, packing), packing)
+        result = add_packed(result, sqr_packed(add_packed(scaled, d_poly, -s * p), packing), -1)
     return MultiPoly.from_packed(PackedPoly(packing, result, (s * q) ** 2))

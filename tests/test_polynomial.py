@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import operator
 import random
 import sys
@@ -827,6 +828,99 @@ class TestKernelsMatchFractionReference:
         _assert_clean(shifted)
         assert _mul(P("x0-x1"), MultiPoly(2, {})).terms == {}
         assert _add(P("x0-x1"), P("x1-x0")).terms == {}
+
+
+def _products(a, b):
+    """Whether a*b takes the packed path, on the layout for twice the larger
+    degree; a*b, a*a and b*b there match the term-pair loop and the Fraction
+    reference, and each square has the terms, in order, of its product."""
+    degree = 2 * max(a.total_degree(), b.total_degree())
+    packing, den, (x, y) = _over((a, b), degree)
+    for p, q, xs, ys in ((a, b, x, y), (a, a, x, x), (b, b, y, y)):
+        got = mul_packed(xs, ys, packing)
+        assert got == mul_packed(xs, ys)
+        assert _unpacked(packing, got, den * den) == _ref_mul(p, q)
+    for xs in (x, y):
+        assert list(sqr_packed(xs, packing).items()) == list(mul_packed(xs, xs, packing).items())
+    return packed._grouped(x, y, packing)[2] > 0
+
+
+def _dense(rng, nvars, nterms, coeffs=(-3, -2, -1, 1, 2, 5)):
+    """A polynomial of exactly `nterms` terms of degree at most 3 in each x_i."""
+    exps = rng.sample(sorted(itertools.product(range(4), repeat=nvars)), nterms)
+    return MultiPoly(nvars, {e: rng.choice(coeffs) for e in exps})
+
+
+class TestPackedProducts:
+    """Products given the operands' layout take the packed path when both
+    operands have `_PACK_FROM` terms or more, and the term-pair loop below."""
+
+    def test_signed_coefficients_that_cancel(self):
+        # whole slots cancel: (1 + .. + x1^11)*(1 - x1) = 1 - x1^12, and a whole
+        # group: (1 + x0)*(1 - x0) has no x0^1
+        ones = P("+".join(f"x1^{i}" for i in range(12)), 2)
+        x0s = "(1+x0+x0^2+x0^3+x0^4)"
+        a = P("(1-x1+x1^2-x1^3+x1^4-x1^5)*(1+x0)")
+        b = P("(1+x1+x1^2+x1^3+x1^4)*(1-x0)")
+        assert _products(ones, P(f"(1-x1)*{x0s}"))
+        assert _products(a, b)
+        assert _ref_mul(ones, P(f"(1-x1)*{x0s}")) == P(f"(1-x1^12)*{x0s}")
+        assert not any(e[0] == 1 for e in _ref_mul(a, b).terms)
+
+    @pytest.mark.parametrize("bits", [1, 2, 63, 64, 200])
+    def test_coefficients_at_plus_or_minus_the_bound(self, bits):
+        rng = random.Random(bits)
+        top = 2 ** bits - 1
+        for signs in ((top,), (top, -top)):
+            a, b = (_dense(rng, 3, rng.randrange(10, 40), signs) for _ in range(2))
+            assert _products(a, b)
+            packing, _, (x,) = _over((a,), 3 * a.total_degree())
+            assert _unpacked(packing, pow_packed(x, 3, packing), 1) == _ref_pow(a, 3)
+
+    def test_ints_past_the_decimal_digit_limit(self):
+        big = 7 ** 5200  # 4,395 digits
+        rng = random.Random(3)
+        a, b = (_dense(rng, 2, 12, (big, -big, big - 1, 1 - big, 3)) for _ in range(2))
+        assert _products(a, b)
+
+    def test_zero_and_one_variable_layouts(self):
+        # a 0-variable layout has no field to pack, and at most one term
+        for a, b in ((MultiPoly(0, {(): F(2, 3)}), MultiPoly(0, {(): -5})),
+                     (MultiPoly(0, {}), MultiPoly(0, {(): 7}))):
+            assert not _products(a, b)
+        a = P("+".join(f"{(-1) ** i * (i + 1)}*x0^{i}" for i in range(16)))
+        assert _products(a, MultiPoly(1, {(i,): i - 7 for i in range(14)}))
+
+    def test_empty_operands(self):
+        wide = _dense(random.Random(2), 3, 30)
+        for a, b in ((MultiPoly(3, {}), wide), (wide, MultiPoly(3, {})),
+                     (MultiPoly(3, {}), MultiPoly(3, {}))):
+            assert not _products(a, b)
+            packing, _, (x, y) = _over((a, b), 12)
+            assert mul_packed(x, y, packing) == {} and sqr_packed({}, packing) == {}
+
+    def test_just_below_and_at_the_threshold(self):
+        n = packed._PACK_FROM
+        rng = random.Random(4)
+        for la, lb in ((n - 1, n), (n, n - 1), (n - 1, n - 1), (n, n), (n - 1, 60), (n, 60)):
+            a, b = _dense(rng, 3, la), _dense(rng, 3, lb)
+            assert _products(a, b) == (min(la, lb) >= n)
+
+    def test_last_variable_at_the_largest_degree(self):
+        # every product reaches x1^254 on the layout for degree 254
+        a = P("x1^127-3*x0*x1^126+" + "+".join(f"{i}*x0^{i}*x1^{i}" for i in range(1, 12)))
+        b = P("-x1^127+x1^126+" + "+".join(f"x0^{i}*x1^{i + 2}" for i in range(10)))
+        assert _products(a, b)
+        packing, _, (x, y) = _over((a, b), 254)
+        assert all(packing.pack((0, 254)) in p
+                   for p in (mul_packed(x, y, packing), sqr_packed(x, packing)))
+
+    def test_order4_build_pinned(self):
+        # the packed path on every large product of a four-variable build
+        spec = parse_rde("(3+x0)/(1+x1+x2+x3)")
+        p = build_contraction_poly(spec, find_equilibrium(spec), 4)
+        assert len(p.terms) == 3964
+        assert p.digest() == "4fe9b7bd35b67a3ff9db1e75e76da8fec67d831b52f3a896800b34eb20f5da18"
 
 
 def _random_fraction(rng):
